@@ -22,21 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .operators import (
-    cond_expectation,
-    cond_variance,
-    pair_second_differences,
-    scv,
-)
+from .functionals import interaction, interaction_report
+from .operators import _center, cond_expectation, cond_variance, scv
 from .space import (
     DEFAULT_CAP,
     CapacityError,
     TabulatedFunction,
     expectation,
     fsum,
+    memo_scalar,
     variance,
 )
 
@@ -129,10 +127,14 @@ def _psi_over_square(gamma: float) -> float:
 
 def per_coordinate_range_bound(f: TabulatedFunction) -> float:
     """Smallest valid ``b``: ``max_k sup_x (f - cond_expectation(f, k))(x)``."""
-    worst = -math.inf
-    for k in range(f.space.n):
-        worst = max(worst, float((f.values - cond_expectation(f, k).values).max()))
-    return worst
+
+    def compute() -> float:
+        worst = -math.inf
+        for k in range(f.space.n):
+            worst = max(worst, float((f.values - cond_expectation(f, k).values).max()))
+        return worst
+
+    return memo_scalar(f, "range_bound", compute)
 
 
 def sup_bernstein_bound(
@@ -150,12 +152,14 @@ def sup_bernstein_bound(
     if b < needed - _SLACK:
         raise ValueError(f"b={b} is below the per-coordinate range {needed}")
     if two_sided:
-        mirrored = per_coordinate_range_bound(-f)
+        mirrored = memo_scalar(
+            f, "mirrored_range_bound", lambda: per_coordinate_range_bound(-f)
+        )
         if b < mirrored - _SLACK:
             raise ValueError(
                 f"b={b} is below the mirrored per-coordinate range {mirrored}"
             )
-    sup_scv = float(scv(f).values.max())
+    sup_scv = memo_scalar(f, "sup_scv", lambda: float(scv(f).values.max()))
     value = _exp_bound(t, 2.0 * sup_scv + 2.0 * b * t / 3.0, two_sided)
     return BoundReport(
         theorem="SUP_BERNSTEIN",
@@ -229,8 +233,6 @@ def efron_stein_gap(
     gap.  The gap is zero exactly when ``f`` is a sum of per-coordinate
     functions.  Pass ``j`` to reuse an already computed interaction value.
     """
-    from .functionals import interaction
-
     gap = expectation(scv(f)) - variance(f)
     if j is None:
         j = interaction(f)
@@ -245,33 +247,25 @@ def bias_second_difference_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -
     per involved coordinate.  Sandwiched between ``efron_stein_gap(f)[0]``
     and ``interaction(f)^2 / 4``.
 
-    The shadow coordinates never materialize: the mixed second difference is
-    independent of the original pair of coordinates, so the expectation
-    factorizes into the pair weights times the remaining product measure.
+    The mixed second difference on the pair ``(k, l)`` only sees the doubly
+    centred part ``g_kl = f - E_k f - E_l f + E_kl f``, and with independent
+    replacements its four terms are uncorrelated with equal mean square, so
+    its expected square is ``4 E[g_kl^2]``.  The bound is therefore
+    ``2 sum_{k<l} E[g_kl^2]``, one table-sized temporary per pair.
     """
     space = f.space
     space.check_capacity(cap)
-    total = 0.0
+    weights = [axis.weight_array() for axis in space.axes]
+    terms = []
     for k in range(space.n):
+        centered = _center(f.values, weights[k], k)
         for l in range(k + 1, space.n):
-            tens = pair_second_differences(f.values, k, l)
-            wk = space.axes[k].weight_array()
-            wl = space.axes[l].weight_array()
-            pair_w = (
-                wk[:, None, None, None]
-                * wk[None, :, None, None]
-                * wl[None, None, :, None]
-                * wl[None, None, None, :]
-            )
-            reduced = np.tensordot(tens * tens, pair_w, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
-            rest = np.asarray(1.0)
-            for j_ax, axis in enumerate(space.axes):
-                if j_ax in (k, l):
-                    continue
-                rest = np.multiply.outer(rest, axis.weight_array())
-            # Ordered pairs (k,l) and (l,k) contribute equally.
-            total += 2.0 * fsum(np.asarray(reduced) * rest)
-    return 0.25 * total
+            g = _center(centered, weights[l], l)
+            pair_w = np.multiply.outer(weights[k], weights[l])
+            reduced = np.tensordot(g * g, pair_w, axes=([k, l], [0, 1]))
+            rest = [w for j, w in enumerate(weights) if j not in (k, l)]
+            terms.append(fsum(reduced * reduce(np.multiply.outer, rest, np.ones(()))))
+    return 2.0 * fsum(terms)
 
 
 def chatterjee_variance(f: TabulatedFunction) -> float:
@@ -375,8 +369,6 @@ def bound_ingredients(f: TabulatedFunction) -> dict[str, float]:
     Keys: ``E_scv``, ``sup_scv``, ``sigma2``, ``b`` (per-coordinate range),
     ``j``, ``j_mu``, plus ``crude`` and ``bd_term`` for reporting.
     """
-    from .functionals import interaction_report
-
     scv_table = scv(f)
     report = interaction_report(f)
     return {

@@ -31,26 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    cond_variance,
-    expand_pair_constant,
-    pair_second_differences,
-    substitute,
-)
+from .operators import _center
 from .quadrature import adaptive_simpson
 from .space import (
     DEFAULT_CAP,
-    FiniteProductSpace,
     TabulatedFunction,
     expectation,
     fsum,
     variance,
 )
-
-#: Above this many transient tensor elements the configuration suprema in the
-#: interaction functionals switch from exact enumeration to multi-start greedy
-#: coordinate ascent (reported via ``InteractionReport.approximate``).
-DEFAULT_WORK_CAP = 20_000_000
 
 _CHAIN_TOL = 1e-10
 
@@ -64,10 +53,20 @@ _CHAIN_TOL = 1e-10
 class InteractionReport:
     """Both interaction functionals plus the crude bound for one function.
 
+    All three numbers are exact.  On an axis pair ``(k, l)``, with the other
+    coordinates held fixed, the mixed second difference is
+    ``f[y,z] - f[y',z] - f[y,z'] + f[y',z'] = d(z) - d(z')`` with
+    ``d = f[y,.] - f[y',.]``.  Its largest square over ``(y, y', z, z')`` is
+    therefore the largest squared range ``(max_z d - min_z d)^2`` over
+    ``y < y'``, and ``crude`` is ``n`` times the largest such range.  For
+    ``j_mu``, the conditional variance over axis ``k`` of ``f - f@z`` (axis
+    ``l`` frozen at ``z``) is the ``k``-weighted mean of ``(c - c@z)^2`` with
+    ``c = f - cond_expectation(f, k)``, because centring along ``k`` commutes
+    with substitution on ``l``.
+
     ``argmax_config`` is the configuration attaining the supremum in ``j``
-    (smallest enumeration index on ties).  ``approximate`` is set when the
-    suprema were located by greedy ascent instead of exact enumeration, in
-    which case all three numbers are lower bounds on the exact values.
+    (smallest enumeration index on ties).  ``approximate`` is always false;
+    the field and its JSON key remain for readers of the report format.
     """
 
     j: float
@@ -94,212 +93,101 @@ class InteractionReport:
         }
 
 
-def _pair_work(space: FiniteProductSpace) -> int:
-    shape = space.shape
-    return space.size * sum(
-        shape[k] * shape[l] for k in range(space.n) for l in range(k + 1, space.n)
-    )
-
-
 def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
     """Summed per-configuration maxima of squared second differences.
 
     Returns the table ``sum over ordered pairs (k,l), k != l, of
     max over point tuples of (second difference)^2`` together with the global
-    maximum absolute second difference.  Uses the symmetry of the mixed
-    second difference in ``(k, l)`` to visit each unordered pair once.
+    maximum absolute second difference.  Visits each unordered pair once and
+    reduces it through the range form in ``InteractionReport``, so the
+    largest temporary holds ``(s_k choose 2) * size / s_k`` values.
     """
     space = f.space
     total = np.zeros(space.shape)
     max_abs = 0.0
     for k in range(space.n):
         for l in range(k + 1, space.n):
-            tens = pair_second_differences(f.values, k, l)
-            sq = tens * tens
-            reduced = sq.max(axis=(0, 1, 2, 3))
-            max_abs = max(max_abs, math.sqrt(float(sq.max())))
-            total += 2.0 * expand_pair_constant(space, reduced, k, l)
+            if space.shape[k] == 1 or space.shape[l] == 1:
+                continue  # every second difference on the pair is zero
+            fkl = np.moveaxis(f.values, (k, l), (0, 1))
+            y, y2 = np.triu_indices(space.shape[k], 1)
+            d = fkl[y] - fkl[y2]
+            spread = (d.max(axis=1) - d.min(axis=1)).max(axis=0)
+            max_abs = max(max_abs, float(spread.max()))
+            total += 2.0 * np.expand_dims(spread * spread, (k, l))
     return total, max_abs
 
 
-def interaction(f: TabulatedFunction, work_cap: int = DEFAULT_WORK_CAP) -> float:
+def interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """Worst-case interaction functional of ``f``."""
-    return interaction_report(f, work_cap=work_cap, with_j_mu=False).j
+    return interaction_report(f, cap, with_j_mu=False).j
 
 
-def crude_interaction_bound(
-    f: TabulatedFunction, work_cap: int = DEFAULT_WORK_CAP
-) -> float:
+def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """``n`` times the largest absolute mixed second difference of ``f``."""
-    return interaction_report(f, work_cap=work_cap, with_j_mu=False).crude
+    return interaction_report(f, cap, with_j_mu=False).crude
 
 
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
-    """Table of ``sum_l max_z sum_{k != l} cond_variance(f - f@z, k)``."""
+    """Table of ``sum_l max_z sum_{k != l} cond_variance(f - f@z, k)``.
+
+    Works on the ``n`` centred tables ``f - cond_expectation(f, k)`` (see
+    ``InteractionReport``) one point ``z`` at a time, so every other
+    temporary holds at most one table.
+    """
     space = f.space
+    weights = [axis.weight_array() for axis in space.axes]
+    centered = [_center(f.values, w, k) for k, w in enumerate(weights)]
     total = np.zeros(space.shape)
     for l in range(space.n):
-        best: np.ndarray | None = None
-        for z in range(space.axes[l].size):
-            g = f - substitute(f, l, z)
+        best = np.zeros(space.shape)
+        for z in range(space.shape[l]):
             inner = np.zeros(space.shape)
-            for k in range(space.n):
+            for k, c in enumerate(centered):
                 if k == l:
                     continue
-                inner += cond_variance(g, k).values
-            best = inner if best is None else np.maximum(best, inner)
-        assert best is not None
+                diff = c - np.take(c, [z], axis=l)
+                cv = np.tensordot(diff * diff, weights[k], axes=([k], [0]))
+                inner += np.expand_dims(cv, k)
+            np.maximum(best, inner, out=best)
         total += best
     return total
 
 
-def weighted_interaction(
-    f: TabulatedFunction, work_cap: int = DEFAULT_WORK_CAP
-) -> float:
+def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """Distribution-dependent interaction functional of ``f``.
 
     ``2 * sqrt(sup_x sum_l max_z sum_{k != l} cond_variance(f - f@z, k)(x))``
     where ``f@z`` substitutes point ``z`` on axis ``l``.  Always at most
-    ``interaction(f)``.
+    ``interaction(f)``.  Raises ``CapacityError`` above ``cap`` configurations.
     """
-    if _pair_work(f.space) <= work_cap:
-        table = _weighted_objective_tables(f)
-        return 2.0 * math.sqrt(max(float(table.max()), 0.0))
-    best, _ = _greedy_max(f, _weighted_objective_at)
-    return 2.0 * math.sqrt(max(best, 0.0))
+    f.space.check_capacity(cap)
+    table = _weighted_objective_tables(f)
+    return 2.0 * math.sqrt(max(float(table.max()), 0.0))
 
 
 def interaction_report(
     f: TabulatedFunction,
-    work_cap: int = DEFAULT_WORK_CAP,
+    cap: int = DEFAULT_CAP,
     with_j_mu: bool = True,
 ) -> InteractionReport:
-    """Evaluate both interaction functionals and the crude bound together."""
-    space = f.space
-    if _pair_work(space) <= work_cap:
-        total, max_abs = _interaction_tables(f)
-        flat_arg = int(np.argmax(total))
-        argmax = tuple(int(i) for i in np.unravel_index(flat_arg, space.shape))
-        j = math.sqrt(max(float(total.max()), 0.0))
-        crude = space.n * max_abs
-        j_mu = weighted_interaction(f, work_cap) if with_j_mu else 0.0
-        approximate = False
-    else:
-        best_sq, argmax = _greedy_max(f, _sup_objective_at)
-        j = math.sqrt(max(best_sq, 0.0))
-        best_abs, _ = _greedy_max(f, _max_abs_objective_at)
-        crude = space.n * best_abs
-        j_mu = weighted_interaction(f, work_cap) if with_j_mu else 0.0
-        approximate = True
-        # Greedy ascent yields lower estimates; keep the reported chain ordered.
-        crude = max(crude, j)
-        j_mu = min(j_mu, j)
-    if not with_j_mu:
-        j_mu = 0.0
-    return InteractionReport(
-        j=j, j_mu=j_mu, crude=crude, argmax_config=argmax, approximate=approximate
-    )
+    """Evaluate both interaction functionals and the crude bound together.
 
-
-# --- greedy fallback for spaces too large to enumerate exactly --------------
-
-
-def _pair_slice(values: np.ndarray, config: tuple[int, ...], k: int, l: int) -> np.ndarray:
-    index: list[object] = list(config)
-    index[k] = slice(None)
-    index[l] = slice(None)
-    block = values[tuple(index)]
-    return block if k < l else block.T
-
-
-def _sup_objective_at(f: TabulatedFunction, config: tuple[int, ...]) -> float:
-    total = 0.0
-    n = f.space.n
-    for k in range(n):
-        for l in range(k + 1, n):
-            blk = _pair_slice(f.values, config, k, l)
-            tens = (
-                blk[:, None, :, None] - blk[None, :, :, None]
-                - blk[:, None, None, :] + blk[None, :, None, :]
-            )
-            total += 2.0 * float((tens * tens).max())
-    return total
-
-
-def _max_abs_objective_at(f: TabulatedFunction, config: tuple[int, ...]) -> float:
-    worst = 0.0
-    n = f.space.n
-    for k in range(n):
-        for l in range(k + 1, n):
-            blk = _pair_slice(f.values, config, k, l)
-            tens = (
-                blk[:, None, :, None] - blk[None, :, :, None]
-                - blk[:, None, None, :] + blk[None, :, None, :]
-            )
-            worst = max(worst, float(np.abs(tens).max()))
-    return worst
-
-
-def _weighted_objective_at(f: TabulatedFunction, config: tuple[int, ...]) -> float:
-    space = f.space
-    total = 0.0
-    for l in range(space.n):
-        best = 0.0
-        for z in range(space.axes[l].size):
-            acc = 0.0
-            for k in range(space.n):
-                if k == l:
-                    continue
-                fiber_index: list[object] = list(config)
-                fiber_index[k] = slice(None)
-                base = f.values[tuple(fiber_index)]
-                fiber_index[l] = z
-                shifted = f.values[tuple(fiber_index)]
-                g = base - shifted
-                w = space.axes[k].weight_array()
-                m = float(w @ g)
-                acc += float(w @ ((g - m) * (g - m)))
-            best = max(best, acc)
-        total += best
-    return total
-
-
-def _greedy_max(f: TabulatedFunction, objective) -> tuple[float, tuple[int, ...]]:
-    """Multi-start greedy coordinate ascent for configuration suprema.
-
-    Deterministic: fixed lattice starts plus a fixed-seed scatter.  Returns a
-    lower bound on the supremum together with the best configuration found.
+    Raises ``CapacityError`` above ``cap`` configurations.  Without
+    ``with_j_mu`` the report carries ``j_mu = 0``.
     """
     space = f.space
-    shape = space.shape
-    starts = {
-        tuple(0 for _ in shape),
-        tuple(s - 1 for s in shape),
-        tuple(s // 2 for s in shape),
-    }
-    rng = np.random.Generator(np.random.Philox(key=0x1B))
-    for _ in range(5):
-        starts.add(tuple(int(rng.integers(0, s)) for s in shape))
-    best_val = -math.inf
-    best_cfg = tuple(0 for _ in shape)
-    for start in sorted(starts):
-        cfg = list(start)
-        val = objective(f, tuple(cfg))
-        improved = True
-        while improved:
-            improved = False
-            for k in range(space.n):
-                for v in range(shape[k]):
-                    if v == cfg[k]:
-                        continue
-                    cand = list(cfg)
-                    cand[k] = v
-                    cand_val = objective(f, tuple(cand))
-                    if cand_val > val:
-                        val, cfg, improved = cand_val, cand, True
-        if val > best_val:
-            best_val, best_cfg = val, tuple(cfg)
-    return best_val, best_cfg
+    space.check_capacity(cap)
+    total, max_abs = _interaction_tables(f)
+    flat_arg = int(np.argmax(total))
+    argmax = tuple(int(i) for i in np.unravel_index(flat_arg, space.shape))
+    return InteractionReport(
+        j=math.sqrt(max(float(total.flat[flat_arg]), 0.0)),
+        j_mu=weighted_interaction(f, cap) if with_j_mu else 0.0,
+        crude=space.n * max_abs,
+        argmax_config=argmax,
+        approximate=False,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .space import (
     TabulatedFunction,
     expectation,
     fsum,
+    memo_scalar,
     variance,
 )
 
@@ -146,7 +147,7 @@ class TailEstimate:
 def exact_tail(f: TabulatedFunction, t: float, cap: int = DEFAULT_CAP) -> float:
     """``Pr{f - Ef > t}`` by exact enumeration (strict inequality)."""
     w = f.space.weight_table(cap)
-    centered = f.values - expectation(f, cap)
+    centered = f.values - memo_scalar(f, "mean", lambda: expectation(f, cap))
     mask = centered > t
     if not mask.any():
         return 0.0

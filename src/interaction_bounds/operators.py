@@ -34,6 +34,11 @@ def _expand_constant(space: FiniteProductSpace, reduced: np.ndarray, k: int) -> 
     return np.ascontiguousarray(out)
 
 
+def _center(values: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """``values`` minus their ``w``-weighted mean along axis ``k``."""
+    return values - np.expand_dims(np.tensordot(values, w, axes=([k], [0])), k)
+
+
 def _check_fiber_constant(values: np.ndarray, k: int) -> None:
     if not STRUCTURAL_CHECKS:
         return
@@ -101,8 +106,7 @@ def cond_variance(f: TabulatedFunction, k: int) -> TabulatedFunction:
     space = f.space
     space.check_axis(k)
     w = space.axes[k].weight_array()
-    mean = np.tensordot(f.values, w, axes=([k], [0]))
-    centered = f.values - np.expand_dims(mean, axis=k)
+    centered = _center(f.values, w, k)
     reduced = np.tensordot(centered * centered, w, axes=([k], [0]))
     out = _expand_constant(space, reduced, k)
     _check_fiber_constant(out, k)
@@ -162,33 +166,3 @@ def second_difference(
     if k == l:
         raise ValueError("second difference needs two distinct axes")
     return difference(difference(f, k, y, y2), l, z, z2)
-
-
-def pair_second_differences(values: np.ndarray, k: int, l: int) -> np.ndarray:
-    """All mixed second differences for the axis pair ``(k, l)`` at once.
-
-    Returns a tensor with axes ``(y, y2, z, z2, *rest)`` where ``rest`` are
-    the remaining coordinates in their original relative order; entry
-    ``[y, y2, z, z2]`` is the second difference with points ``(y, y2)`` on
-    axis ``k`` and ``(z, z2)`` on axis ``l``.
-    """
-    if k == l:
-        raise ValueError("second difference needs two distinct axes")
-    fkl = np.moveaxis(values, (k, l), (0, 1))
-    return (
-        fkl[:, None, :, None] - fkl[None, :, :, None]
-        - fkl[:, None, None, :] + fkl[None, :, None, :]
-    )
-
-
-def expand_pair_constant(
-    space: FiniteProductSpace, reduced: np.ndarray, k: int, l: int
-) -> np.ndarray:
-    """Re-insert axes ``k`` and ``l`` as constant dimensions and materialize.
-
-    ``reduced`` must carry the remaining axes in their original relative
-    order, as produced by reductions over ``pair_second_differences``.
-    """
-    a, b = sorted((k, l))
-    out = np.expand_dims(np.expand_dims(reduced, a), b)
-    return np.ascontiguousarray(np.broadcast_to(out, space.shape))

@@ -17,6 +17,7 @@ the final reduction keeps a fixed order.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
@@ -229,6 +230,26 @@ class TabulatedFunction:
 
     def __neg__(self) -> "TabulatedFunction":
         return TabulatedFunction(self.space, -self.values)
+
+
+#: Scalars derived from a function, per function instance.  Functions are
+#: immutable and hashed by identity, so an entry lives as long as its function.
+_SCALARS: weakref.WeakKeyDictionary[TabulatedFunction, dict[str, float]]
+_SCALARS = weakref.WeakKeyDictionary()
+
+
+def memo_scalar(f: TabulatedFunction, key: str, compute: Callable[[], float]) -> float:
+    """``compute()`` on the first call for ``(f, key)``; its stored value after.
+
+    For scalars that callers sweeping a deviation grid would otherwise
+    re-derive at every point.  ``compute`` must depend on ``f`` alone; checks
+    that depend on other arguments, such as a capacity cap, stay with the
+    caller and run on every call.
+    """
+    scalars = _SCALARS.setdefault(f, {})
+    if key not in scalars:
+        scalars[key] = compute()
+    return scalars[key]
 
 
 def enumerate_configurations(

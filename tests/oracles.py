@@ -1,15 +1,19 @@
 """Brute-force reference implementations for the test suite.
 
 Everything here is deliberately dumb: plain Python loops over explicitly
-materialized configurations, no numpy vectorization, no shared code with the
-library paths being tested.  Expected values frozen into tests were computed
-with these.
+materialized configurations, no shared code with the library paths being
+tested.  Expected values frozen into tests were computed with these.  The
+one exception to the loops is the section on the full mixed-second-difference
+stencil: vectorized, but it materializes every ``(y, y', z, z')`` tuple, so it
+checks the library's per-pair sweeps at shapes the loops are too slow for.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def configs(space):
@@ -127,6 +131,79 @@ def weighted_interaction(f):
             total += inner_best
         best = max(best, total)
     return 2.0 * math.sqrt(best)
+
+
+# --- the full mixed-second-difference stencil ----------------------------------
+
+
+def pair_second_differences(values, k, l):
+    """All mixed second differences for the axis pair ``(k, l)`` at once.
+
+    Returns a tensor with axes ``(y, y2, z, z2, *rest)`` where ``rest`` are
+    the remaining coordinates in their original relative order; entry
+    ``[y, y2, z, z2]`` is the second difference with points ``(y, y2)`` on
+    axis ``k`` and ``(z, z2)`` on axis ``l``.
+    """
+    fkl = np.moveaxis(values, (k, l), (0, 1))
+    return (
+        fkl[:, None, :, None] - fkl[None, :, :, None]
+        - fkl[:, None, None, :] + fkl[None, :, None, :]
+    )
+
+
+def _ordered_pairs(n):
+    return [(k, l) for k in range(n) for l in range(n) if k != l]
+
+
+def stencil_interaction(f):
+    """``(j, crude)`` from the squared stencil of every ordered axis pair."""
+    space = f.space
+    total = np.zeros(space.shape)
+    max_abs = 0.0
+    for k, l in _ordered_pairs(space.n):
+        sq = pair_second_differences(f.values, k, l) ** 2
+        max_abs = max(max_abs, math.sqrt(float(sq.max())))
+        total = total + np.expand_dims(sq.max(axis=(0, 1, 2, 3)), sorted((k, l)))
+    return math.sqrt(float(total.max())), space.n * max_abs
+
+
+def stencil_bias_bound(f):
+    """Bias bound: a quarter of the weighted mean square of every pair's stencil."""
+    weights = [np.asarray(a.weights) for a in f.space.axes]
+    total = []
+    for k, l in _ordered_pairs(f.space.n):
+        wk, wl = weights[k], weights[l]
+        pair_w = np.einsum("a,b,c,d->abcd", wk, wk, wl, wl)
+        tens = pair_second_differences(f.values, k, l)
+        reduced = np.tensordot(tens * tens, pair_w, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
+        rest = np.ones(())
+        for j, w in enumerate(weights):
+            if j not in (k, l):
+                rest = np.multiply.outer(rest, w)
+        total.append(math.fsum((reduced * rest).ravel().tolist()))
+    return 0.25 * math.fsum(total)
+
+
+def substituted_weighted_interaction(f):
+    """``j_mu`` from conditional variances of ``f - f@z``, one ``(l, z)`` at a time."""
+    space = f.space
+    total = np.zeros(space.shape)
+    for l in range(space.n):
+        best = np.zeros(space.shape)
+        for z in range(space.shape[l]):
+            g = f.values - np.take(f.values, [z], axis=l)
+            inner = np.zeros(space.shape)
+            for k in range(space.n):
+                if k == l:
+                    continue
+                shape = [1] * space.n
+                shape[k] = -1
+                w = np.asarray(space.axes[k].weights).reshape(shape)
+                mean = (w * g).sum(axis=k, keepdims=True)
+                inner = inner + (w * (g - mean) ** 2).sum(axis=k, keepdims=True)
+            best = np.maximum(best, inner)
+        total = total + best
+    return 2.0 * math.sqrt(float(total.max()))
 
 
 def exact_tail(f, t):

@@ -111,6 +111,14 @@ class TestSupBernstein:
         with pytest.raises(ValueError):
             sup_bernstein_bound(f, b, 0.5, two_sided=True)
 
+    def test_repeat_calls_recheck_b(self):
+        f = coordinate_sum(uniform_space(2, 2))
+        first = sup_bernstein_bound(f, 0.5, 1.0, two_sided=True)
+        assert sup_bernstein_bound(f, 0.5, 1.0, two_sided=True) == first
+        for two_sided in (False, True):
+            with pytest.raises(ValueError):
+                sup_bernstein_bound(f, 0.2, 1.0, two_sided=two_sided)
+
 
 class TestMainBound:
     def test_bernstein_reduction_case(self):

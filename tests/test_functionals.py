@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
+from interaction_bounds.bounds import bias_second_difference_bound
 from interaction_bounds.functionals import (
     GibbsState,
     InteractionReport,
@@ -24,12 +26,32 @@ from interaction_bounds.functionals import (
     weighted_interaction,
 )
 from interaction_bounds.quadrature import QuadratureError, adaptive_simpson
-from interaction_bounds.space import TabulatedFunction, expectation, variance
+from interaction_bounds.space import (
+    CapacityError,
+    FiniteAxis,
+    FiniteProductSpace,
+    TabulatedFunction,
+    expectation,
+    variance,
+)
 
 
 def random_table(sizes, seed):
     space = uniform_space(*sizes)
     rng = np.random.default_rng(seed)
+    return TabulatedFunction(space, rng.uniform(-1, 1, space.size))
+
+
+@st.composite
+def dirichlet_tables(draw):
+    """Up to four axes of one to four points with Dirichlet weights."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = []
+    for size in shape:
+        raw = rng.dirichlet(np.ones(size))
+        axes.append(FiniteAxis(weights=tuple(raw / raw.sum())))
+    space = FiniteProductSpace(axes=tuple(axes))
     return TabulatedFunction(space, rng.uniform(-1, 1, space.size))
 
 
@@ -84,6 +106,19 @@ class TestInteraction:
             oracles.weighted_interaction(f), abs=1e-10
         )
 
+    @given(dirichlet_tables())
+    def test_matches_stencil_reductions(self, f):
+        report = interaction_report(f)
+        j, crude = oracles.stencil_interaction(f)
+        assert report.j == pytest.approx(j, rel=1e-12, abs=1e-12)
+        assert report.crude == pytest.approx(crude, rel=1e-12, abs=1e-12)
+        assert report.j_mu == pytest.approx(
+            oracles.substituted_weighted_interaction(f), rel=1e-12, abs=1e-12
+        )
+        assert bias_second_difference_bound(f) == pytest.approx(
+            oracles.stencil_bias_bound(f), rel=1e-12, abs=1e-14
+        )
+
     @given(tabulated_strategy())
     def test_chain(self, f):
         report = interaction_report(f)
@@ -135,16 +170,17 @@ class TestInteractionReport:
                 j=1.0, j_mu=2.0, crude=3.0, argmax_config=(0,), approximate=False
             )
 
-    def test_greedy_fallback_matches_exact_here(self):
-        for seed in range(5):
-            f = random_table((3, 3, 2), seed=100 + seed)
-            exact = interaction_report(f)
-            approx = interaction_report(f, work_cap=0)
-            assert approx.approximate
-            assert approx.j == pytest.approx(exact.j, rel=1e-9)
-            assert approx.j_mu == pytest.approx(exact.j_mu, rel=1e-9)
-            assert approx.j <= exact.j + 1e-12
-            assert approx.crude <= exact.crude + 1e-12
+    def test_cap_exceeded_raises(self):
+        f = random_table((3, 3, 2), seed=100)
+        for functional in (
+            interaction_report,
+            weighted_interaction,
+            interaction,
+            crude_interaction_bound,
+        ):
+            with pytest.raises(CapacityError, match="cap of 17"):
+                functional(f, cap=17)
+        assert interaction_report(f, cap=18) == interaction_report(f)
 
 
 class TestGibbs:

@@ -20,7 +20,7 @@ from interaction_bounds.harness import (
     space_sampler,
 )
 from interaction_bounds.rng import derive_seed, substream
-from interaction_bounds.space import TabulatedFunction, expectation
+from interaction_bounds.space import CapacityError, TabulatedFunction, expectation
 
 
 class TestRng:
@@ -96,6 +96,12 @@ class TestExactTail:
     def test_two_point(self):
         f = table(uniform_space(2), lambda c: float(c[0]))
         assert exact_tail(f, 0.4) == pytest.approx(0.5)
+
+    def test_cap_checked_on_memo_hit(self):
+        f = table(uniform_space(2, 2), lambda c: float(sum(c)))
+        exact_tail(f, 0.4)
+        with pytest.raises(CapacityError, match="cap of 3"):
+            exact_tail(f, 0.4, cap=3)
 
     def test_nonincreasing(self):
         rng = np.random.default_rng(3)

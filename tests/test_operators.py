@@ -13,7 +13,6 @@ from interaction_bounds.operators import (
     cond_variance,
     cond_variance_pairs,
     difference,
-    pair_second_differences,
     scv,
     second_difference,
     self_bounding_operator,
@@ -256,7 +255,7 @@ class TestSecondDifference:
         if f.space.n < 2:
             return
         k, l = 0, f.space.n - 1
-        tens = pair_second_differences(f.values, k, l)
+        tens = oracles.pair_second_differences(f.values, k, l)
         rest_shape = tuple(
             s for i, s in enumerate(f.space.shape) if i not in (k, l)
         )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from interaction_bounds.space import (
     expectation,
     fsum,
     measure_of,
+    memo_scalar,
     tabulated_from_json,
     tabulated_to_json,
     variance,
@@ -189,6 +192,30 @@ class TestTabulatedFunction:
         g = coordinate_sum(uniform_space(2, 3))
         with pytest.raises(ValueError):
             _ = f + g
+
+
+class TestMemoScalar:
+    def test_computes_once_per_function_and_key(self):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return 2.5
+
+        f = coordinate_sum(uniform_space(2, 2))
+        g = coordinate_sum(uniform_space(2, 2))
+        assert memo_scalar(f, "x", compute) == memo_scalar(f, "x", compute) == 2.5
+        memo_scalar(f, "y", compute)
+        memo_scalar(g, "x", compute)
+        assert len(calls) == 3
+
+    def test_entry_dies_with_function(self):
+        f = coordinate_sum(uniform_space(2, 2))
+        memo_scalar(f, "x", lambda: 1.0)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
 
 class TestJson:

@@ -54,7 +54,6 @@ from .bounds import (
     bound_ingredients,
     bounded_difference_variance_term,
     chatterjee_variance,
-    chatterjee_variance_shadow,
     chernoff_infimum,
     conditional_mean_variance_sum,
     efron_stein_gap,

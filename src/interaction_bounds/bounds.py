@@ -30,7 +30,6 @@ from .functionals import interaction, interaction_report
 from .operators import _center, cond_expectation, cond_variance, scv
 from .space import (
     DEFAULT_CAP,
-    CapacityError,
     TabulatedFunction,
     expectation,
     fsum,
@@ -273,9 +272,9 @@ def chatterjee_variance(f: TabulatedFunction) -> float:
 
     Equals ``variance(f)`` exactly; computed in the coordinate-factored form
     ``sum_k E[cond_variance(averaged-prefix f, k)]`` which the telescoping
-    identity reduces to.  ``chatterjee_variance_shadow`` evaluates the same
-    formula by literal enumeration over an independent copy of the space and
-    the test suite checks the two agree.
+    identity reduces to.  The test suite checks it against the literal
+    shadow-variable formula over an independent copy of the space
+    (``chatterjee_variance_shadow`` in ``tests/oracles.py``).
     """
     g = f
     total = []
@@ -283,48 +282,6 @@ def chatterjee_variance(f: TabulatedFunction) -> float:
         total.append(expectation(cond_variance(g, k)))
         g = cond_expectation(g, k)
     return fsum(total)
-
-
-def chatterjee_variance_shadow(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
-    """Literal shadow-variable form of the telescoping variance formula.
-
-    ``(1/2) sum_k E[(f(X) - f(X~k)) (f(X[k-1]) - f(X[k]))]`` where ``X~k``
-    replaces coordinate ``k`` by its independent copy and ``X[k]`` replaces
-    the first ``k`` coordinates.  Enumerates the space crossed with one full
-    independent copy, so it needs ``size^2`` within the cap.
-    """
-    space = f.space
-    if space.size * space.size > cap:
-        raise CapacityError(
-            f"{space.size}^2 shadow configurations exceed the cap of {cap}"
-        )
-    configs = np.array(list(np.ndindex(space.shape)), dtype=np.intp)
-    weights = space.weight_table().ravel()
-    flat = f.values.ravel()
-    strides = np.array(
-        [math.prod(space.shape[i + 1 :]) for i in range(space.n)], dtype=np.intp
-    )
-
-    def lookup(idx: np.ndarray) -> np.ndarray:
-        return flat[idx @ strides]
-
-    terms = []
-    for j, shadow in enumerate(configs):
-        w_shadow = weights[j]
-        prefix = configs.copy()
-        acc = np.zeros(len(configs))
-        for k in range(space.n):
-            replaced_k = configs.copy()
-            replaced_k[:, k] = shadow[k]
-            # prefix currently equals X[k-1]; swap in coordinate k to get X[k].
-            after = prefix.copy()
-            after[:, k] = shadow[k]
-            acc += (lookup(configs) - lookup(replaced_k)) * (
-                lookup(prefix) - lookup(after)
-            )
-            prefix = after
-        terms.append(w_shadow * fsum(weights * acc))
-    return 0.5 * fsum(terms)
 
 
 def conditional_mean_variance_sum(f: TabulatedFunction) -> float:

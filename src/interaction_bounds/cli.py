@@ -36,16 +36,17 @@ import numpy as np
 from . import bounds as bnd
 from . import rls as rlsmod
 from . import ustat as usmod
+from .exchangeable import multiset_probabilities, multisets
 from .functionals import weighted_interaction
 from .harness import (
     RandomInstanceSpec,
-    exact_tail,
     generate_instance,
     run_property_suite,
+    tail_curve,
 )
 from .operators import scv
 from .rng import derive_seed, substream
-from .space import DEFAULT_CAP, CapacityError, FiniteAxis, expectation
+from .space import DEFAULT_CAP, CapacityError, FiniteAxis, expectation, fsum
 
 
 class ConfigError(Exception):
@@ -137,17 +138,27 @@ class RunConfig:
             )
         if self.count is None:
             self.count = _DEFAULT_COUNT[self.command]
+        try:
+            self.seed, self.cap, self.count = int(self.seed), int(self.cap), int(self.count)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed, cap and count must be integers: {exc}") from exc
+        if self.count < 0:
+            raise ConfigError(f"count must be nonnegative, got {self.count}")
 
     def param(self, name: str, default: Any) -> Any:
         return self.params.get(name, default)
 
 
-def _load_config_file(path: str) -> dict:
+def _read_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_config_file(path: str) -> dict:
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config file must contain a JSON object")
     unknown = set(doc) - _TOP_FIELDS
@@ -165,11 +176,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no command given (flag or config 'command')")
     merged = RunConfig(
         command=command,
-        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
+        seed=args.seed if args.seed is not None else doc.get("seed", 0),
         out=args.out if args.out is not None else doc.get("out"),
         format=args.format if args.format is not None else doc.get("format", "csv"),
         count=args.count if args.count is not None else doc.get("count"),
-        cap=args.cap if args.cap is not None else int(doc.get("cap", DEFAULT_CAP)),
+        cap=args.cap if args.cap is not None else doc.get("cap", DEFAULT_CAP),
         params=doc.get("params", {}) or {},
     )
     if not isinstance(merged.params, dict):
@@ -230,30 +241,29 @@ def _emit_table(config: RunConfig, header: Sequence[str], rows: Sequence[Sequenc
 
 def _instance_spec(config: RunConfig) -> RandomInstanceSpec:
     p = config.params
-    return RandomInstanceSpec(
-        n_axes=tuple(p.get("n_axes", (2, 4))),
-        axis_size=tuple(p.get("axis_size", (2, 4))),
-        values=p.get("values", "uniform"),
-        weights=p.get("weights", "uniform"),
-        epsilon=float(p.get("epsilon", 0.1)),
-        seed=config.seed,
-    )
+    try:
+        return RandomInstanceSpec(
+            n_axes=tuple(p.get("n_axes", (2, 4))),
+            axis_size=tuple(p.get("axis_size", (2, 4))),
+            values=p.get("values", "uniform"),
+            weights=p.get("weights", "uniform"),
+            epsilon=float(p.get("epsilon", 0.1)),
+            seed=config.seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_verify(config: RunConfig) -> int:
-    try:
-        spec = _instance_spec(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     report = run_property_suite(
-        spec,
+        _instance_spec(config),
         count=int(config.count or 0),
         entropy_count=config.param("entropy_count", None),
         tail_points=int(config.param("tail_points", 20)),
         scalar_count=int(config.param("scalar_count", 100)),
         inject_bug=bool(config.param("inject_bug", False)),
     )
-    print(report.format_table())
+    print(report.format_table(), file=sys.stderr)
     if config.format == "csv":
         header = ["check", "instances", "max_violation", "tolerance", "passed", "witness_seed"]
         rows = [
@@ -287,12 +297,13 @@ def _make_kernel(config: RunConfig, m: int) -> usmod.Kernel:
     name = config.param("kernel", "product")
     path = config.param("kernel_path", None)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            return usmod.kernel_from_json(json.load(fh))
+        try:
+            return usmod.kernel_from_json(_read_json(path, "kernel"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad kernel document {path}: {exc}") from exc
     makers = {
         "product": usmod.product_kernel,
         "mean": usmod.mean_kernel,
-        "mean-pair": usmod.mean_kernel,
         "sign-agreement": usmod.sign_agreement_kernel,
     }
     if name not in makers:
@@ -343,15 +354,13 @@ def cmd_ustat(config: RunConfig) -> int:
 
 
 def _ustat_tails(problem, t_values, cap, mc_samples, seed):
-    """Exact two-sided tails when the space fits, Monte Carlo otherwise."""
+    """Exact two-sided tails when the sample multisets fit the cap, Monte Carlo otherwise."""
     try:
-        table = usmod.tabulate_u(problem, cap=cap)
-        center = expectation(table)
-        w = table.space.weight_table(cap)
-        tails = {}
-        for t in t_values:
-            mask = np.abs(table.values - center) > t
-            tails[t] = (float(w[mask].sum()), 0.0)
+        counts = multisets(problem.n, problem.base_axis.size, cap)
+        values = usmod.u_at_counts(problem, counts)
+        probs = multiset_probabilities(counts, problem.base_axis.weights)
+        center = usmod.exact_u_mean(problem)
+        tails = {t: (fsum(probs[np.abs(values - center) > t]), 0.0) for t in t_values}
         return tails, "exact", ""
     except (CapacityError, OverflowError):
         pass
@@ -384,11 +393,7 @@ _DEMO_RLS = {
 
 def cmd_rls(config: RunConfig) -> int:
     path = config.param("path", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = _DEMO_RLS
+    doc = _read_json(path, "rls problem") if path else _DEMO_RLS
     try:
         population, n, lam = rlsmod.rls_config_from_json(doc)
     except (ValueError, KeyError) as exc:
@@ -438,10 +443,7 @@ def cmd_rls(config: RunConfig) -> int:
 
     mean_gap = rlsmod.exact_gap_mean(population, n, lam)
     values = rlsmod.mc_gap_values(population, n, lam, mc_samples, derive_seed(config.seed, 0xA3))
-    tmax = max(
-        rlsmod.GapTable(population, n, lam).value(idx) - mean_gap
-        for idx, _ in rlsmod.multiset_distribution(population, n)
-    )
+    tmax = float(rlsmod.GapTable(population, n, lam).gaps.max()) - mean_gap
     if tmax > 0.0:
         for t in np.linspace(0.0, tmax, t_points + 1)[1:]:
             p = float(np.mean(values - mean_gap > t))
@@ -468,10 +470,7 @@ def cmd_rls(config: RunConfig) -> int:
 
 
 def cmd_bounds_table(config: RunConfig) -> int:
-    try:
-        spec = _instance_spec(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _instance_spec(config)
     t_points = int(config.param("t_points", 20))
     header = [
         "instance", "seed", "t", "bd_term", "sup_scv", "e_scv",
@@ -483,21 +482,12 @@ def cmd_bounds_table(config: RunConfig) -> int:
         inst_seed = derive_seed(config.seed, 0xB0, i)
         _, f = generate_instance(dataclasses.replace(spec, seed=inst_seed))
         ing = bnd.bound_ingredients(f)
-        b = ing["b"]
-        center = expectation(f)
-        tmax = f.max() - center
-        if b <= 1e-12 or tmax <= 1e-12:
-            continue
-        for t in np.linspace(0.0, tmax, t_points + 1)[1:]:
-            t = float(t)
+        for t, tail, sup_bernstein, main, corollary in tail_curve(f, ing, t_points):
             rows.append([
                 i, inst_seed, t,
                 ing["bd_term"], ing["sup_scv"], ing["E_scv"],
                 ing["sigma2"] + 0.25 * ing["j"] ** 2,
-                bnd.sup_bernstein_bound(f, b, t).value,
-                bnd.main_bound(ing["E_scv"], b, ing["j_mu"], t).value,
-                bnd.variance_corollary_bound(ing["sigma2"], ing["j"], ing["j_mu"], b, t).value,
-                exact_tail(f, t),
+                sup_bernstein, main, corollary, tail,
             ])
     _emit_table(config, header, rows)
     return 0

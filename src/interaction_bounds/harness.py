@@ -13,7 +13,6 @@ witness seed of the first failure.  Failures are data, not exceptions.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -152,6 +151,30 @@ def exact_tail(f: TabulatedFunction, t: float, cap: int = DEFAULT_CAP) -> float:
     if not mask.any():
         return 0.0
     return fsum(w[mask])
+
+
+def tail_curve(f: TabulatedFunction, ing: dict[str, float], points: int) -> list[tuple]:
+    """``(t, exact tail, sup-Bernstein, main, variance corollary)`` rows.
+
+    One row per deviation ``t`` of an even ``points``-grid on ``(0, max f - Ef]``,
+    with ``ing`` keyed as ``bounds.bound_ingredients``; no rows when ``b`` or
+    the largest deviation is at most 1e-12, where the bounds say nothing.
+    """
+    e_scv, sigma2, b, j, j_mu = (ing[k] for k in ("E_scv", "sigma2", "b", "j", "j_mu"))
+    tmax = f.max() - expectation(f)
+    if b <= 1e-12 or tmax <= 1e-12:
+        return []
+    rows = []
+    for t in np.linspace(0.0, tmax, points + 1)[1:]:
+        t = float(t)
+        rows.append((
+            t,
+            exact_tail(f, t),
+            bnd.sup_bernstein_bound(f, b, t).value,
+            bnd.main_bound(e_scv, b, j_mu, t).value,
+            bnd.variance_corollary_bound(sigma2, j, j_mu, b, t).value,
+        ))
+    return rows
 
 
 def space_sampler(
@@ -505,25 +528,14 @@ def _exact_checks(
         max(e_scv - sup_scv, sup_scv - bd_term), seed
     )
 
-    center = expectation(f)
-    tmax = f.max() - center
-    if b > 1e-12 and tmax > 1e-12:
-        worst_sup = worst_main = worst_cor = 0.0
-        for t in np.linspace(0.0, tmax, tail_points + 1)[1:]:
-            tail = exact_tail(f, float(t))
-            worst_sup = max(
-                worst_sup, tail - bnd.sup_bernstein_bound(f, b, float(t)).value
-            )
-            worst_main = max(
-                worst_main, tail - bnd.main_bound(e_scv, b, j_mu, float(t)).value
-            )
-            worst_cor = max(
-                worst_cor,
-                tail - bnd.variance_corollary_bound(sigma2, j, j_mu, b, float(t)).value,
-            )
-        acc["tail_sup_bernstein"].add(worst_sup, seed)
-        acc["tail_main"].add(worst_main, seed)
-        acc["tail_variance_corollary"].add(worst_cor, seed)
+    ing = {"E_scv": e_scv, "sigma2": sigma2, "b": b, "j": j, "j_mu": j_mu}
+    curve = tail_curve(f, ing, tail_points)
+    if curve:
+        for column, name in enumerate(
+            ("tail_sup_bernstein", "tail_main", "tail_variance_corollary"), start=2
+        ):
+            worst = max(0.0, *(row[1] - row[column] for row in curve))
+            acc[name].add(worst, seed)
 
 
 def _sum_profile_variances(f: TabulatedFunction) -> float:

@@ -25,7 +25,6 @@ centered gap, and ``empirical_scv`` is the seeded Monte Carlo counterpart.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,8 +32,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy, rank
 from .rng import substream
-from .space import CapacityError, fsum
+from .space import fsum
 
 _NORM_SLACK = 1e-12
 
@@ -384,12 +384,12 @@ def gap_tail_bound(e_scv: float, n: int, lam: float, c: float, t: float) -> floa
 
 
 class GapTable:
-    """Cached generalization-gap values for samples of population atoms.
+    """The generalization gap of every sample multiset of population atoms.
 
-    Samples are keyed by their sorted atom-index tuples: both risks are
-    symmetric functions of the sample, so the gap depends only on the sample
-    multiset.  This collapses ``|atoms|^n`` enumerations to the (tiny) number
-    of multisets.
+    Both risks are symmetric in the sample, so the gap depends only on its atom
+    counts (``exchangeable``): row ``r`` of ``counts`` is one ``n``-multiset,
+    ``probs[r]`` its probability and ``gaps[r]`` the gap of the sample holding
+    its atoms in index order.
     """
 
     def __init__(self, population: Population, n: int, lam: float) -> None:
@@ -397,29 +397,22 @@ class GapTable:
             raise ValueError("need a sample of at least two points")
         self.population = population
         self.n = n
-        self.lam = lam
-        self._cache: dict[tuple[int, ...], float] = {}
+        self.counts = multisets(n, population.size)
+        self.probs = multiset_probabilities(self.counts, population.probs)
+        atoms = np.arange(population.size)
+        gaps = []
+        for row in self.counts:
+            idx = np.repeat(atoms, row)
+            sample = RlsProblem(xs=population.xs[idx], ys=population.ys[idx], lam=lam)
+            gaps.append(generalization_gap(sample, population))
+        self.gaps = np.array(gaps)
 
-    def value(self, indices: Sequence[int]) -> float:
-        key = tuple(sorted(int(i) for i in indices))
-        if len(key) != self.n:
-            raise ValueError(f"sample of length {len(key)}, expected {self.n}")
-        got = self._cache.get(key)
-        if got is None:
-            pop = self.population
-            problem = RlsProblem(
-                xs=pop.xs[list(key)], ys=pop.ys[list(key)], lam=self.lam
-            )
-            got = generalization_gap(problem, pop)
-            self._cache[key] = got
-        return got
-
-
-def _check_support_cap(size: int, exponent: int, cap: int) -> None:
-    if size**exponent > cap:
-        raise CapacityError(
-            f"{size}^{exponent} sample configurations exceed the cap of {cap}"
-        )
+    def value(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Gap of each sample given by atom indices along the last axis, in any order."""
+        indices = np.asarray(indices)
+        if indices.shape[-1] != self.n:
+            raise ValueError(f"sample of length {indices.shape[-1]}, expected {self.n}")
+        return self.gaps[rank(occupancy(indices, self.population.size))]
 
 
 def exhaustive_scv(
@@ -428,26 +421,19 @@ def exhaustive_scv(
     """Exact expected variance sum of the gap over population samples.
 
     Exploits exchangeability (i.i.d. atoms, symmetric gap): the expected
-    conditional variance is the same for every coordinate, so only one
-    coordinate is enumerated against all ``|atoms|^(n-1)`` rest-samples.
+    conditional variance is the same for every coordinate, and given the
+    other ``n - 1`` points it depends only on their multiset, so one
+    coordinate is varied over every ``(n-1)``-multiset, at most ``cap`` of them.
     """
-    table = GapTable(population, n, lam)
     probs = population.probs
-    size = population.size
-    _check_support_cap(size, n - 1, cap)
-    terms = []
-    for rest in itertools.product(range(size), repeat=n - 1):
-        p_rest = math.prod(probs[i] for i in rest)
-        if p_rest == 0.0:
-            continue
-        vals = [table.value((y, *rest)) for y in range(size)]
-        acc = 0.0
-        for y in range(size):
-            for y2 in range(size):
-                d = vals[y] - vals[y2]
-                acc += probs[y] * probs[y2] * d * d
-        terms.append(p_rest * 0.5 * acc)
-    return n * math.fsum(terms)
+    rest = multisets(n - 1, population.size, cap)
+    vals = GapTable(population, n, lam).gaps[neighbours(rest)]  # [r, y]: rest r plus atom y
+    acc = np.zeros(len(rest))
+    for y in range(population.size):
+        for y2 in range(population.size):
+            d = vals[:, y] - vals[:, y2]
+            acc += probs[y] * probs[y2] * d * d
+    return n * fsum(multiset_probabilities(rest, probs) * 0.5 * acc)
 
 
 def measured_ingredients(
@@ -459,33 +445,25 @@ def measured_ingredients(
     deviation of the gap from its per-coordinate conditional mean), and
     ``crude_j`` (``n`` times the largest absolute mixed second difference).
     Exchangeability reduces the coordinate maxima to a single representative
-    coordinate (or pair).
+    coordinate (or pair), varied over the at most ``cap`` multisets of the rest.
     """
-    table = GapTable(population, n, lam)
     probs = population.probs
-    size = population.size
-    _check_support_cap(size, n, cap)
-    b = -math.inf
-    for config in itertools.product(range(size), repeat=n):
-        f_here = table.value(config)
-        cond_mean = math.fsum(
-            probs[y] * table.value((y, *config[1:])) for y in range(size)
-        )
-        b = max(b, f_here - cond_mean)
+    rest = multisets(n - 1, population.size, cap)
+    vals = GapTable(population, n, lam).gaps[neighbours(rest)]  # [r, y]: rest r plus atom y
+    cond_mean = np.array([math.fsum(row) for row in (probs * vals).tolist()])
+    b = float((vals - cond_mean[:, None]).max())
+    # pair[q, y, z]: gap of (n-2)-multiset q plus atoms y and z.
+    pair = vals[neighbours(multisets(n - 2, population.size, cap))]
     crude = 0.0
-    _check_support_cap(size, n - 2, cap)
-    for rest in itertools.product(range(size), repeat=n - 2):
-        for y in range(size):
-            for y2 in range(size):
-                for z in range(size):
-                    for z2 in range(size):
-                        second = (
-                            table.value((y, z, *rest))
-                            - table.value((y2, z, *rest))
-                            - table.value((y, z2, *rest))
-                            + table.value((y2, z2, *rest))
-                        )
-                        crude = max(crude, abs(second))
+    for y in range(population.size):
+        for y2 in range(population.size):
+            second = (
+                pair[:, y, :, None]
+                - pair[:, y2, :, None]
+                - pair[:, y, None, :]
+                + pair[:, y2, None, :]
+            )
+            crude = max(crude, float(np.abs(second).max()))
     return {
         "e_scv": exhaustive_scv(population, n, lam, cap),
         "b": b,
@@ -558,47 +536,26 @@ def empirical_scv(
     return mean, math.sqrt(var / replications)
 
 
-def multiset_distribution(population: Population, n: int):
-    """Yield ``(sorted index tuple, probability)`` over sample multisets."""
-    probs = population.probs
-    size = population.size
-    for combo in itertools.combinations_with_replacement(range(size), n):
-        counts = [0] * size
-        for i in combo:
-            counts[i] += 1
-        weight = math.factorial(n)
-        for c in counts:
-            weight //= math.factorial(c)
-        p = weight * math.prod(probs[i] ** c for i, c in enumerate(counts) if c)
-        yield combo, p
-
-
 def exact_gap_mean(population: Population, n: int, lam: float) -> float:
     """Exact ``E[gap]`` by multiset enumeration."""
     table = GapTable(population, n, lam)
-    return math.fsum(p * table.value(idx) for idx, p in multiset_distribution(population, n))
+    return fsum(table.probs * table.gaps)
 
 
 def exact_gap_tail(population: Population, n: int, lam: float, t: float) -> float:
     """Exact ``Pr{gap - E[gap] > t}`` by multiset enumeration."""
     table = GapTable(population, n, lam)
-    pairs = list(multiset_distribution(population, n))
-    mean = math.fsum(p * table.value(idx) for idx, p in pairs)
-    return math.fsum(p for idx, p in pairs if table.value(idx) - mean > t)
+    mean = fsum(table.probs * table.gaps)
+    return fsum(table.probs[table.gaps - mean > t])
 
 
 def mc_gap_values(
     population: Population, n: int, lam: float, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Seeded i.i.d. gap values for Monte Carlo tails (multiset-deduplicated)."""
+    """Seeded i.i.d. gap values for Monte Carlo tails, looked up by multiset."""
     rng = substream(seed, 0xF0)
-    idx = np.sort(
-        rng.choice(population.size, size=(n_samples, n), p=population.probs), axis=1
-    )
-    unique, inverse = np.unique(idx, axis=0, return_inverse=True)
-    table = GapTable(population, n, lam)
-    vals = np.array([table.value(tuple(row)) for row in unique])
-    return vals[inverse.ravel()]
+    idx = rng.choice(population.size, size=(n_samples, n), p=population.probs)
+    return GapTable(population, n, lam).value(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy
 from .rng import substream
 from .space import (
     DEFAULT_CAP,
@@ -39,13 +40,13 @@ from .space import (
     FiniteAxis,
     FiniteProductSpace,
     TabulatedFunction,
-    fsum,
 )
 
 #: Largest sample size for which combination enumeration is permitted.
 MAX_SAMPLE = 64
 
-#: Cap on the number of kernel evaluations in a single exact computation.
+#: Cap on the kernel terms of one computation: evaluations in ``evaluate_u``,
+#: (count row, kernel multiset) products in ``u_at_counts``.
 DEFAULT_EVAL_CAP = 10_000_000
 
 
@@ -54,15 +55,15 @@ class Kernel:
     """A symmetric kernel of order ``m`` with values in ``[-1, 1]``.
 
     ``fn`` maps an ``m``-tuple of base-set points (floats) to a real.
-    Symmetry and the range constraint are declared here and certified by
-    ``check_kernel``; ``evaluate_u`` additionally rejects out-of-range values
-    as it encounters them.
+    Symmetry and the range constraint are certified by ``check_kernel``;
+    ``evaluate_u`` rejects an out-of-range average, and the kernel table behind
+    ``u_at_counts``, ``sigma1_squared`` and ``exact_u_mean`` an out-of-range
+    kernel value.
     """
 
     m: int
     fn: Callable[[tuple[float, ...]], float]
     name: str = "kernel"
-    symmetric: bool = True
 
     def __post_init__(self) -> None:
         if self.m < 2:
@@ -200,26 +201,35 @@ def evaluate_u(
     return value
 
 
+def _kernel_table(problem: UStatProblem, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``m``-multisets of base points (count rows) and the kernel at each.
+
+    ``g`` is evaluated once per multiset, at its points in base order, and
+    checked against ``[-1, 1]``.
+    """
+    kappas = multisets(problem.m, problem.base_axis.size, cap)
+    values = []
+    for kappa in kappas.tolist():
+        points = tuple(p for p, k in zip(problem.base_points, kappa) for _ in range(k))
+        value = float(problem.kernel.fn(points))
+        if not (-1.0 - 1e-12 <= value <= 1.0 + 1e-12):
+            raise ValueError(f"kernel value {value} at {points} outside [-1, 1]")
+        values.append(value)
+    return kappas, np.array(values)
+
+
 def sigma1_squared(problem: UStatProblem, cap: int = 1_000_000) -> float:
     """Variance of the one-argument conditional mean of the kernel, exactly.
 
-    Enumerates the ``(m-1)``-fold product of the base measure; requires
-    ``|base|^(m-1)`` within the cap.  Always lies in ``[0, 1]``.
+    The conditional mean at ``y`` weights the kernel at ``y`` plus each
+    ``(m-1)``-multiset of base points by that multiset's probability; requires
+    the ``m``-multisets within the cap.  Always lies in ``[0, 1]``.
     """
-    m = problem.m
-    size = problem.base_axis.size
-    if size ** (m - 1) > cap:
-        raise CapacityError(f"{size ** (m - 1)} tuples exceed the cap of {cap}")
-    pts = problem.base_points
+    _, g = _kernel_table(problem, cap)
+    rest = multisets(problem.m - 1, problem.base_axis.size, cap)
     w = problem.base_axis.weights
-    fn = problem.kernel.fn
-    cond_mean = []
-    for y in pts:
-        acc = []
-        for idx in itertools.product(range(size), repeat=m - 1):
-            weight = math.prod(w[i] for i in idx)
-            acc.append(weight * fn((y, *(pts[i] for i in idx))))
-        cond_mean.append(math.fsum(acc))
+    terms = multiset_probabilities(rest, w)[:, None] * g[neighbours(rest)]
+    cond_mean = [math.fsum(column) for column in terms.T.tolist()]
     mean = math.fsum(wy * h for wy, h in zip(w, cond_mean))
     return math.fsum(wy * (h - mean) ** 2 for wy, h in zip(w, cond_mean))
 
@@ -368,6 +378,41 @@ def intersecting_pairs_count(n: int, m: int) -> tuple[int, bool]:
     return exact, ratio_ok
 
 
+def u_at_counts(
+    problem: UStatProblem, counts: np.ndarray, eval_cap: int = DEFAULT_EVAL_CAP
+) -> np.ndarray:
+    """``u`` of a sample holding base point ``i`` ``counts[r, i]`` times, per row ``r``.
+
+    The kernel sum ``sum_k g(k) prod_i C(c_i, k_i)`` over the ``m``-multisets
+    ``k`` of base points (``g`` checked against ``[-1, 1]``) is formed exactly,
+    rounded once and divided by ``C(n, m)``: ``evaluate_u``'s arithmetic, bit
+    for bit unless ``g`` rounds differently in another argument order (a
+    product of three non-dyadic points).  ``eval_cap`` bounds the terms.
+    """
+    n, m = problem.n, problem.m
+    counts = np.asarray(counts)
+    if np.any(counts.sum(axis=1) != n):
+        raise ValueError(f"count rows must sum to the sample size {n}")
+    kappas, values = _kernel_table(problem, eval_cap)
+    kappas = kappas.tolist()
+    terms = len(counts) * len(kappas)
+    if terms > eval_cap:
+        raise CapacityError(f"{terms} kernel terms exceed the cap of {eval_cap}")
+    # Kernel values as integers over one power of two, so the sums are exact.
+    ratios = [value.as_integer_ratio() for value in values.tolist()]
+    scale = max(den for _, den in ratios)
+    g = [num * (scale // den) for num, den in ratios]
+    ncm = math.comb(n, m)
+    out = np.empty(len(counts))
+    for r, row in enumerate(counts.tolist()):
+        total = sum(
+            gk * math.prod(math.comb(c, k) for c, k in zip(row, kappa))
+            for gk, kappa in zip(g, kappas)
+        )
+        out[r] = total / scale / ncm
+    return out
+
+
 def tabulate_u(
     problem: UStatProblem, cap: int = DEFAULT_CAP, eval_cap: int = DEFAULT_EVAL_CAP
 ) -> TabulatedFunction:
@@ -377,24 +422,15 @@ def tabulate_u(
     computations and for checking the per-coordinate range and interaction
     properties of ``u`` by direct enumeration.
     """
-    n, m = problem.n, problem.m
+    n, size = problem.n, problem.base_axis.size
     space = FiniteProductSpace(axes=(problem.base_axis,) * n)
     space.check_capacity(cap)
-    ncm = math.comb(n, m)
-    if ncm * space.size > eval_cap:
-        raise CapacityError(
-            f"{ncm * space.size} kernel evaluations exceed the cap of {eval_cap}"
-        )
-    combos = list(itertools.combinations(range(n), m))
-    pts = problem.base_points
-    fn = problem.kernel.fn
-    values = np.empty(space.size)
-    for flat, config in enumerate(np.ndindex(space.shape)):
-        sample = tuple(pts[i] for i in config)
-        values[flat] = math.fsum(
-            fn(tuple(sample[j] for j in combo)) for combo in combos
-        ) / ncm
-    return TabulatedFunction(space, values)
+    values = u_at_counts(problem, multisets(n, size, cap), eval_cap)
+    # rows[x]: multiset row of configuration x, built up one draw at a time.
+    rows = np.zeros((), dtype=np.intp)
+    for k in range(n):
+        rows = neighbours(multisets(k, size, cap))[rows]
+    return TabulatedFunction(space, values[rows])
 
 
 def scv_envelope_terms(
@@ -436,31 +472,13 @@ def sample_u_values(
     eval_cap: int = DEFAULT_EVAL_CAP,
 ) -> np.ndarray:
     """Seeded i.i.d. draws of the U-statistic (for Monte Carlo tails)."""
-    ncm = math.comb(problem.n, problem.m)
-    if ncm * n_samples > eval_cap:
-        raise CapacityError(
-            f"{ncm * n_samples} kernel evaluations exceed the cap of {eval_cap}"
-        )
     rng = substream(seed, 0x0E)
     w = np.asarray(problem.base_axis.weights)
-    pts = np.asarray(problem.base_points)
-    idx = rng.choice(len(pts), size=(n_samples, problem.n), p=w)
-    return np.fromiter(
-        (evaluate_u(problem, pts[row], eval_cap) for row in idx),
-        dtype=np.float64,
-        count=n_samples,
-    )
+    idx = rng.choice(len(w), size=(n_samples, problem.n), p=w)
+    return u_at_counts(problem, occupancy(idx, len(w)), eval_cap)
 
 
 def exact_u_mean(problem: UStatProblem, cap: int = 1_000_000) -> float:
-    """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-tuple."""
-    m = problem.m
-    size = problem.base_axis.size
-    if size**m > cap:
-        raise CapacityError(f"{size ** m} tuples exceed the cap of {cap}")
-    pts = problem.base_points
-    w = problem.base_axis.weights
-    return math.fsum(
-        math.prod(w[i] for i in idx) * problem.kernel.fn(tuple(pts[i] for i in idx))
-        for idx in itertools.product(range(size), repeat=m)
-    )
+    """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-multiset."""
+    kappas, g = _kernel_table(problem, cap)
+    return math.fsum((multiset_probabilities(kappas, problem.base_axis.weights) * g).tolist())

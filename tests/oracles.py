@@ -2,10 +2,14 @@
 
 Everything here is deliberately dumb: plain Python loops over explicitly
 materialized configurations, no shared code with the library paths being
-tested.  Expected values frozen into tests were computed with these.  The
-one exception to the loops is the section on the full mixed-second-difference
-stencil: vectorized, but it materializes every ``(y, y', z, z')`` tuple, so it
-checks the library's per-pair sweeps at shapes the loops are too slow for.
+tested.  Expected values frozen into tests were computed with these.  Two
+exceptions to the loops are vectorized but still literal: the full
+mixed-second-difference stencil, which materializes every ``(y, y', z, z')``
+tuple to check the library's per-pair sweeps at shapes the loops are too slow
+for, and the shadow-variable variance formula over the space crossed with a
+full independent copy.  The U-statistic and regularized-least-squares
+references enumerate every sample configuration, where the library works on
+sample multisets.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ import itertools
 import math
 
 import numpy as np
+
+from interaction_bounds.rls import RlsProblem, generalization_gap
+from interaction_bounds.space import DEFAULT_CAP, CapacityError
 
 
 def configs(space):
@@ -280,6 +287,47 @@ def chatterjee_shadow(f):
     return 0.5 * total
 
 
+def chatterjee_variance_shadow(f, cap=DEFAULT_CAP):
+    """Literal shadow-variable form of the telescoping variance formula.
+
+    ``(1/2) sum_k E[(f(X) - f(X~k)) (f(X[k-1]) - f(X[k]))]`` where ``X~k``
+    replaces coordinate ``k`` by its independent copy and ``X[k]`` replaces
+    the first ``k`` coordinates.  Enumerates the space crossed with one full
+    independent copy, so it needs ``size^2`` within the cap.
+    """
+    space = f.space
+    if space.size * space.size > cap:
+        raise CapacityError(
+            f"{space.size}^2 shadow configurations exceed the cap of {cap}"
+        )
+    configs = np.array(list(np.ndindex(space.shape)), dtype=np.intp)
+    weights = np.array([weight(space, c) for c in configs])
+    flat = f.values.ravel()
+    strides = np.array(
+        [math.prod(space.shape[i + 1 :]) for i in range(space.n)], dtype=np.intp
+    )
+
+    def lookup(idx):
+        return flat[idx @ strides]
+
+    terms = []
+    for j, shadow in enumerate(configs):
+        prefix = configs.copy()
+        acc = np.zeros(len(configs))
+        for k in range(space.n):
+            replaced_k = configs.copy()
+            replaced_k[:, k] = shadow[k]
+            # prefix currently equals X[k-1]; swap in coordinate k to get X[k].
+            after = prefix.copy()
+            after[:, k] = shadow[k]
+            acc += (lookup(configs) - lookup(replaced_k)) * (
+                lookup(prefix) - lookup(after)
+            )
+            prefix = after
+        terms.append(weights[j] * math.fsum((weights * acc).tolist()))
+    return 0.5 * math.fsum(terms)
+
+
 def conditional_mean_variance_sum(f):
     space = f.space
     total = 0.0
@@ -306,6 +354,25 @@ def u_value(kernel_fn, m, sample):
     return math.fsum(kernel_fn(c) for c in combos) / len(combos)
 
 
+def tabulate_u(problem):
+    """The U-statistic on every configuration of the ``n``-fold base space.
+
+    One exactly rounded kernel sum over the ``m``-subsets of sample positions
+    per configuration, divided by ``C(n, m)``; returns the dense value array.
+    """
+    n, m = problem.n, problem.m
+    combos = list(itertools.combinations(range(n), m))
+    pts = problem.base_points
+    fn = problem.kernel.fn
+    values = np.empty((len(pts),) * n)
+    for config in np.ndindex(values.shape):
+        sample = tuple(pts[i] for i in config)
+        values[config] = math.fsum(
+            fn(tuple(sample[j] for j in combo)) for combo in combos
+        ) / math.comb(n, m)
+    return values
+
+
 def intersecting_pairs(n, m):
     subsets = list(itertools.combinations(range(n), m))
     return sum(
@@ -322,3 +389,48 @@ def rls_gap_1d(xs, ys, lam, pop_xs, pop_ys, pop_ps):
     emp = math.fsum((w * x - y) ** 2 for x, y in zip(xs, ys)) / n
     true = math.fsum(p * (w * x - y) ** 2 for x, y, p in zip(pop_xs, pop_ys, pop_ps))
     return true - emp
+
+
+def rls_measured_ingredients(population, n, lam):
+    """``e_scv``, ``b`` and ``crude_j`` of the gap by loops over sample configurations.
+
+    Every sample, rest-sample and replacement is enumerated; gaps are cached by
+    the sorted atom indices of the sample, whose order the gap is computed in.
+    """
+    probs = population.probs
+    size = population.size
+    cache = {}
+
+    def gap(config):
+        key = tuple(sorted(config))
+        if key not in cache:
+            sample = RlsProblem(
+                xs=population.xs[list(key)], ys=population.ys[list(key)], lam=lam
+            )
+            cache[key] = generalization_gap(sample, population)
+        return cache[key]
+
+    b = -math.inf
+    for config in itertools.product(range(size), repeat=n):
+        cond_mean = math.fsum(probs[y] * gap((y, *config[1:])) for y in range(size))
+        b = max(b, gap(config) - cond_mean)
+    crude = 0.0
+    for rest in itertools.product(range(size), repeat=n - 2):
+        for y, y2, z, z2 in itertools.product(range(size), repeat=4):
+            second = (
+                gap((y, z, *rest))
+                - gap((y2, z, *rest))
+                - gap((y, z2, *rest))
+                + gap((y2, z2, *rest))
+            )
+            crude = max(crude, abs(second))
+    terms = []
+    for rest in itertools.product(range(size), repeat=n - 1):
+        vals = [gap((y, *rest)) for y in range(size)]
+        acc = 0.0
+        for y in range(size):
+            for y2 in range(size):
+                d = vals[y] - vals[y2]
+                acc += probs[y] * probs[y2] * d * d
+        terms.append(math.prod(probs[i] for i in rest) * 0.5 * acc)
+    return {"e_scv": n * math.fsum(terms), "b": b, "crude_j": n * crude}

@@ -48,7 +48,6 @@ from interaction_bounds.rls import (
     exact_gap_mean,
     mc_gap_values,
     measured_ingredients,
-    multiset_distribution,
     solve,
 )
 from interaction_bounds.rng import substream
@@ -304,10 +303,7 @@ def test_criterion_6_regularized_least_squares():
         pop = Population(xs=xs, ys=ys, probs=[p0, 1.0 - p0])
         meas = measured_ingredients(pop, n, lam)
         mean_gap = exact_gap_mean(pop, n, lam)
-        table = GapTable(pop, n, lam)
-        tmax = max(
-            table.value(idx) - mean_gap for idx, _ in multiset_distribution(pop, n)
-        )
+        tmax = max(GapTable(pop, n, lam).gaps - mean_gap)
         if tmax <= 0.0 or meas["b"] <= 0.0:
             continue
         values = mc_gap_values(pop, n, lam, 100_000, seed=SEED + rep_i)

@@ -14,7 +14,6 @@ from interaction_bounds.bounds import (
     bound_ingredients,
     bounded_difference_variance_term,
     chatterjee_variance,
-    chatterjee_variance_shadow,
     chernoff_infimum,
     conditional_mean_variance_sum,
     efron_stein_gap,
@@ -259,14 +258,14 @@ class TestChatterjee:
 
     @given(tabulated_strategy(max_axes=2, max_size=3))
     def test_shadow_form_agrees_on_two_axis_spaces(self, f):
-        shadow = chatterjee_variance_shadow(f)
+        shadow = oracles.chatterjee_variance_shadow(f)
         assert shadow == pytest.approx(oracles.chatterjee_shadow(f), abs=1e-11)
         assert shadow == pytest.approx(chatterjee_variance(f), abs=1e-10)
 
     def test_shadow_capacity(self):
         f = random_table((4, 4, 4), seed=50)
         with pytest.raises(CapacityError):
-            chatterjee_variance_shadow(f, cap=1000)
+            oracles.chatterjee_variance_shadow(f, cap=1000)
 
 
 class TestConditionalMeanVarianceSum:

@@ -9,6 +9,13 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
+def assert_one_config_error(capsys):
+    """The run wrote one ``config error:`` line to stderr and nothing else."""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestVerifyCommand:
     def test_passes_and_writes_schema_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -17,8 +24,18 @@ class TestVerifyCommand:
         text = read(out)
         assert text.startswith("#schema=1\n")
         assert "efron_stein" in text
-        table = capsys.readouterr().out
+        table = capsys.readouterr().err
         assert "chernoff_infimum" in table
+
+    def test_json_on_stdout_parses(self, capsys):
+        assert main(["verify", "--count", "2", "--seed", "3", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["count"] == 2
+        assert "chernoff_infimum" in captured.err
+
+    def test_negative_count_is_config_error(self, capsys):
+        assert main(["verify", "--count", "-1"]) == 2
+        assert_one_config_error(capsys)
 
     def test_count_zero_empty_report(self, tmp_path):
         out = tmp_path / "empty.json"
@@ -57,6 +74,12 @@ class TestVerifyCommand:
 
 
 class TestConfigHandling:
+    def test_non_integer_seed(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "verify", "seed": "abc"}))
+        assert main(["--config", str(config)]) == 2
+        assert "seed" in assert_one_config_error(capsys)
+
     def test_unknown_top_level_field(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"command": "verify", "speed": 3}))
@@ -128,6 +151,7 @@ class TestUstatCommand:
                         "t_values": [0.2],
                         "mc_samples": 200,
                     },
+                    "cap": 40,
                 }
             )
         )
@@ -135,6 +159,28 @@ class TestUstatCommand:
         assert main(["--config", str(config), "--out", str(out)]) == 0
         body = read(out)
         assert "fell back to Monte Carlo" in body
+
+    def test_default_cells_are_exact(self, tmp_path):
+        out = tmp_path / "u.csv"
+        assert main(["ustat", "--out", str(out)]) == 0
+        lines = read(out).splitlines()
+        header = lines[1].split(",")
+        kinds = {
+            (row[0], row[1]): row[header.index("tail_kind")]
+            for row in (line.split(",") for line in lines[2:])
+        }
+        assert len(kinds) == 9
+        assert set(kinds.values()) == {"exact"}
+
+    def test_missing_kernel_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {"command": "ustat", "params": {"kernel_path": str(tmp_path / "none.json")}}
+            )
+        )
+        assert main(["--config", str(config)]) == 2
+        assert "none.json" in assert_one_config_error(capsys)
 
     def test_crossover_column_near_expected_products(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -221,6 +267,14 @@ class TestRlsCommand:
             json.dumps({"command": "rls", "params": {"path": str(problem_path)}})
         )
         assert main(["--config", str(config)]) == 2
+
+    def test_missing_problem_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({"command": "rls", "params": {"path": str(tmp_path / "none.json")}})
+        )
+        assert main(["--config", str(config)]) == 2
+        assert "none.json" in assert_one_config_error(capsys)
 
 
 class TestBoundsTableCommand:

@@ -22,16 +22,20 @@ from interaction_bounds.rls import (
     generalization_gap,
     mc_gap_values,
     measured_ingredients,
-    multiset_distribution,
     population_sampler,
     rls_config_from_json,
     solve,
     stability_difference,
     true_risk,
 )
+from interaction_bounds.rng import substream
+from interaction_bounds.space import CapacityError
 
 TWO_ATOM = Population(xs=[[0.9], [-0.7]], ys=[0.8, -0.6], probs=[0.5, 0.5])
 SKEW_ATOM = Population(xs=[[0.6], [-1.0]], ys=[1.0, -0.2], probs=[0.3, 0.7])
+PLANE_ATOM = Population(
+    xs=[[0.5, -0.3], [-0.6, 0.2], [0.1, 0.8]], ys=[0.7, -0.4, 0.2], probs=[0.25, 0.45, 0.3]
+)
 
 
 def random_problem(rng, d=None, n=None, lam=None):
@@ -269,7 +273,7 @@ class TestScvEstimators:
 
 class TestGapDistribution:
     def test_multiset_probabilities_sum_to_one(self):
-        total = math.fsum(p for _, p in multiset_distribution(SKEW_ATOM, 6))
+        total = math.fsum(GapTable(SKEW_ATOM, 6, 0.5).probs)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_gap_table_symmetric_key(self):
@@ -296,13 +300,46 @@ class TestGapDistribution:
         meas = measured_ingredients(TWO_ATOM, n, lam)
         assert meas["b"] >= 0.0 and meas["crude_j"] >= 0.0
         mean = exact_gap_mean(TWO_ATOM, n, lam)
-        table = GapTable(TWO_ATOM, n, lam)
-        tmax = max(
-            table.value(idx) - mean for idx, _ in multiset_distribution(TWO_ATOM, n)
-        )
+        tmax = max(GapTable(TWO_ATOM, n, lam).gaps - mean)
         for t in np.linspace(0.0, tmax, 9)[1:]:
             bound = main_bound(meas["e_scv"], meas["b"], meas["crude_j"], float(t))
             assert exact_gap_tail(TWO_ATOM, n, lam, float(t)) <= bound.value + 1e-12
+
+
+class TestMultisetEngine:
+    @pytest.mark.parametrize(
+        "population,n,lam",
+        [(TWO_ATOM, 5, 0.35), (SKEW_ATOM, 6, 0.45), (PLANE_ATOM, 4, 0.3)],
+    )
+    def test_measured_ingredients_match_configuration_loops(self, population, n, lam):
+        got = measured_ingredients(population, n, lam)
+        want = oracles.rls_measured_ingredients(population, n, lam)
+        assert got["b"] == want["b"]
+        assert got["crude_j"] == want["crude_j"]
+        assert got["e_scv"] == pytest.approx(want["e_scv"], rel=1e-15, abs=0.0)
+
+    def test_mc_values_are_gaps_of_the_drawn_samples(self):
+        n, lam = 5, 0.3
+        got = mc_gap_values(PLANE_ATOM, n, lam, 300, seed=6)
+        draws = np.sort(
+            substream(6, 0xF0).choice(3, size=(300, n), p=PLANE_ATOM.probs), axis=1
+        )
+        want = [
+            generalization_gap(
+                RlsProblem(xs=PLANE_ATOM.xs[row], ys=PLANE_ATOM.ys[row], lam=lam),
+                PLANE_ATOM,
+            )
+            for row in draws
+        ]
+        assert np.array_equal(got, want)
+
+    def test_multisets_above_cap_name_the_cap(self):
+        # 3 atoms, n = 6: the rest-samples of n - 1 points form 21 multisets
+        assert measured_ingredients(PLANE_ATOM, 6, 0.5, cap=21)["b"] >= 0.0
+        with pytest.raises(CapacityError, match="cap of 20"):
+            measured_ingredients(PLANE_ATOM, 6, 0.5, cap=20)
+        with pytest.raises(CapacityError, match="cap of 20"):
+            exhaustive_scv(PLANE_ATOM, 6, 0.5, cap=20)
 
 
 class TestJson:

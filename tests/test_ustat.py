@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from interaction_bounds.functionals import interaction
+from interaction_bounds.exchangeable import multisets, occupancy
 from interaction_bounds.operators import cond_expectation
+from interaction_bounds.rng import substream
 from interaction_bounds.space import CapacityError, FiniteAxis, expectation, fsum
 from interaction_bounds.ustat import (
     CrossoverResult,
@@ -29,6 +31,7 @@ from interaction_bounds.ustat import (
     sign_agreement_kernel,
     tabulate_u,
     tabulated_kernel,
+    u_at_counts,
     ustat_bound,
 )
 
@@ -329,3 +332,62 @@ class TestSampling:
         mc = float(np.mean(np.abs(values - center) > t))
         stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
         assert abs(mc - exact) <= 4 * stderr
+
+
+def _tabulated_quadratic(points):
+    """A symmetric non-integer kernel table on three points, m = 2."""
+    table = [[0.3, -0.7, 0.1], [-0.7, 0.55, -0.2], [0.1, -0.2, 0.9]]
+    return tabulated_kernel(points, [v for row in table for v in row], m=2)
+
+
+WEIGHTED_POINTS = (-0.7, 0.3, 0.9)
+WEIGHTED_AXIS = FiniteAxis(weights=(0.2, 0.5, 0.3))
+COUNT_CASES = [
+    (product_kernel(2), 6),
+    (mean_kernel(3), 6),
+    (mean_kernel(4), 5),
+    (sign_agreement_kernel(3), 5),
+    (_tabulated_quadratic(WEIGHTED_POINTS), 6),
+]
+
+
+class TestCountsEvaluator:
+    @pytest.mark.parametrize("kernel,n", COUNT_CASES)
+    def test_tabulate_matches_configuration_loop(self, kernel, n):
+        p = problem(kernel, n, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        assert np.array_equal(tabulate_u(p).values, oracles.tabulate_u(p))
+
+    @pytest.mark.parametrize("kernel,n", COUNT_CASES)
+    def test_samples_match_evaluate_u(self, kernel, n):
+        p = problem(kernel, n, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        got = sample_u_values(p, 200, seed=12)
+        draws = substream(12, 0x0E).choice(3, size=(200, n), p=WEIGHTED_AXIS.weights)
+        pts = np.asarray(WEIGHTED_POINTS)
+        assert np.array_equal(got, [evaluate_u(p, pts[row]) for row in draws])
+
+    def test_large_sample_beyond_evaluate_u(self):
+        # n = 200 has no configuration table, but u at all-equal points is g there
+        p = problem(mean_kernel(4), 200, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        got = u_at_counts(p, np.array([[200, 0, 0], [0, 0, 200]]))
+        assert got.tolist() == [-0.7, 0.9]
+
+    def test_out_of_range_kernel_rejected(self):
+        wild = Kernel(m=2, fn=lambda pts: 1.5 * pts[0] * pts[1], name="wild")
+        with pytest.raises(ValueError, match="outside"):
+            tabulate_u(problem(wild, 4))
+        with pytest.raises(ValueError, match="outside"):
+            sample_u_values(problem(wild, 4), 10, seed=1)
+        with pytest.raises(ValueError, match="outside"):
+            sigma1_squared(problem(wild, 4))
+
+    def test_term_cap_names_the_cap(self):
+        p = problem(mean_kernel(2), 5, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        counts = multisets(5, 3)
+        assert len(u_at_counts(p, counts, eval_cap=21 * 6)) == 21
+        with pytest.raises(CapacityError, match="cap of 125"):
+            u_at_counts(p, counts, eval_cap=125)
+
+    def test_rows_must_hold_n_draws(self):
+        p = problem(mean_kernel(2), 5, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        with pytest.raises(ValueError, match="sample size"):
+            u_at_counts(p, occupancy(np.zeros((1, 4), dtype=int), 3))

@@ -22,6 +22,7 @@ solver failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -131,6 +132,8 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError("'params' must be an object")
         unknown = set(self.params) - _PARAM_FIELDS[self.command]
         if unknown:
             raise ConfigError(
@@ -147,6 +150,15 @@ class RunConfig:
 
     def param(self, name: str, default: Any) -> Any:
         return self.params.get(name, default)
+
+
+@contextlib.contextmanager
+def _reading_params(command: str):
+    """Turn a ``TypeError``/``ValueError`` from converting params into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {command} params: {exc}") from exc
 
 
 def _read_json(path: str, what: str) -> Any:
@@ -183,8 +195,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cap=args.cap if args.cap is not None else doc.get("cap", DEFAULT_CAP),
         params=doc.get("params", {}) or {},
     )
-    if not isinstance(merged.params, dict):
-        raise ConfigError("'params' must be an object")
     return merged
 
 
@@ -255,12 +265,17 @@ def _instance_spec(config: RunConfig) -> RandomInstanceSpec:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    with _reading_params("verify"):
+        entropy_count = config.param("entropy_count", None)
+        entropy_count = None if entropy_count is None else int(entropy_count)
+        tail_points = int(config.param("tail_points", 20))
+        scalar_count = int(config.param("scalar_count", 100))
     report = run_property_suite(
         _instance_spec(config),
         count=int(config.count or 0),
-        entropy_count=config.param("entropy_count", None),
-        tail_points=int(config.param("tail_points", 20)),
-        scalar_count=int(config.param("scalar_count", 100)),
+        entropy_count=entropy_count,
+        tail_points=tail_points,
+        scalar_count=scalar_count,
         inject_bug=bool(config.param("inject_bug", False)),
     )
     print(report.format_table(), file=sys.stderr)
@@ -312,11 +327,12 @@ def _make_kernel(config: RunConfig, m: int) -> usmod.Kernel:
 
 
 def cmd_ustat(config: RunConfig) -> int:
-    axis, points = _base_axis(config)
-    m_values = [int(m) for m in config.param("m_values", (2, 3, 4))]
-    n_values = [int(n) for n in config.param("n_values", (10, 50, 200))]
-    t_values = [float(t) for t in config.param("t_values", (0.05, 0.1, 0.2, 0.5, 1.0))]
-    mc_samples = int(config.param("mc_samples", 2000))
+    with _reading_params("ustat"):
+        axis, points = _base_axis(config)
+        m_values = [int(m) for m in config.param("m_values", (2, 3, 4))]
+        n_values = [int(n) for n in config.param("n_values", (10, 50, 200))]
+        t_values = [float(t) for t in config.param("t_values", (0.05, 0.1, 0.2, 0.5, 1.0))]
+        mc_samples = int(config.param("mc_samples", 2000))
     header = [
         "m", "n", "t", "sigma1sq", "ustat_bound", "arcones_bound",
         "tail_kind", "tail", "tail_stderr", "crossover_t", "crossover_product",
@@ -398,13 +414,14 @@ def cmd_rls(config: RunConfig) -> int:
         population, n, lam = rlsmod.rls_config_from_json(doc)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad rls problem document: {exc}") from exc
-    c = float(config.param("c", 1.0))
-    t_points = int(config.param("t_points", 10))
-    mc_samples = int(config.param("mc_samples", 100_000))
-    replications = int(config.param("replications", 200))
-    grid = int(config.param("grid", 3))
-    h = float(config.param("h", 1e-4))
-    sweep = [float(x) for x in config.param("lambda_sweep", np.arange(1, 10) / 10.0)]
+    with _reading_params("rls"):
+        c = float(config.param("c", 1.0))
+        t_points = int(config.param("t_points", 10))
+        mc_samples = int(config.param("mc_samples", 100_000))
+        replications = int(config.param("replications", 200))
+        grid = int(config.param("grid", 3))
+        h = float(config.param("h", 1e-4))
+        sweep = [float(x) for x in config.param("lambda_sweep", np.arange(1, 10) / 10.0)]
 
     header = [
         "section", "key", "lam", "t", "value", "stderr", "bound_c", "bound_measured",
@@ -471,7 +488,8 @@ def cmd_rls(config: RunConfig) -> int:
 
 def cmd_bounds_table(config: RunConfig) -> int:
     spec = _instance_spec(config)
-    t_points = int(config.param("t_points", 20))
+    with _reading_params("bounds-table"):
+        t_points = int(config.param("t_points", 20))
     header = [
         "instance", "seed", "t", "bd_term", "sup_scv", "e_scv",
         "sigma2_plus_quarter_j2", "sup_bernstein", "main", "variance_corollary",
@@ -499,11 +517,12 @@ def cmd_bounds_table(config: RunConfig) -> int:
 
 
 def cmd_normal_limit_demo(config: RunConfig) -> int:
-    axis, points = _base_axis(config)
-    m = int(config.param("m", 2))
+    with _reading_params("normal-limit-demo"):
+        axis, points = _base_axis(config)
+        m = int(config.param("m", 2))
+        n_values = [int(n) for n in config.param("n_values", tuple(range(m + 2, 13)))]
+        t = float(config.param("t", 1.0))
     kernel = _make_kernel(config, m)
-    n_values = [int(n) for n in config.param("n_values", tuple(range(m + 2, 13)))]
-    t = float(config.param("t", 1.0))
     header = [
         "n", "sigma2_n", "b", "j_mu", "linear_term", "bound", "normal_tail",
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,10 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
     """Probability of each count row under i.i.d. draws from ``probs``.
 
     The integer multinomial coefficient times ``prod(p_i^c_i)`` over the
-    occupied points, in that order of operations.
+    occupied points, in that order of operations.  A row where that
+    arithmetic overflows or ends below the normal range (large samples) is
+    recomputed from mantissa-exponent pairs, in which nothing overflows or
+    underflows before the final ``ldexp``.
     """
     p = [float(x) for x in probs]
     out = np.empty(len(counts))
@@ -47,8 +51,32 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
         weight = math.factorial(sum(row))
         for c in row:
             weight //= math.factorial(c)
-        out[r] = weight * math.prod(p[i] ** c for i, c in enumerate(row) if c)
+        try:
+            value = weight * math.prod(p[i] ** c for i, c in enumerate(row) if c)
+        except OverflowError:
+            value = 0.0
+        if not value >= sys.float_info.min:
+            value = _scaled_probability(weight, row, p)
+        out[r] = value
     return out
+
+
+def _scaled_probability(weight: int, row: Sequence[int], p: Sequence[float]) -> float:
+    """``weight * prod(p_i^c_i)`` carried as a mantissa in [0.5, 1) and an exponent."""
+    shift = max(weight.bit_length() - 64, 0)
+    m, e = math.frexp(float(weight >> shift))
+    e += shift
+    for pi, c in zip(p, row):
+        base, base_e = math.frexp(pi)
+        while c:  # binary powering, renormalised after every product
+            if c & 1:
+                m, x = math.frexp(m * base)
+                e += x + base_e
+            c >>= 1
+            if c:
+                base, x = math.frexp(base * base)
+                base_e = 2 * base_e + x
+    return math.ldexp(m, e)
 
 
 def occupancy(samples: np.ndarray, s: int) -> np.ndarray:

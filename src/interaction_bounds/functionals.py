@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _center
+from .operators import _center, _contract, _expand_constant
 from .quadrature import adaptive_simpson
 from .space import (
     DEFAULT_CAP,
@@ -109,12 +109,15 @@ def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
         for l in range(k + 1, space.n):
             if space.shape[k] == 1 or space.shape[l] == 1:
                 continue  # every second difference on the pair is zero
-            fkl = np.moveaxis(f.values, (k, l), (0, 1))
+            others = [a for a in range(space.n) if a not in (k, l)]
+            fkl = f.values.transpose(k, l, *others)
             y, y2 = np.triu_indices(space.shape[k], 1)
             d = fkl[y] - fkl[y2]
             spread = (d.max(axis=1) - d.min(axis=1)).max(axis=0)
             max_abs = max(max_abs, float(spread.max()))
-            total += 2.0 * np.expand_dims(spread * spread, (k, l))
+            total += 2.0 * (spread * spread).reshape(
+                tuple(1 if a in (k, l) else s for a, s in enumerate(space.shape))
+            )
     return total, max_abs
 
 
@@ -131,27 +134,50 @@ def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> flo
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
     """Table of ``sum_l max_z sum_{k != l} cond_variance(f - f@z, k)``.
 
-    Works on the ``n`` centred tables ``f - cond_expectation(f, k)`` (see
-    ``InteractionReport``) one point ``z`` at a time, so every other
-    temporary holds at most one table.
+    For each axis ``l`` the terms of every ``k != l`` (``_objective_terms``)
+    add up in one ``(s_l,) + shape`` accumulator, whose maximum over the
+    points ``z`` of axis ``l`` is taken once.  The centring is redone for
+    each pair, so the temporaries hold ``O(s_l * size)`` values per pair.
     """
     space = f.space
     weights = [axis.weight_array() for axis in space.axes]
-    centered = [_center(f.values, w, k) for k, w in enumerate(weights)]
     total = np.zeros(space.shape)
     for l in range(space.n):
-        best = np.zeros(space.shape)
-        for z in range(space.shape[l]):
-            inner = np.zeros(space.shape)
-            for k, c in enumerate(centered):
-                if k == l:
-                    continue
-                diff = c - np.take(c, [z], axis=l)
-                cv = np.tensordot(diff * diff, weights[k], axes=([k], [0]))
-                inner += np.expand_dims(cv, k)
-            np.maximum(best, inner, out=best)
-        total += best
+        acc = np.zeros((space.shape[l],) + space.shape)
+        for k in range(space.n):
+            if k != l:
+                acc += _objective_terms(f.values, weights[k], k, l)
+        total += acc.max(axis=0)
     return total
+
+
+def _objective_terms(values: np.ndarray, w: np.ndarray, k: int, l: int) -> np.ndarray:
+    """``cond_variance(f - f@z, k)`` for every point ``z`` of axis ``l`` at once.
+
+    Row ``z`` of the result has the shape of ``values`` with axis ``k`` of
+    length one.  With ``c = f - E_k f`` (see ``InteractionReport``), each
+    table ``(c - c@z)^2`` is stored as ``_contract`` hands one table to BLAS:
+    in table order where its reshape is a view (axis ``k`` is first or last
+    up to length-one axes, or has length one), else copied with axis ``k``
+    last.  Every ``z`` then gets its own matrix-vector product on the same
+    matrix as in a loop over ``z``, which is what keeps the result bit for
+    bit; BLAS may round a row differently inside one larger matrix.
+    """
+    shape, s_k = values.shape, values.shape[k]
+    rest = [a for a in range(len(shape)) if a != k]
+    if s_k == 1 or math.prod(shape[:k]) == 1 or math.prod(shape[k + 1 :]) == 1:
+        order = list(range(len(shape)))
+    else:
+        order = rest + [k]
+    c = _center(values, w, k).transpose(order)
+    lc = order.index(l)
+    at_z = c.transpose(lc, *(a for a in range(len(shape)) if a != lc))
+    diff = np.empty((shape[l],) + c.shape)
+    np.subtract(c, at_z[(slice(None),) * (lc + 1) + (None,)], out=diff)
+    diff *= diff
+    moved = diff.transpose(0, *(1 + order.index(a) for a in rest), 1 + order.index(k))
+    cv = np.matmul(moved.reshape(shape[l], -1, s_k), w)
+    return cv.reshape((shape[l],) + shape[:k] + (1,) + shape[k + 1 :])
 
 
 def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
@@ -264,12 +290,11 @@ def conditional_entropy(
     a = beta * f.values
     shift = a.max(axis=k, keepdims=True)
     e = np.exp(a - shift)
-    z = np.tensordot(e, w, axes=([k], [0]))
-    num = np.tensordot(f.values * e, w, axes=([k], [0]))
+    z = _contract(e, w, k)
+    num = _contract(f.values * e, w, k)
     log_zk = np.squeeze(shift, axis=k) + np.log(z)
     s = beta * (num / z) - log_zk
-    out = np.broadcast_to(np.expand_dims(s, axis=k), space.shape)
-    return TabulatedFunction(space, np.ascontiguousarray(out))
+    return TabulatedFunction(space, _expand_constant(space, s, k))
 
 
 def tilted_variance(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:

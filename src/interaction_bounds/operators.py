@@ -28,15 +28,33 @@ STRUCTURAL_CHECKS = False
 _FIBER_TOL = 1e-12
 
 
+def _contract(values: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """``np.tensordot(values, w, axes=([k], [0]))``, bit for bit.
+
+    The same transpose, reshape and BLAS matrix-vector product that
+    ``tensordot`` runs, without its per-call axis bookkeeping.
+    """
+    last = values.ndim - 1
+    if k != last:
+        values = values.transpose(*range(k), *range(k + 1, last + 1), k)
+    return np.dot(values.reshape(-1, w.shape[0]), w).reshape(values.shape[:-1])
+
+
+def _keep_axis(reduced: np.ndarray, shape: tuple[int, ...], k: int) -> np.ndarray:
+    """``reduced`` (axis ``k`` of ``shape`` contracted) with a length-1 axis ``k``."""
+    return reduced.reshape(shape[:k] + (1,) + shape[k + 1 :])
+
+
 def _expand_constant(space: FiniteProductSpace, reduced: np.ndarray, k: int) -> np.ndarray:
     """Re-insert axis ``k`` as a constant dimension and materialize."""
-    out = np.broadcast_to(np.expand_dims(np.asarray(reduced), axis=k), space.shape)
-    return np.ascontiguousarray(out)
+    out = np.empty(space.shape)
+    out[...] = _keep_axis(np.asarray(reduced), space.shape, k)
+    return out
 
 
 def _center(values: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """``values`` minus their ``w``-weighted mean along axis ``k``."""
-    return values - np.expand_dims(np.tensordot(values, w, axes=([k], [0])), k)
+    return values - _keep_axis(_contract(values, w, k), values.shape, k)
 
 
 def _check_fiber_constant(values: np.ndarray, k: int) -> None:
@@ -89,7 +107,7 @@ def cond_expectation(f: TabulatedFunction, k: int) -> TabulatedFunction:
     space = f.space
     space.check_axis(k)
     w = space.axes[k].weight_array()
-    reduced = np.tensordot(f.values, w, axes=([k], [0]))
+    reduced = _contract(f.values, w, k)
     out = _expand_constant(space, reduced, k)
     _check_fiber_constant(out, k)
     return TabulatedFunction(space, out)
@@ -107,7 +125,7 @@ def cond_variance(f: TabulatedFunction, k: int) -> TabulatedFunction:
     space.check_axis(k)
     w = space.axes[k].weight_array()
     centered = _center(f.values, w, k)
-    reduced = np.tensordot(centered * centered, w, axes=([k], [0]))
+    reduced = _contract(centered * centered, w, k)
     out = _expand_constant(space, reduced, k)
     _check_fiber_constant(out, k)
     return TabulatedFunction(space, out)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -79,12 +79,25 @@ class FiniteAxis:
         return cls(weights=(1.0 / size,) * size)
 
     def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
+        """The weights as a read-only float64 array, built once per axis."""
+        return self._weight_array
+
+    @cached_property
+    def _weight_array(self) -> np.ndarray:
+        arr = np.asarray(self.weights, dtype=np.float64)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)
 class FiniteProductSpace:
-    """A product of finite weighted axes carrying the product measure."""
+    """A product of finite weighted axes carrying the product measure.
+
+    ``n``, ``shape``, ``size`` and the hash are computed once per instance:
+    operators on small tables read them many times per call.  They live in
+    the instance ``__dict__``, outside the fields, so equality still compares
+    the axes alone.
+    """
 
     axes: tuple[FiniteAxis, ...]
 
@@ -96,16 +109,23 @@ class FiniteProductSpace:
         if not all(isinstance(a, FiniteAxis) for a in axes):
             raise TypeError("axes must be FiniteAxis instances")
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.axes,))
+
+    @cached_property
     def n(self) -> int:
         """Number of coordinates."""
         return len(self.axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.axes)
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Total number of configurations."""
         return math.prod(self.shape)
@@ -171,7 +191,7 @@ class TabulatedFunction:
                 f"table shape {arr.shape} does not match space shape "
                 f"{self.space.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("table values must be finite")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -78,3 +80,24 @@ def tabulated_strategy(draw, max_axes: int = 3, max_size: int = 4):
         )
     )
     return TabulatedFunction(space, np.asarray(values))
+
+
+@st.composite
+def seeded_tables(draw, max_axes: int = 4, max_size: int = 4):
+    """Uniform or Dirichlet axis weights and a full-precision seeded value table."""
+    shape = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=max_axes))
+    return seeded_table(shape, draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
+def seeded_table(shape, dirichlet: bool, seed: int) -> TabulatedFunction:
+    rng = np.random.default_rng(seed)
+    axes = []
+    for size in shape:
+        if dirichlet:
+            raw = rng.dirichlet(np.ones(size))
+            w = raw / math.fsum(raw.tolist())
+            axes.append(FiniteAxis(weights=tuple(float(x) for x in w)))
+        else:
+            axes.append(FiniteAxis.uniform(size))
+    space = FiniteProductSpace(axes=tuple(axes))
+    return TabulatedFunction(space, rng.uniform(-1.0, 1.0, space.size))

@@ -191,6 +191,34 @@ def stencil_bias_bound(f):
     return 0.25 * math.fsum(total)
 
 
+def weighted_objective_tables_per_z(f):
+    """``functionals._weighted_objective_tables`` one point ``z`` at a time.
+
+    The loop the batched sweep replaced, with the same numpy calls in the same
+    order, so the two must agree bit for bit.
+    """
+    space = f.space
+    weights = [axis.weight_array() for axis in space.axes]
+    centered = [
+        f.values - np.expand_dims(np.tensordot(f.values, w, axes=([k], [0])), k)
+        for k, w in enumerate(weights)
+    ]
+    total = np.zeros(space.shape)
+    for l in range(space.n):
+        best = np.zeros(space.shape)
+        for z in range(space.shape[l]):
+            inner = np.zeros(space.shape)
+            for k, c in enumerate(centered):
+                if k == l:
+                    continue
+                diff = c - np.take(c, [z], axis=l)
+                cv = np.tensordot(diff * diff, weights[k], axes=([k], [0]))
+                inner += np.expand_dims(cv, k)
+            np.maximum(best, inner, out=best)
+        total += best
+    return total
+
+
 def substituted_weighted_interaction(f):
     """``j_mu`` from conditional variances of ``f - f@z``, one ``(l, z)`` at a time."""
     space = f.space

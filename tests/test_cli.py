@@ -97,6 +97,26 @@ class TestConfigHandling:
     def test_missing_command(self):
         assert main([]) == 2
 
+    def test_params_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "verify", "params": 5}))
+        assert main(["--config", str(config)]) == 2
+        assert "params" in assert_one_config_error(capsys)
+
+    def test_params_of_wrong_type(self, tmp_path, capsys):
+        for command, params in (
+            ("verify", {"tail_points": "abc"}),
+            ("rls", {"t_points": "abc"}),
+            ("bounds-table", {"t_points": "abc"}),
+            ("ustat", {"m_values": 3}),
+            ("ustat", {"n_values": ["x"]}),
+            ("normal-limit-demo", {"n_values": ["x"]}),
+        ):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"command": command, "params": params}))
+            assert main(["--config", str(config)]) == 2, (command, params)
+            assert f"bad {command} params" in assert_one_config_error(capsys)
+
     def test_unparseable_json(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text("{not json")
@@ -159,6 +179,24 @@ class TestUstatCommand:
         assert main(["--config", str(config), "--out", str(out)]) == 0
         body = read(out)
         assert "fell back to Monte Carlo" in body
+
+    def test_large_samples_get_exact_tails(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "command": "ustat",
+                    "params": {"m_values": [2], "n_values": [1030, 1200], "t_values": [0.05]},
+                }
+            )
+        )
+        out = tmp_path / "u.csv"
+        assert main(["--config", str(config), "--out", str(out)]) == 0
+        lines = read(out).splitlines()
+        header = lines[1].split(",")
+        rows = [line.split(",") for line in lines[2:]]
+        assert [row[header.index("n")] for row in rows] == ["1030", "1200"]
+        assert {row[header.index("tail_kind")] for row in rows} == {"exact"}
 
     def test_default_cells_are_exact(self, tmp_path):
         out = tmp_path / "u.csv"

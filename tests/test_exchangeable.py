@@ -50,6 +50,26 @@ def test_probabilities_aggregate_configuration_weights():
     assert math.fsum(got) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1030, 1200])
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)])
+def test_probabilities_of_large_samples(n, probs):
+    counts = multisets(n, len(probs))
+    got = multiset_probabilities(counts, probs)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    assert math.fsum(got.tolist()) == pytest.approx(1.0, abs=1e-12)
+    # Rows whose direct arithmetic stays finite and normal keep it bit for bit.
+    for row, value in zip(counts.tolist(), got.tolist()):
+        weight = math.factorial(n)
+        for c in row:
+            weight //= math.factorial(c)
+        try:
+            direct = weight * math.prod(p**c for p, c in zip(probs, row) if c)
+        except OverflowError:
+            continue
+        if direct >= 2.2250738585072014e-308:
+            assert value == direct
+
+
 def test_count_above_cap_names_the_cap():
     assert len(multisets(5, 3, cap=21)) == 21
     with pytest.raises(CapacityError, match="cap of 20"):

@@ -4,15 +4,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
+from conftest import (
+    coordinate_product,
+    coordinate_sum,
+    seeded_table,
+    seeded_tables,
+    table,
+    tabulated_strategy,
+    uniform_space,
+)
 from interaction_bounds.bounds import bias_second_difference_bound
 from interaction_bounds.functionals import (
     GibbsState,
     InteractionReport,
+    _weighted_objective_tables,
     conditional_entropy,
     crude_interaction_bound,
     entropy,
@@ -124,6 +133,15 @@ class TestInteraction:
         report = interaction_report(f)
         assert report.j_mu <= report.j + 1e-10
         assert report.j <= report.crude + 1e-10
+
+    @given(seeded_tables())
+    @example(seeded_table((3,), True, 1))
+    @example(seeded_table((1, 4, 1, 2), False, 2))
+    @example(seeded_table((1, 1), True, 3))
+    @example(seeded_table((9, 3, 8), True, 4))
+    def test_batched_objective_is_per_z_loop_bit_for_bit(self, f):
+        want = oracles.weighted_objective_tables_per_z(f)
+        assert np.array_equal(_weighted_objective_tables(f), want)
 
     def test_single_axis_is_zero(self):
         f = random_table((4,), seed=12)

@@ -4,11 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import oracles
-from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
+from conftest import (
+    coordinate_product,
+    coordinate_sum,
+    seeded_table,
+    seeded_tables,
+    table,
+    tabulated_strategy,
+    uniform_space,
+)
 from interaction_bounds.operators import (
+    _contract,
     cond_expectation,
     cond_variance,
     cond_variance_pairs,
@@ -94,6 +103,20 @@ class TestDifference:
         a = difference(f, 0, 2, 1)
         b = difference(f, 0, 1, 2)
         assert np.allclose(a.values, -b.values)
+
+
+class TestContract:
+    @given(seeded_tables())
+    @example(seeded_table((5,), True, 1))
+    @example(seeded_table((1, 3, 1), False, 2))
+    @example(seeded_table((9, 2, 8), True, 3))
+    def test_is_tensordot_bit_for_bit(self, f):
+        for k, axis in enumerate(f.space.axes):
+            w = axis.weight_array()
+            got = _contract(f.values, w, k)
+            want = np.tensordot(f.values, w, axes=([k], [0]))
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestCondExpectation:

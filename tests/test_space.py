@@ -49,6 +49,33 @@ class TestFiniteAxis:
         assert axis.size == 1
 
 
+class TestCachedGeometry:
+    def test_equal_and_hash_equal_after_cached_reads(self):
+        a = FiniteProductSpace.uniform([2, 3])
+        b = FiniteProductSpace.uniform([2, 3])
+        a.shape, a.size, a.n, hash(a), a.axes[0].weight_array()
+        assert a == b and hash(a) == hash(b)
+        b.shape, b.size, b.n
+        assert a == b and hash(a) == hash(b)
+        assert a != FiniteProductSpace.uniform([3, 2])
+        assert len({a, b}) == 1
+
+    def test_weight_array_is_read_only(self):
+        axis = FiniteAxis(weights=(0.25, 0.75))
+        w = axis.weight_array()
+        assert w.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert axis.weight_array() is w
+
+    @given(tabulated_strategy(max_axes=4))
+    def test_geometry_matches_axes(self, f):
+        space = f.space
+        assert space.n == len(space.axes)
+        assert space.shape == tuple(len(a.weights) for a in space.axes)
+        assert space.size == math.prod(space.shape) == f.values.size
+
+
 class TestEnumeration:
     def test_two_by_two(self):
         space = uniform_space(2, 2)

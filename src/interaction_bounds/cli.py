@@ -10,19 +10,20 @@ Subcommands::
 
 Common flags: ``--config <json>``, ``--seed <u64>``, ``--out <path>``,
 ``--format csv|json``, ``--count <int>``, ``--cap <int>``.  A config file
-mirrors the flags plus a per-command ``params`` block; unknown fields are
-rejected.  Flags override the config file.
+mirrors the flags plus a per-command ``params`` block; flags override it.
+``_SCHEMA`` declares each params field once (converter, default, allowed
+range), and ``RunConfig`` checks a config against it before dispatch.
 
 Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
 digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation or
-solver failure, 2 configuration error.
+solver failure, 2 configuration error, including an enumeration over
+``--cap``; each error is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import io
@@ -30,7 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,12 +40,7 @@ from . import rls as rlsmod
 from . import ustat as usmod
 from .exchangeable import multiset_probabilities, multisets
 from .functionals import weighted_interaction
-from .harness import (
-    RandomInstanceSpec,
-    generate_instance,
-    run_property_suite,
-    tail_curve,
-)
+from .harness import RandomInstanceSpec, generate_instance, run_property_suite, tail_curve
 from .operators import scv
 from .rng import derive_seed, substream
 from .space import DEFAULT_CAP, CapacityError, FiniteAxis, expectation, fsum
@@ -52,69 +48,6 @@ from .space import DEFAULT_CAP, CapacityError, FiniteAxis, expectation, fsum
 
 class ConfigError(Exception):
     """Invalid command-line or config-file input."""
-
-
-_COMMANDS = ("verify", "ustat", "rls", "bounds-table", "normal-limit-demo")
-
-_TOP_FIELDS = {"command", "seed", "out", "format", "count", "cap", "params"}
-
-_PARAM_FIELDS: dict[str, set[str]] = {
-    "verify": {
-        "entropy_count",
-        "tail_points",
-        "scalar_count",
-        "inject_bug",
-        "n_axes",
-        "axis_size",
-        "values",
-        "weights",
-        "epsilon",
-    },
-    "ustat": {
-        "kernel",
-        "kernel_path",
-        "m_values",
-        "n_values",
-        "t_values",
-        "base_points",
-        "base_weights",
-        "mc_samples",
-    },
-    "rls": {
-        "path",
-        "c",
-        "t_points",
-        "mc_samples",
-        "replications",
-        "grid",
-        "h",
-        "lambda_sweep",
-    },
-    "bounds-table": {
-        "t_points",
-        "n_axes",
-        "axis_size",
-        "values",
-        "weights",
-        "epsilon",
-    },
-    "normal-limit-demo": {
-        "kernel",
-        "m",
-        "n_values",
-        "t",
-        "base_points",
-        "base_weights",
-    },
-}
-
-_DEFAULT_COUNT = {
-    "verify": 200,
-    "ustat": 0,
-    "rls": 0,
-    "bounds-table": 20,
-    "normal-limit-demo": 0,
-}
 
 
 @dataclass
@@ -128,65 +61,53 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _SCHEMA:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
-        unknown = set(self.params) - _PARAM_FIELDS[self.command]
-        if unknown:
-            raise ConfigError(
-                f"unknown params field(s) for {self.command}: {sorted(unknown)}"
-            )
         if self.count is None:
-            self.count = _DEFAULT_COUNT[self.command]
+            self.count = _SCHEMA[self.command].count
         try:
             self.seed, self.cap, self.count = int(self.seed), int(self.cap), int(self.count)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed, cap and count must be integers: {exc}") from exc
         if self.count < 0:
             raise ConfigError(f"count must be nonnegative, got {self.count}")
-
-    def param(self, name: str, default: Any) -> Any:
-        return self.params.get(name, default)
-
-
-@contextlib.contextmanager
-def _reading_params(command: str):
-    """Turn a ``TypeError``/``ValueError`` from converting params into a ConfigError."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {command} params: {exc}") from exc
+        if self.cap < 1:
+            raise ConfigError(f"cap must be at least 1, got {self.cap}")
+        self.params = _read_params(self.command, self.params, self.seed)
 
 
-def _read_json(path: str, what: str) -> Any:
+def _read_json(path: str, what: str, parse: Callable[[Any], Any] = lambda doc: doc) -> Any:
+    """The JSON document at ``path``, through ``parse``; a config error if either fails."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(doc)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad {what} document {path}: {exc}") from exc
 
 
-def _load_config_file(path: str) -> dict:
-    doc = _read_json(path, "config")
+def _config_document(doc: Any) -> dict:
     if not isinstance(doc, dict):
-        raise ConfigError("config file must contain a JSON object")
-    unknown = set(doc) - _TOP_FIELDS
+        raise ValueError("config file must contain a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+        raise ValueError(f"unknown config field(s): {sorted(unknown)}")
     return doc
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    doc: dict[str, Any] = {}
-    if args.config:
-        doc = _load_config_file(args.config)
+    doc = _read_json(args.config, "config", _config_document) if args.config else {}
     command = args.command or doc.get("command")
     if command is None:
         raise ConfigError("no command given (flag or config 'command')")
-    merged = RunConfig(
+    return RunConfig(
         command=command,
         seed=args.seed if args.seed is not None else doc.get("seed", 0),
         out=args.out if args.out is not None else doc.get("out"),
@@ -195,7 +116,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cap=args.cap if args.cap is not None else doc.get("cap", DEFAULT_CAP),
         params=doc.get("params", {}) or {},
     )
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -233,50 +153,27 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _table_payload(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> dict:
-    return {"rows": [dict(zip(header, row)) for row in rows]}
-
-
 def _emit_table(config: RunConfig, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     if config.format == "csv":
         _emit(config, _render_csv(header, rows))
     else:
-        _emit(config, _render_json(_table_payload(header, rows)))
+        _emit(config, _render_json({"rows": [dict(zip(header, row)) for row in rows]}))
 
 
 # ---------------------------------------------------------------------------
-# verify
+# Commands
 # ---------------------------------------------------------------------------
-
-
-def _instance_spec(config: RunConfig) -> RandomInstanceSpec:
-    p = config.params
-    try:
-        return RandomInstanceSpec(
-            n_axes=tuple(p.get("n_axes", (2, 4))),
-            axis_size=tuple(p.get("axis_size", (2, 4))),
-            values=p.get("values", "uniform"),
-            weights=p.get("weights", "uniform"),
-            epsilon=float(p.get("epsilon", 0.1)),
-            seed=config.seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_verify(config: RunConfig) -> int:
-    with _reading_params("verify"):
-        entropy_count = config.param("entropy_count", None)
-        entropy_count = None if entropy_count is None else int(entropy_count)
-        tail_points = int(config.param("tail_points", 20))
-        scalar_count = int(config.param("scalar_count", 100))
+    p = config.params
     report = run_property_suite(
-        _instance_spec(config),
-        count=int(config.count or 0),
-        entropy_count=entropy_count,
-        tail_points=tail_points,
-        scalar_count=scalar_count,
-        inject_bug=bool(config.param("inject_bug", False)),
+        p["spec"],
+        count=config.count,
+        entropy_count=p["entropy_count"],
+        tail_points=p["tail_points"],
+        scalar_count=p["scalar_count"],
+        inject_bug=p["inject_bug"],
     )
     print(report.format_table(), file=sys.stderr)
     if config.format == "csv":
@@ -293,57 +190,19 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-# ---------------------------------------------------------------------------
-# ustat
-# ---------------------------------------------------------------------------
-
-
-def _base_axis(config: RunConfig) -> tuple[FiniteAxis, tuple[float, ...]]:
-    points = tuple(float(x) for x in config.param("base_points", (-1.0, 1.0)))
-    weights = config.param("base_weights", None)
-    if weights is None:
-        axis = FiniteAxis.uniform(len(points))
-    else:
-        axis = FiniteAxis(weights=tuple(float(w) for w in weights))
-    return axis, points
-
-
-def _make_kernel(config: RunConfig, m: int) -> usmod.Kernel:
-    name = config.param("kernel", "product")
-    path = config.param("kernel_path", None)
-    if path:
-        try:
-            return usmod.kernel_from_json(_read_json(path, "kernel"))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad kernel document {path}: {exc}") from exc
-    makers = {
-        "product": usmod.product_kernel,
-        "mean": usmod.mean_kernel,
-        "sign-agreement": usmod.sign_agreement_kernel,
-    }
-    if name not in makers:
-        raise ConfigError(f"unknown kernel {name!r}")
-    return makers[name](m)
-
-
 def cmd_ustat(config: RunConfig) -> int:
-    with _reading_params("ustat"):
-        axis, points = _base_axis(config)
-        m_values = [int(m) for m in config.param("m_values", (2, 3, 4))]
-        n_values = [int(n) for n in config.param("n_values", (10, 50, 200))]
-        t_values = [float(t) for t in config.param("t_values", (0.05, 0.1, 0.2, 0.5, 1.0))]
-        mc_samples = int(config.param("mc_samples", 2000))
+    p = config.params
+    axis, points = p["base"]
+    t_values = p["t_values"]
     header = [
         "m", "n", "t", "sigma1sq", "ustat_bound", "arcones_bound",
         "tail_kind", "tail", "tail_stderr", "crossover_t", "crossover_product",
         "note",
     ]
     rows: list[list[Any]] = []
-    for m in m_values:
-        kernel = _make_kernel(config, m)
-        if kernel.m != m:
-            raise ConfigError(f"kernel order {kernel.m} does not match m={m}")
-        for n in n_values:
+    for m in p["m_values"]:
+        kernel = p["kernel"](m)
+        for n in p["n_values"]:
             if n <= m:
                 continue
             problem = usmod.UStatProblem(
@@ -352,7 +211,7 @@ def cmd_ustat(config: RunConfig) -> int:
             s1 = usmod.sigma1_squared(problem)
             cross = usmod.crossover(m, s1, n)
             tails, kind, note = _ustat_tails(
-                problem, t_values, config.cap, mc_samples, config.seed
+                problem, t_values, config.cap, p["mc_samples"], config.seed
             )
             for t in t_values:
                 tail, stderr = tails.get(t, ("", ""))
@@ -392,37 +251,10 @@ def _ustat_tails(problem, t_values, cap, mc_samples, seed):
         return {}, "skipped", "tail skipped; Monte Carlo budget exceeded"
 
 
-# ---------------------------------------------------------------------------
-# rls
-# ---------------------------------------------------------------------------
-
-_DEMO_RLS = {
-    "dim": 1,
-    "lambda": 0.5,
-    "n": 8,
-    "population": [
-        {"x": [0.9], "y": 0.8, "p": 0.5},
-        {"x": [-0.7], "y": -0.6, "p": 0.5},
-    ],
-}
-
-
 def cmd_rls(config: RunConfig) -> int:
-    path = config.param("path", None)
-    doc = _read_json(path, "rls problem") if path else _DEMO_RLS
-    try:
-        population, n, lam = rlsmod.rls_config_from_json(doc)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad rls problem document: {exc}") from exc
-    with _reading_params("rls"):
-        c = float(config.param("c", 1.0))
-        t_points = int(config.param("t_points", 10))
-        mc_samples = int(config.param("mc_samples", 100_000))
-        replications = int(config.param("replications", 200))
-        grid = int(config.param("grid", 3))
-        h = float(config.param("h", 1e-4))
-        sweep = [float(x) for x in config.param("lambda_sweep", np.arange(1, 10) / 10.0)]
-
+    p = config.params
+    population, n, lam = p["problem"]
+    mc_samples = p["mc_samples"]
     header = [
         "section", "key", "lam", "t", "value", "stderr", "bound_c", "bound_measured",
     ]
@@ -440,7 +272,7 @@ def cmd_rls(config: RunConfig) -> int:
 
     atoms = [(population.xs[i], float(population.ys[i])) for i in range(population.size)]
     za, zb = atoms[0], atoms[min(1, population.size - 1)]
-    deriv = rlsmod.derivative_bound_check(problem, 0, 1, za, zb, za, zb, grid=grid, h=h)
+    deriv = rlsmod.derivative_bound_check(problem, 0, 1, za, zb, za, zb, grid=p["grid"], h=p["h"])
     for key, value in deriv.to_json().items():
         rows.append(["derivative_check", key, lam, "", value, "", "", ""])
     if not (deriv.first_ok and deriv.mixed_ok and deriv.rate_ok and deriv.gram_mixed_ok):
@@ -450,7 +282,7 @@ def cmd_rls(config: RunConfig) -> int:
     scv_mean, scv_err = rlsmod.empirical_scv(
         rlsmod.population_sampler(population, n, lam),
         population,
-        replications,
+        p["replications"],
         seed=derive_seed(config.seed, 0xA2),
     )
     rows.append(["scv", "empirical_scv", lam, "", scv_mean, scv_err, "", ""])
@@ -462,41 +294,33 @@ def cmd_rls(config: RunConfig) -> int:
     values = rlsmod.mc_gap_values(population, n, lam, mc_samples, derive_seed(config.seed, 0xA3))
     tmax = float(rlsmod.GapTable(population, n, lam).gaps.max()) - mean_gap
     if tmax > 0.0:
-        for t in np.linspace(0.0, tmax, t_points + 1)[1:]:
-            p = float(np.mean(values - mean_gap > t))
-            stderr = math.sqrt(p * (1.0 - p) / mc_samples)
-            bound_c = rlsmod.gap_tail_bound(scv_mean, n, lam, c, float(t))
+        for t in np.linspace(0.0, tmax, p["t_points"] + 1)[1:].tolist():
+            tail = float(np.mean(values - mean_gap > t))
+            stderr = math.sqrt(tail * (1.0 - tail) / mc_samples)
+            bound_c = rlsmod.gap_tail_bound(scv_mean, n, lam, p["c"], t)
             bound_measured = bnd.main_bound(
-                measured["e_scv"], measured["b"], measured["crude_j"], float(t)
+                measured["e_scv"], measured["b"], measured["crude_j"], t
             ).value
-            rows.append(["bound_curve", "tail", lam, float(t), p, stderr, bound_c, bound_measured])
+            rows.append(["bound_curve", "tail", lam, t, tail, stderr, bound_c, bound_measured])
 
-    for lam_s in sweep:
+    for lam_s in p["lambda_sweep"]:
         m_s = rlsmod.measured_ingredients(population, n, lam_s)
-        rows.append(["lambda_sweep", "crude_j", lam_s, "", m_s["crude_j"], "", "", ""])
-        rows.append(["lambda_sweep", "b", lam_s, "", m_s["b"], "", "", ""])
-        rows.append(["lambda_sweep", "e_scv", lam_s, "", m_s["e_scv"], "", "", ""])
+        for key in ("crude_j", "b", "e_scv"):
+            rows.append(["lambda_sweep", key, lam_s, "", m_s[key], "", "", ""])
 
     _emit_table(config, header, rows)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# bounds-table
-# ---------------------------------------------------------------------------
-
-
 def cmd_bounds_table(config: RunConfig) -> int:
-    spec = _instance_spec(config)
-    with _reading_params("bounds-table"):
-        t_points = int(config.param("t_points", 20))
+    spec, t_points = config.params["spec"], config.params["t_points"]
     header = [
         "instance", "seed", "t", "bd_term", "sup_scv", "e_scv",
         "sigma2_plus_quarter_j2", "sup_bernstein", "main", "variance_corollary",
         "exact_tail",
     ]
     rows: list[list[Any]] = []
-    for i in range(int(config.count or 0)):
+    for i in range(config.count):
         inst_seed = derive_seed(config.seed, 0xB0, i)
         _, f = generate_instance(dataclasses.replace(spec, seed=inst_seed))
         ing = bnd.bound_ingredients(f)
@@ -511,23 +335,16 @@ def cmd_bounds_table(config: RunConfig) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# normal-limit-demo
-# ---------------------------------------------------------------------------
-
-
 def cmd_normal_limit_demo(config: RunConfig) -> int:
-    with _reading_params("normal-limit-demo"):
-        axis, points = _base_axis(config)
-        m = int(config.param("m", 2))
-        n_values = [int(n) for n in config.param("n_values", tuple(range(m + 2, 13)))]
-        t = float(config.param("t", 1.0))
-    kernel = _make_kernel(config, m)
+    p = config.params
+    axis, points = p["base"]
+    t = p["t"]
+    kernel = p["kernel"](p["m"])
     header = [
         "n", "sigma2_n", "b", "j_mu", "linear_term", "bound", "normal_tail",
     ]
     rows: list[list[Any]] = []
-    for n in n_values:
+    for n in p["n_values"]:
         problem = usmod.UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
         u = usmod.tabulate_u(problem, cap=config.cap)
         f_n = u * float(n)
@@ -545,6 +362,185 @@ def cmd_normal_limit_demo(config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Params schema
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One params field: converter, default, and allowed range of each entry.
+
+    ``default`` is a value, or a function of the fields declared before it.  A
+    field whose default is null may be null.
+    """
+
+    convert: Callable[[Any], Any]
+    default: Any
+    ok: Callable[[Any], bool] = lambda v: True
+    rule: str = ""
+
+    def read(self, name: str, value: Any) -> Any:
+        if value is None and self.default is None:
+            return None
+        try:
+            value = self.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        is_list = isinstance(value, tuple)
+        for v in value if is_list else (value,):
+            if not self.ok(v):
+                raise ValueError(f"{name}{' entries' * is_list} must be {self.rule}, got {v!r}")
+        return value
+
+
+def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    def read(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(convert(v) for v in value)
+
+    return read
+
+
+def _at_least(lo: int) -> tuple[Callable[[Any], bool], str]:
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+def _between(lo: float, hi: float) -> tuple[Callable[[Any], bool], str]:
+    return (lambda v: lo < v < hi), f"in ({lo}, {hi})"
+
+
+_KERNELS = {
+    "product": usmod.product_kernel,
+    "mean": usmod.mean_kernel,
+    "sign-agreement": usmod.sign_agreement_kernel,
+}
+
+_DEMO_RLS = {
+    "dim": 1, "lambda": 0.5, "n": 8,
+    "population": [{"x": [0.9], "y": 0.8, "p": 0.5}, {"x": [-0.7], "y": -0.6, "p": 0.5}],
+}
+
+# Shared by verify and bounds-table; ``RandomInstanceSpec`` checks them.
+_INSTANCE_FIELDS = {
+    "n_axes": _Field(_list_of(int), (2, 4)),
+    "axis_size": _Field(_list_of(int), (2, 4)),
+    "values": _Field(str, "uniform"),
+    "weights": _Field(str, "uniform"),
+    "epsilon": _Field(float, 0.1),
+}
+
+# Shared by ustat and normal-limit-demo; ``FiniteAxis`` checks the weights.
+_KERNEL_FIELDS = {
+    "kernel": _Field(str, "product", _KERNELS.__contains__, f"one of {sorted(_KERNELS)}"),
+    "base_points": _Field(_list_of(float), (-1.0, 1.0)),
+    "base_weights": _Field(_list_of(float), None),
+}
+
+
+def _instance_spec(p: dict, seed: int) -> None:
+    p["spec"] = RandomInstanceSpec(**{k: p.pop(k) for k in _INSTANCE_FIELDS}, seed=seed)
+
+
+def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
+    """Replace the kernel fields by ``p["kernel"]`` (order to kernel) and ``p["base"]``."""
+    p["kernel"] = _KERNELS[p["kernel"]]
+    if path := p.pop("kernel_path", None):
+        kernel = _read_json(path, "kernel", usmod.kernel_from_json)
+        if any(m != kernel.m for m in orders):
+            raise ValueError(f"kernel order {kernel.m} does not match m_values {orders}")
+        p["kernel"] = lambda m: kernel
+    points, weights = p.pop("base_points"), p.pop("base_weights")
+    axis = FiniteAxis.uniform(len(points)) if weights is None else FiniteAxis(weights=weights)
+    p["base"] = axis, points
+    # Evaluate the kernel at the base points now, so that a value outside [-1, 1]
+    # or a table without a base point is a config error (E[u] does not depend on n).
+    for m in orders:
+        usmod.exact_u_mean(usmod.UStatProblem(p["kernel"](m), m + 1, axis, points))
+
+
+def _normal_limit_params(p: dict, seed: int) -> None:
+    _kernel_and_base(p, (p["m"],))
+    if any(n <= p["m"] for n in p["n_values"]):
+        raise ValueError(f"n_values {p['n_values']} must all exceed m = {p['m']}")
+
+
+def _rls_params(p: dict, seed: int) -> None:
+    path, parse = p.pop("path"), rlsmod.rls_config_from_json
+    p["problem"] = _read_json(path, "rls problem", parse) if path else parse(_DEMO_RLS)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A command: its runner, params fields, build step and default ``--count``.
+
+    ``build(params, seed)`` checks across fields and replaces fields by the
+    objects the library checks itself (instance spec, base axis, documents).
+    """
+
+    run: Callable[[RunConfig], int]
+    fields: dict[str, _Field]
+    build: Callable[[dict, int], None]
+    count: int = 0
+
+
+_SCHEMA = {
+    "verify": _Command(cmd_verify, {
+        "entropy_count": _Field(int, None, *_at_least(0)),
+        "tail_points": _Field(int, 20, *_at_least(1)),
+        "scalar_count": _Field(int, 100, *_at_least(0)),
+        "inject_bug": _Field(lambda v: v, False, lambda v: isinstance(v, bool), "true or false"),
+        **_INSTANCE_FIELDS,
+    }, _instance_spec, count=200),
+    "ustat": _Command(cmd_ustat, {
+        **_KERNEL_FIELDS,
+        "kernel_path": _Field(str, None),
+        "m_values": _Field(_list_of(int), (2, 3, 4), *_at_least(2)),
+        "n_values": _Field(_list_of(int), (10, 50, 200)),
+        "t_values": _Field(_list_of(float), (0.05, 0.1, 0.2, 0.5, 1.0), *_between(0, math.inf)),
+        "mc_samples": _Field(int, 2000, *_at_least(1)),
+    }, lambda p, seed: _kernel_and_base(p, p["m_values"])),
+    "rls": _Command(cmd_rls, {
+        "path": _Field(str, None),
+        "c": _Field(float, 1.0, *_between(0, math.inf)),
+        "t_points": _Field(int, 10, *_at_least(1)),
+        "mc_samples": _Field(int, 100_000, *_at_least(1)),
+        "replications": _Field(int, 200, *_at_least(1)),
+        "grid": _Field(int, 3, *_at_least(1)),
+        "h": _Field(float, 1e-4, *_between(0, 0.25)),
+        "lambda_sweep": _Field(_list_of(float), tuple(np.arange(1, 10) / 10.0), *_between(0, 1)),
+    }, _rls_params),
+    "bounds-table": _Command(cmd_bounds_table, {
+        "t_points": _Field(int, 20, *_at_least(1)),
+        **_INSTANCE_FIELDS,
+    }, _instance_spec, count=20),
+    "normal-limit-demo": _Command(cmd_normal_limit_demo, {
+        **_KERNEL_FIELDS,
+        "m": _Field(int, 2, *_at_least(2)),
+        "n_values": _Field(_list_of(int), lambda p: tuple(range(p["m"] + 2, 13))),
+        "t": _Field(float, 1.0, *_between(0, math.inf)),
+    }, _normal_limit_params),
+}
+
+
+def _read_params(command: str, given: dict, seed: int) -> dict[str, Any]:
+    """The params of ``command``: ``given`` checked, converted and defaulted."""
+    schema = _SCHEMA[command]
+    unknown = set(given) - set(schema.fields)
+    if unknown:
+        raise ConfigError(f"unknown params field(s) for {command}: {sorted(unknown)}")
+    params: dict[str, Any] = {}
+    try:
+        for name, fld in schema.fields.items():
+            value = given.get(name, fld.default)
+            params[name] = fld.read(name, value(params) if callable(value) else value)
+        schema.build(params, seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {command} params: {exc}") from exc
+    return params
+
+
+# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -554,7 +550,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="interaction-bounds",
         description="Concentration-bound verification toolkit",
     )
-    parser.add_argument("command", nargs="?", choices=_COMMANDS)
+    parser.add_argument("command", nargs="?", choices=_SCHEMA)
     parser.add_argument("--config", help="JSON config file mirroring RunConfig")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -564,21 +560,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "ustat": cmd_ustat,
-    "rls": cmd_rls,
-    "bounds-table": cmd_bounds_table,
-    "normal-limit-demo": cmd_normal_limit_demo,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _build_config(args)
-        return _DISPATCH[config.command](config)
-    except ConfigError as exc:
+        return _SCHEMA[config.command].run(config)
+    except (ConfigError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except rlsmod.SolverError as exc:

@@ -263,6 +263,8 @@ def derivative_bound_check(
         raise ValueError("need two distinct sample indices")
     if not (0.0 < h < 0.25):
         raise ValueError("step h must lie in (0, 0.25)")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     zk_a = (np.asarray(zk_a[0], dtype=np.float64), float(zk_a[1]))
     zk_b = (np.asarray(zk_b[0], dtype=np.float64), float(zk_b[1]))
     zl_a = (np.asarray(zl_a[0], dtype=np.float64), float(zl_a[1]))
@@ -415,6 +417,21 @@ class GapTable:
         return self.gaps[rank(occupancy(indices, self.population.size))]
 
 
+def _scv_and_gaps(
+    population: Population, n: int, lam: float, cap: int
+) -> tuple[float, np.ndarray]:
+    """``exhaustive_scv`` and the gaps ``vals[r, y]`` of (n-1)-multiset ``r`` plus atom ``y``."""
+    probs = population.probs
+    rest = multisets(n - 1, population.size, cap)
+    vals = GapTable(population, n, lam).gaps[neighbours(rest)]
+    acc = np.zeros(len(rest))
+    for y in range(population.size):
+        for y2 in range(population.size):
+            d = vals[:, y] - vals[:, y2]
+            acc += probs[y] * probs[y2] * d * d
+    return n * fsum(multiset_probabilities(rest, probs) * 0.5 * acc), vals
+
+
 def exhaustive_scv(
     population: Population, n: int, lam: float, cap: int = 1_000_000
 ) -> float:
@@ -425,15 +442,7 @@ def exhaustive_scv(
     other ``n - 1`` points it depends only on their multiset, so one
     coordinate is varied over every ``(n-1)``-multiset, at most ``cap`` of them.
     """
-    probs = population.probs
-    rest = multisets(n - 1, population.size, cap)
-    vals = GapTable(population, n, lam).gaps[neighbours(rest)]  # [r, y]: rest r plus atom y
-    acc = np.zeros(len(rest))
-    for y in range(population.size):
-        for y2 in range(population.size):
-            d = vals[:, y] - vals[:, y2]
-            acc += probs[y] * probs[y2] * d * d
-    return n * fsum(multiset_probabilities(rest, probs) * 0.5 * acc)
+    return _scv_and_gaps(population, n, lam, cap)[0]
 
 
 def measured_ingredients(
@@ -448,8 +457,7 @@ def measured_ingredients(
     coordinate (or pair), varied over the at most ``cap`` multisets of the rest.
     """
     probs = population.probs
-    rest = multisets(n - 1, population.size, cap)
-    vals = GapTable(population, n, lam).gaps[neighbours(rest)]  # [r, y]: rest r plus atom y
+    e_scv, vals = _scv_and_gaps(population, n, lam, cap)
     cond_mean = np.array([math.fsum(row) for row in (probs * vals).tolist()])
     b = float((vals - cond_mean[:, None]).max())
     # pair[q, y, z]: gap of (n-2)-multiset q plus atoms y and z.
@@ -465,7 +473,7 @@ def measured_ingredients(
             )
             crude = max(crude, float(np.abs(second).max()))
     return {
-        "e_scv": exhaustive_scv(population, n, lam, cap),
+        "e_scv": e_scv,
         "b": b,
         "crude_j": n * crude,
     }
@@ -573,6 +581,8 @@ def rls_config_from_json(doc: dict) -> tuple[Population, int, float]:
     dim = int(doc["dim"])
     lam = float(doc["lambda"])
     n = int(doc["n"])
+    if not (0.0 < lam < 1.0) or n < 2:
+        raise ValueError(f"need lambda in (0, 1) and n >= 2, got lambda={lam}, n={n}")
     atoms = doc["population"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("'population' must be a non-empty list")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from interaction_bounds.cli import main
 
 
@@ -116,6 +118,55 @@ class TestConfigHandling:
             config.write_text(json.dumps({"command": command, "params": params}))
             assert main(["--config", str(config)]) == 2, (command, params)
             assert f"bad {command} params" in assert_one_config_error(capsys)
+
+    # (command, params, top-level fields, text the error must contain).  A dict
+    # under "path" holds the fields an rls problem document changes from PROBLEM.
+    BAD_INPUTS = [
+        ("verify", {"tail_points": -5}, {}, "tail_points must be >= 1"),
+        ("verify", {"scalar_count": -1}, {}, "scalar_count must be >= 0"),
+        ("verify", {"entropy_count": -1}, {}, "entropy_count must be >= 0"),
+        ("verify", {"inject_bug": "no"}, {}, "inject_bug must be true or false"),
+        ("verify", {"inject_bug": 1}, {}, "inject_bug must be true or false"),
+        ("bounds-table", {"t_points": -3}, {}, "t_points must be >= 1"),
+        ("rls", {"t_points": -2}, {}, "t_points must be >= 1"),
+        ("rls", {"mc_samples": 0}, {}, "mc_samples must be >= 1"),
+        ("rls", {"replications": 0}, {}, "replications must be >= 1"),
+        ("rls", {"grid": 0}, {}, "grid must be >= 1"),
+        ("rls", {"h": 1}, {}, "h must be in (0, 0.25)"),
+        ("rls", {"c": 0}, {}, "c must be in (0, inf)"),
+        ("rls", {"lambda_sweep": [0.5, 1.5]}, {}, "lambda_sweep entries must be in (0, 1)"),
+        ("rls", {"path": {"lambda": 1.5}}, {}, "need lambda in (0, 1) and n >= 2, got lambda=1.5"),
+        ("rls", {"path": {"n": 1}}, {}, "need lambda in (0, 1) and n >= 2, got lambda=0.5, n=1"),
+        ("ustat", {"m_values": [1]}, {}, "m_values entries must be >= 2"),
+        ("ustat", {"t_values": [-1]}, {}, "t_values entries must be in (0, inf)"),
+        ("ustat", {"mc_samples": 0}, {}, "mc_samples must be >= 1"),
+        ("ustat", {"kernel": "nope", "m_values": []}, {}, "kernel must be one of"),
+        ("ustat", {"base_weights": [0.2, 0.3, 0.5]}, {}, "base_points must align"),
+        ("ustat", {"kernel": "mean", "base_points": [-2.0, 2.0]}, {}, "kernel value -2.0"),
+        ("normal-limit-demo", {"kernel": "mean", "base_points": [0.0, 3.0]}, {}, "kernel value"),
+        ("normal-limit-demo", {"n_values": [1]}, {}, "n_values (1,) must all exceed m = 2"),
+        ("normal-limit-demo", {"m": 1}, {}, "m must be >= 2"),
+        ("normal-limit-demo", {"t": -1}, {}, "t must be in (0, inf)"),
+        ("normal-limit-demo", {"n_values": [30]}, {}, "exceed the cap of 10000000"),
+        ("normal-limit-demo", {}, {"cap": -1}, "cap must be at least 1"),
+        ("verify", {}, {"cap": 0}, "cap must be at least 1"),
+    ]
+    PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
+
+    @pytest.mark.parametrize("command, params, top, text", BAD_INPUTS)
+    def test_bad_input_is_one_config_error(self, tmp_path, capsys, command, params, top, text):
+        problem = isinstance(params.get("path"), dict)
+        if problem:
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps({**self.PROBLEM, **params["path"]}))
+            params = {"path": str(path)}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": command, "params": params, **top}))
+        assert main(["--config", str(config)]) == 2
+        err = assert_one_config_error(capsys)
+        assert text in err, err
+        if problem:
+            assert "bad rls problem document" in err, err
 
     def test_unparseable_json(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -361,3 +412,8 @@ class TestNormalLimitDemo:
         i_lin = header.index("linear_term")
         linear = [float(line.split(",")[i_lin]) for line in lines[2:]]
         assert linear == sorted(linear, reverse=True)
+
+    def test_default_sample_sizes_follow_m(self, tmp_path):
+        out = tmp_path / "n.csv"
+        assert main(["normal-limit-demo", "--out", str(out)]) == 0
+        assert [int(line.split(",")[0]) for line in read(out).splitlines()[2:]] == list(range(4, 13))

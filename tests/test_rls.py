@@ -189,6 +189,14 @@ class TestDerivativeBoundCheck:
         with pytest.raises(ValueError):
             derivative_bound_check(prob, 0, 1, bad, z, z, z)
 
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_rejects_empty_lattice(self, grid):
+        # An empty lattice would certify every flag without checking a point.
+        prob = RlsProblem(xs=np.zeros((3, 1)), ys=np.zeros(3), lam=0.5)
+        z = (np.zeros(1), 0.0)
+        with pytest.raises(ValueError, match="grid"):
+            derivative_bound_check(prob, 0, 1, z, z, z, z, grid=grid)
+
 
 class TestGapTailBound:
     def test_limits(self):
@@ -375,4 +383,16 @@ class TestJson:
             "population": [{"x": [0.9], "y": 0.8, "p": 1.0}],
         }
         with pytest.raises(ValueError):
+            rls_config_from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [("lambda", 1.5), ("lambda", 0.0), ("n", 1)])
+    def test_out_of_range_lambda_and_n_rejected(self, field, value):
+        doc = {
+            "dim": 1,
+            "lambda": 0.5,
+            "n": 8,
+            "population": [{"x": [0.9], "y": 0.8, "p": 1.0}],
+            field: value,
+        }
+        with pytest.raises(ValueError, match=f"{field}={value}"):
             rls_config_from_json(doc)

@@ -67,10 +67,8 @@ from .bounds import (
 from .harness import (
     RandomInstanceSpec,
     SuiteReport,
-    TailEstimate,
     exact_tail,
     generate_instance,
-    mc_tail,
     run_property_suite,
 )
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -38,12 +39,10 @@ import numpy as np
 from . import bounds as bnd
 from . import rls as rlsmod
 from . import ustat as usmod
-from .exchangeable import multiset_probabilities, multisets
-from .functionals import weighted_interaction
+from .exchangeable import bound_ingredients, multiset_probabilities, multisets
 from .harness import RandomInstanceSpec, generate_instance, run_property_suite, tail_curve
-from .operators import scv
 from .rng import derive_seed, substream
-from .space import DEFAULT_CAP, CapacityError, FiniteAxis, expectation, fsum
+from .space import DEFAULT_CAP, CapacityError, FiniteAxis, fsum
 
 
 class ConfigError(Exception):
@@ -70,7 +69,7 @@ class RunConfig:
         if self.count is None:
             self.count = _SCHEMA[self.command].count
         try:
-            self.seed, self.cap, self.count = int(self.seed), int(self.cap), int(self.count)
+            self.seed, self.cap, self.count = map(_integer, (self.seed, self.cap, self.count))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed, cap and count must be integers: {exc}") from exc
         if self.count < 0:
@@ -286,13 +285,16 @@ def cmd_rls(config: RunConfig) -> int:
         seed=derive_seed(config.seed, 0xA2),
     )
     rows.append(["scv", "empirical_scv", lam, "", scv_mean, scv_err, "", ""])
-    measured = rlsmod.measured_ingredients(population, n, lam)
+    # One gap table per distinct lambda, shared by every section below.
+    gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, n))
+    table = gap_table(lam)
+    measured = rlsmod.measured_ingredients(table)
     for key in ("e_scv", "b", "crude_j"):
         rows.append(["scv", key, lam, "", measured[key], "", "", ""])
 
-    mean_gap = rlsmod.exact_gap_mean(population, n, lam)
-    values = rlsmod.mc_gap_values(population, n, lam, mc_samples, derive_seed(config.seed, 0xA3))
-    tmax = float(rlsmod.GapTable(population, n, lam).gaps.max()) - mean_gap
+    mean_gap = rlsmod.exact_gap_mean(table)
+    values = rlsmod.mc_gap_values(table, mc_samples, derive_seed(config.seed, 0xA3))
+    tmax = float(table.gaps.max()) - mean_gap
     if tmax > 0.0:
         for t in np.linspace(0.0, tmax, p["t_points"] + 1)[1:].tolist():
             tail = float(np.mean(values - mean_gap > t))
@@ -304,7 +306,7 @@ def cmd_rls(config: RunConfig) -> int:
             rows.append(["bound_curve", "tail", lam, t, tail, stderr, bound_c, bound_measured])
 
     for lam_s in p["lambda_sweep"]:
-        m_s = rlsmod.measured_ingredients(population, n, lam_s)
+        m_s = rlsmod.measured_ingredients(gap_table(lam_s))
         for key in ("crude_j", "b", "e_scv"):
             rows.append(["lambda_sweep", key, lam_s, "", m_s[key], "", "", ""])
 
@@ -346,12 +348,10 @@ def cmd_normal_limit_demo(config: RunConfig) -> int:
     rows: list[list[Any]] = []
     for n in p["n_values"]:
         problem = usmod.UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = usmod.tabulate_u(problem, cap=config.cap)
-        f_n = u * float(n)
-        e_scv = expectation(scv(f_n))
-        sigma2_n = e_scv / n
-        b = bnd.per_coordinate_range_bound(f_n)
-        j_mu = weighted_interaction(f_n)
+        f_n = usmod.u_at_counts(problem, multisets(n, axis.size, config.cap)) * n
+        ing = bound_ingredients(f_n, n, axis.weights, config.cap)
+        sigma2_n = ing["E_scv"] / n
+        b, j_mu = ing["b"], ing["j_mu"]
         linear = (2.0 * b / 3.0 + j_mu) / math.sqrt(n)
         denom = 2.0 * sigma2_n + linear * t
         bound = math.exp(-t * t / denom) if denom > 0.0 else 0.0
@@ -393,10 +393,24 @@ class _Field:
         return value
 
 
-def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+def _integer(value: Any) -> int:
+    """``value`` as an int if it is integral; a bool or a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _list_of(
+    convert: Callable[[Any], Any], lo: int = 0, hi: float = math.inf
+) -> Callable[[Any], tuple]:
+    """A list of ``lo`` to ``hi`` entries, each through ``convert``."""
+
     def read(value: Any) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
+        if not lo <= len(value) <= hi:
+            size = lo if lo == hi else f"at least {lo}"
+            raise ValueError(f"got {len(value)} entries, expected {size}")
         return tuple(convert(v) for v in value)
 
     return read
@@ -423,8 +437,8 @@ _DEMO_RLS = {
 
 # Shared by verify and bounds-table; ``RandomInstanceSpec`` checks them.
 _INSTANCE_FIELDS = {
-    "n_axes": _Field(_list_of(int), (2, 4)),
-    "axis_size": _Field(_list_of(int), (2, 4)),
+    "n_axes": _Field(_list_of(_integer, 2, 2), (2, 4)),
+    "axis_size": _Field(_list_of(_integer, 2, 2), (2, 4)),
     "values": _Field(str, "uniform"),
     "weights": _Field(str, "uniform"),
     "epsilon": _Field(float, 0.1),
@@ -433,8 +447,8 @@ _INSTANCE_FIELDS = {
 # Shared by ustat and normal-limit-demo; ``FiniteAxis`` checks the weights.
 _KERNEL_FIELDS = {
     "kernel": _Field(str, "product", _KERNELS.__contains__, f"one of {sorted(_KERNELS)}"),
-    "base_points": _Field(_list_of(float), (-1.0, 1.0)),
-    "base_weights": _Field(_list_of(float), None),
+    "base_points": _Field(_list_of(float, 1), (-1.0, 1.0)),
+    "base_weights": _Field(_list_of(float, 1), None),
 }
 
 
@@ -486,38 +500,38 @@ class _Command:
 
 _SCHEMA = {
     "verify": _Command(cmd_verify, {
-        "entropy_count": _Field(int, None, *_at_least(0)),
-        "tail_points": _Field(int, 20, *_at_least(1)),
-        "scalar_count": _Field(int, 100, *_at_least(0)),
+        "entropy_count": _Field(_integer, None, *_at_least(0)),
+        "tail_points": _Field(_integer, 20, *_at_least(1)),
+        "scalar_count": _Field(_integer, 100, *_at_least(0)),
         "inject_bug": _Field(lambda v: v, False, lambda v: isinstance(v, bool), "true or false"),
         **_INSTANCE_FIELDS,
     }, _instance_spec, count=200),
     "ustat": _Command(cmd_ustat, {
         **_KERNEL_FIELDS,
         "kernel_path": _Field(str, None),
-        "m_values": _Field(_list_of(int), (2, 3, 4), *_at_least(2)),
-        "n_values": _Field(_list_of(int), (10, 50, 200)),
+        "m_values": _Field(_list_of(_integer), (2, 3, 4), *_at_least(2)),
+        "n_values": _Field(_list_of(_integer), (10, 50, 200)),
         "t_values": _Field(_list_of(float), (0.05, 0.1, 0.2, 0.5, 1.0), *_between(0, math.inf)),
-        "mc_samples": _Field(int, 2000, *_at_least(1)),
+        "mc_samples": _Field(_integer, 2000, *_at_least(1)),
     }, lambda p, seed: _kernel_and_base(p, p["m_values"])),
     "rls": _Command(cmd_rls, {
         "path": _Field(str, None),
         "c": _Field(float, 1.0, *_between(0, math.inf)),
-        "t_points": _Field(int, 10, *_at_least(1)),
-        "mc_samples": _Field(int, 100_000, *_at_least(1)),
-        "replications": _Field(int, 200, *_at_least(1)),
-        "grid": _Field(int, 3, *_at_least(1)),
+        "t_points": _Field(_integer, 10, *_at_least(1)),
+        "mc_samples": _Field(_integer, 100_000, *_at_least(1)),
+        "replications": _Field(_integer, 200, *_at_least(1)),
+        "grid": _Field(_integer, 3, *_at_least(1)),
         "h": _Field(float, 1e-4, *_between(0, 0.25)),
         "lambda_sweep": _Field(_list_of(float), tuple(np.arange(1, 10) / 10.0), *_between(0, 1)),
     }, _rls_params),
     "bounds-table": _Command(cmd_bounds_table, {
-        "t_points": _Field(int, 20, *_at_least(1)),
+        "t_points": _Field(_integer, 20, *_at_least(1)),
         **_INSTANCE_FIELDS,
     }, _instance_spec, count=20),
     "normal-limit-demo": _Command(cmd_normal_limit_demo, {
         **_KERNEL_FIELDS,
-        "m": _Field(int, 2, *_at_least(2)),
-        "n_values": _Field(_list_of(int), lambda p: tuple(range(p["m"] + 2, 13))),
+        "m": _Field(_integer, 2, *_at_least(2)),
+        "n_values": _Field(_list_of(_integer), lambda p: tuple(range(p["m"] + 2, 13))),
         "t": _Field(float, 1.0, *_between(0, math.inf)),
     }, _normal_limit_params),
 }

@@ -5,6 +5,11 @@ U-statistic, the generalization gap of a learner) depends only on how often
 each point occurs: ``C(n + s - 1, s - 1)`` sample multisets in place of
 ``s^n`` configurations.  A value computed once per multiset is looked up by
 ``rank`` for any sample, configuration, or sample with one more draw.
+
+``bound_ingredients`` gives the exact inputs of the main tail bound from the
+values on the multisets alone: every coordinate carries the same law, so a
+term of one coordinate depends only on the multiset of the other ``n - 1``
+draws, and a term of a coordinate pair on that of the other ``n - 2``.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .space import DEFAULT_CAP, CapacityError
+from .space import DEFAULT_CAP, CapacityError, fsum
 
 
 def multisets(n: int, s: int, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -46,11 +51,9 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
     underflows before the final ``ldexp``.
     """
     p = [float(x) for x in probs]
-    out = np.empty(len(counts))
-    for r, row in enumerate(np.asarray(counts).tolist()):
-        weight = math.factorial(sum(row))
-        for c in row:
-            weight //= math.factorial(c)
+    rows = np.asarray(counts).tolist()
+    out = np.empty(len(rows))
+    for r, (row, weight) in enumerate(zip(rows, _multinomials(rows))):
         try:
             value = weight * math.prod(p[i] ** c for i, c in enumerate(row) if c)
         except OverflowError:
@@ -59,6 +62,32 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
             value = _scaled_probability(weight, row, p)
         out[r] = value
     return out
+
+
+def _multinomials(rows: list[list[int]]) -> Iterator[int]:
+    """``n! / prod(c_i!)`` of each row, exactly.
+
+    A row with the total of the one before is reached from its coefficient
+    by the factorial ratios of the counts that changed; along ``multisets``
+    order most rows move one draw between two points.
+    """
+    prev: list[int] = []
+    weight = 1
+    for row in rows:
+        if sum(row) != sum(prev) or not prev:
+            weight = math.factorial(sum(row))
+            for c in row:
+                weight //= math.factorial(c)
+        else:
+            num = den = 1
+            for a, b in zip(prev, row):
+                if b < a:
+                    num *= math.prod(range(b + 1, a + 1))
+                elif b > a:
+                    den *= math.prod(range(a + 1, b + 1))
+            weight = weight * num // den
+        prev = row
+        yield weight
 
 
 def _scaled_probability(weight: int, row: Sequence[int], p: Sequence[float]) -> float:
@@ -102,3 +131,70 @@ def rank(counts: np.ndarray) -> np.ndarray:
 def neighbours(counts: np.ndarray) -> np.ndarray:
     """``[r, i]``: rank of count row ``r`` with one more draw of point ``i``."""
     return rank(counts[:, None, :] + np.eye(counts.shape[-1], dtype=np.intp))
+
+
+def bound_ingredients(
+    values: np.ndarray, n: int, probs: Sequence[float], cap: int = DEFAULT_CAP
+) -> dict[str, float]:
+    """Exact ``E_scv``, ``b``, ``crude`` and ``j_mu`` of a symmetric function.
+
+    ``values[r]`` is the function of ``n >= 2`` i.i.d. draws from the points
+    of ``probs`` on row ``r`` of ``multisets(n, s)``; the keys mean what they
+    mean in ``bounds.bound_ingredients`` on the dense table over the ``s^n``
+    configurations.  ``E_scv`` and ``b`` vary one draw ``y`` over every
+    ``(n-1)``-multiset of the rest, at most ``cap`` of them; ``crude`` varies
+    two draws over every ``(n-2)``-multiset.  For ``j_mu``, the coordinates
+    holding point ``a`` in a sample ``c`` contribute alike, so its objective
+    is ``sum_a c_a max_z sum_b (c_b - [a = b]) T(c - a - b, a, z)`` with
+    ``T(q, a, z) = Var_y[f(q + a + y) - f(q + z + y)]``.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    s = len(p)
+    if n < 2 or len(values) != math.comb(n + s - 1, s - 1):
+        raise ValueError(f"need one value per {n}-multiset of {s} points, n >= 2")
+    rest = multisets(n - 1, s, cap)
+    up = neighbours(rest)
+    # vals[r, y]: f at (n-1)-multiset r plus point y.
+    vals = np.asarray(values, dtype=np.float64)[up]
+    acc = np.zeros(len(rest))
+    for y in range(s):
+        for y2 in range(s):
+            d = vals[:, y] - vals[:, y2]
+            acc += p[y] * p[y2] * d * d
+    e_scv = n * fsum(multiset_probabilities(rest, p) * 0.5 * acc)
+    cond_mean = np.array([math.fsum(row) for row in (p * vals).tolist()])
+    centred = vals - cond_mean[:, None]
+
+    low = multisets(n - 2, s, cap)
+    pair_rows = neighbours(low)
+    # pair[q, y, z]: f at (n-2)-multiset q plus points y and z.
+    pair = vals[pair_rows]
+    crude = 0.0
+    for y in range(s):
+        for y2 in range(s):
+            second = (
+                pair[:, y, :, None]
+                - pair[:, y2, :, None]
+                - pair[:, y, None, :]
+                + pair[:, y2, None, :]
+            )
+            crude = max(crude, float(np.abs(second).max()))
+
+    # top[q, a, b]: row of q plus a and b among the n-multisets.
+    top = up[pair_rows]
+    cpair = centred[pair_rows]
+    counts = multisets(n, s, len(values))
+    objective = np.zeros(len(values))
+    for a in range(s):
+        diff = cpair[:, a, None, :] - cpair
+        t_az = (diff * diff) @ p
+        by_z = np.zeros((len(values), s))
+        for b in range(s):
+            by_z[top[:, a, b]] += (low[:, b, None] + 1) * t_az
+        objective += counts[:, a] * by_z.max(axis=1)
+    return {
+        "E_scv": e_scv,
+        "b": float(centred.max()),
+        "crude": n * crude,
+        "j_mu": 2.0 * math.sqrt(max(float(objective.max()), 0.0)),
+    }

@@ -1,4 +1,4 @@
-"""Seeded instance generation, tail estimation, and the inequality suite.
+"""Seeded instance generation, exact tails, and the inequality suite.
 
 Everything here is a pure function of its seed: instances come from Philox
 substreams keyed ``(seed, purpose, index)`` (see ``rng``), so any failing
@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -129,20 +128,6 @@ def generate_instance(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """One tail probability, exact and/or Monte Carlo."""
-
-    t: float
-    exact: float | None
-    mc_estimate: float | None
-    mc_stderr: float | None
-    n_samples: int
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def exact_tail(f: TabulatedFunction, t: float, cap: int = DEFAULT_CAP) -> float:
     """``Pr{f - Ef > t}`` by exact enumeration (strict inequality)."""
     w = f.space.weight_table(cap)
@@ -175,59 +160,6 @@ def tail_curve(f: TabulatedFunction, ing: dict[str, float], points: int) -> list
             bnd.variance_corollary_bound(sigma2, j, j_mu, b, t).value,
         ))
     return rows
-
-
-def space_sampler(
-    space: FiniteProductSpace,
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Sampler of configurations (rows of axis indices) under the product measure."""
-    weight_arrays = [a.weight_array() for a in space.axes]
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        cols = [
-            rng.choice(len(w), size=size, p=w)
-            for w in weight_arrays
-        ]
-        return np.stack(cols, axis=1)
-
-    return draw
-
-
-def centered_evaluator(f: TabulatedFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator of ``f - Ef`` on sampled configuration rows."""
-    center = expectation(f)
-    flat = f.values.ravel()
-    shape = f.space.shape
-
-    def evaluate(configs: np.ndarray) -> np.ndarray:
-        idx = np.ravel_multi_index(tuple(configs.T), shape)
-        return flat[idx] - center
-
-    return evaluate
-
-
-def mc_tail(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    n_samples: int,
-    seed: int,
-) -> TailEstimate:
-    """Binomial Monte Carlo estimate of ``Pr{value > t}``.
-
-    ``sampler`` draws configuration rows, ``evaluator`` maps them to the
-    (already centered) values whose tail is wanted.  Deterministic in ``seed``.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = substream(seed, 0x7A)
-    values = evaluator(sampler(rng, n_samples))
-    hits = float(np.count_nonzero(values > t))
-    p = hits / n_samples
-    stderr = math.sqrt(p * (1.0 - p) / n_samples)
-    return TailEstimate(
-        t=t, exact=None, mc_estimate=p, mc_stderr=stderr, n_samples=n_samples
-    )
 
 
 # ---------------------------------------------------------------------------

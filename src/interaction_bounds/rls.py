@@ -18,9 +18,10 @@ with ``B1 = B2 = 4/n`` bounding the path derivatives of ``G`` and ``g``.
 differences with a Richardson step-halving consistency flag.
 
 The generalization gap ``true risk - empirical risk`` for a finite population
-is exactly computable; ``exhaustive_scv`` and ``measured_ingredients`` give
-the exact variance-sum, range, and interaction inputs for tail bounds on the
-centered gap, and ``empirical_scv`` is the seeded Monte Carlo counterpart.
+is exactly computable on every sample multiset (``GapTable``);
+``measured_ingredients`` gives the exact variance-sum, range, and interaction
+inputs for tail bounds on the centered gap from that table, and
+``empirical_scv`` is the seeded Monte Carlo counterpart of the variance sum.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy, rank
+from .exchangeable import bound_ingredients, multiset_probabilities, multisets, occupancy, rank
 from .rng import substream
 from .space import fsum
 
@@ -417,66 +418,18 @@ class GapTable:
         return self.gaps[rank(occupancy(indices, self.population.size))]
 
 
-def _scv_and_gaps(
-    population: Population, n: int, lam: float, cap: int
-) -> tuple[float, np.ndarray]:
-    """``exhaustive_scv`` and the gaps ``vals[r, y]`` of (n-1)-multiset ``r`` plus atom ``y``."""
-    probs = population.probs
-    rest = multisets(n - 1, population.size, cap)
-    vals = GapTable(population, n, lam).gaps[neighbours(rest)]
-    acc = np.zeros(len(rest))
-    for y in range(population.size):
-        for y2 in range(population.size):
-            d = vals[:, y] - vals[:, y2]
-            acc += probs[y] * probs[y2] * d * d
-    return n * fsum(multiset_probabilities(rest, probs) * 0.5 * acc), vals
-
-
-def exhaustive_scv(
-    population: Population, n: int, lam: float, cap: int = 1_000_000
-) -> float:
-    """Exact expected variance sum of the gap over population samples.
-
-    Exploits exchangeability (i.i.d. atoms, symmetric gap): the expected
-    conditional variance is the same for every coordinate, and given the
-    other ``n - 1`` points it depends only on their multiset, so one
-    coordinate is varied over every ``(n-1)``-multiset, at most ``cap`` of them.
-    """
-    return _scv_and_gaps(population, n, lam, cap)[0]
-
-
-def measured_ingredients(
-    population: Population, n: int, lam: float, cap: int = 1_000_000
-) -> dict[str, float]:
+def measured_ingredients(table: GapTable, cap: int = 1_000_000) -> dict[str, float]:
     """Exact tail-bound inputs for the gap on a finite population.
 
     Returns ``e_scv`` (expected variance sum), ``b`` (largest one-sided
-    deviation of the gap from its per-coordinate conditional mean), and
-    ``crude_j`` (``n`` times the largest absolute mixed second difference).
-    Exchangeability reduces the coordinate maxima to a single representative
-    coordinate (or pair), varied over the at most ``cap`` multisets of the rest.
+    deviation of the gap from its per-coordinate conditional mean),
+    ``crude_j`` (``n`` times the largest absolute mixed second difference)
+    and ``j_mu`` (the weighted interaction functional), from
+    ``exchangeable.bound_ingredients`` on the table's gaps; ``cap`` bounds
+    the multisets of the other ``n - 1`` sample points.
     """
-    probs = population.probs
-    e_scv, vals = _scv_and_gaps(population, n, lam, cap)
-    cond_mean = np.array([math.fsum(row) for row in (probs * vals).tolist()])
-    b = float((vals - cond_mean[:, None]).max())
-    # pair[q, y, z]: gap of (n-2)-multiset q plus atoms y and z.
-    pair = vals[neighbours(multisets(n - 2, population.size, cap))]
-    crude = 0.0
-    for y in range(population.size):
-        for y2 in range(population.size):
-            second = (
-                pair[:, y, :, None]
-                - pair[:, y2, :, None]
-                - pair[:, y, None, :]
-                + pair[:, y2, None, :]
-            )
-            crude = max(crude, float(np.abs(second).max()))
-    return {
-        "e_scv": e_scv,
-        "b": b,
-        "crude_j": n * crude,
-    }
+    ing = bound_ingredients(table.gaps, table.n, table.population.probs, cap)
+    return {"e_scv": ing["E_scv"], "b": ing["b"], "crude_j": ing["crude"], "j_mu": ing["j_mu"]}
 
 
 def population_sampler(
@@ -544,26 +497,22 @@ def empirical_scv(
     return mean, math.sqrt(var / replications)
 
 
-def exact_gap_mean(population: Population, n: int, lam: float) -> float:
+def exact_gap_mean(table: GapTable) -> float:
     """Exact ``E[gap]`` by multiset enumeration."""
-    table = GapTable(population, n, lam)
     return fsum(table.probs * table.gaps)
 
 
-def exact_gap_tail(population: Population, n: int, lam: float, t: float) -> float:
+def exact_gap_tail(table: GapTable, t: float) -> float:
     """Exact ``Pr{gap - E[gap] > t}`` by multiset enumeration."""
-    table = GapTable(population, n, lam)
-    mean = fsum(table.probs * table.gaps)
-    return fsum(table.probs[table.gaps - mean > t])
+    return fsum(table.probs[table.gaps - exact_gap_mean(table) > t])
 
 
-def mc_gap_values(
-    population: Population, n: int, lam: float, n_samples: int, seed: int
-) -> np.ndarray:
+def mc_gap_values(table: GapTable, n_samples: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. gap values for Monte Carlo tails, looked up by multiset."""
+    population = table.population
     rng = substream(seed, 0xF0)
-    idx = rng.choice(population.size, size=(n_samples, n), p=population.probs)
-    return GapTable(population, n, lam).value(idx)
+    idx = rng.choice(population.size, size=(n_samples, table.n), p=population.probs)
+    return table.value(idx)
 
 
 # ---------------------------------------------------------------------------

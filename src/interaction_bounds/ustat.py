@@ -1,4 +1,4 @@
-"""U-statistics: evaluation, tail bounds, and the subset-pair combinatorics.
+"""U-statistics: evaluation on sample multisets, tail bounds, and subset-pair counts.
 
 A U-statistic of order ``m`` averages a symmetric kernel ``g`` with values in
 ``[-1, 1]`` over all increasing ``m``-tuples of an ``n``-sample.  Two
@@ -32,21 +32,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy
-from .rng import substream
-from .space import (
-    DEFAULT_CAP,
-    CapacityError,
-    FiniteAxis,
-    FiniteProductSpace,
-    TabulatedFunction,
+from .exchangeable import (
+    bound_ingredients,
+    multiset_probabilities,
+    multisets,
+    neighbours,
+    occupancy,
 )
+from .rng import substream
+from .space import DEFAULT_CAP, CapacityError, FiniteAxis
 
 #: Largest sample size for which combination enumeration is permitted.
 MAX_SAMPLE = 64
 
-#: Cap on the kernel terms of one computation: evaluations in ``evaluate_u``,
-#: (count row, kernel multiset) products in ``u_at_counts``.
+#: Cap on the kernel terms of one computation: the (count row, kernel
+#: multiset) products in ``u_at_counts``.
 DEFAULT_EVAL_CAP = 10_000_000
 
 
@@ -56,9 +56,8 @@ class Kernel:
 
     ``fn`` maps an ``m``-tuple of base-set points (floats) to a real.
     Symmetry and the range constraint are certified by ``check_kernel``;
-    ``evaluate_u`` rejects an out-of-range average, and the kernel table behind
-    ``u_at_counts``, ``sigma1_squared`` and ``exact_u_mean`` an out-of-range
-    kernel value.
+    the kernel table behind ``u_at_counts``, ``sigma1_squared`` and
+    ``exact_u_mean`` rejects an out-of-range kernel value.
     """
 
     m: int
@@ -179,28 +178,6 @@ class UStatProblem:
         return self.kernel.m
 
 
-def evaluate_u(
-    problem: UStatProblem, sample: Sequence[float], eval_cap: int = DEFAULT_EVAL_CAP
-) -> float:
-    """Average of the kernel over all increasing index tuples of the sample."""
-    n, m = problem.n, problem.m
-    if len(sample) != n:
-        raise ValueError(f"sample of length {len(sample)}, expected {n}")
-    if n > MAX_SAMPLE:
-        raise OverflowError(f"sample size {n} exceeds the supported {MAX_SAMPLE}")
-    ncm = math.comb(n, m)
-    if ncm > eval_cap:
-        raise CapacityError(f"{ncm} kernel terms exceed the cap of {eval_cap}")
-    fn = problem.kernel.fn
-    total = math.fsum(
-        fn(combo) for combo in itertools.combinations(tuple(sample), m)
-    )
-    value = total / ncm
-    if not (-1.0 - 1e-9 <= value <= 1.0 + 1e-9):
-        raise ValueError(f"kernel produced out-of-range average {value}")
-    return value
-
-
 def _kernel_table(problem: UStatProblem, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``m``-multisets of base points (count rows) and the kernel at each.
 
@@ -232,45 +209,6 @@ def sigma1_squared(problem: UStatProblem, cap: int = 1_000_000) -> float:
     cond_mean = [math.fsum(column) for column in terms.T.tolist()]
     mean = math.fsum(wy * h for wy, h in zip(w, cond_mean))
     return math.fsum(wy * (h - mean) ** 2 for wy, h in zip(w, cond_mean))
-
-
-def sigma1_squared_mc(
-    problem: UStatProblem,
-    n_samples: int = 20_000,
-    seed: int = 0,
-    batches: int = 10,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``sigma1_squared`` with a batch-means stderr.
-
-    Per draw: one ``y`` plus two independent ``(m-1)``-tuples ``x, x'``; then
-    ``g(y,x) g(y,x')`` estimates the second moment of the conditional mean and
-    the product of the two batch means estimates its squared mean.
-    """
-    if n_samples < batches:
-        raise ValueError("need at least one sample per batch")
-    rng = substream(seed, 0x51)
-    w = np.asarray(problem.base_axis.weights)
-    pts = problem.base_points
-    fn = problem.kernel.fn
-    m = problem.m
-    per = n_samples // batches
-    estimates = []
-    for _ in range(batches):
-        a_vals, b_vals = [], []
-        for _ in range(per):
-            y = pts[int(rng.choice(len(pts), p=w))]
-            xa = tuple(pts[int(i)] for i in rng.choice(len(pts), size=m - 1, p=w))
-            xb = tuple(pts[int(i)] for i in rng.choice(len(pts), size=m - 1, p=w))
-            a_vals.append(fn((y, *xa)))
-            b_vals.append(fn((y, *xb)))
-        a = np.asarray(a_vals)
-        b = np.asarray(b_vals)
-        second = float(np.mean(a * b))
-        first_sq = float(np.mean(a) * np.mean(b))
-        estimates.append(second - first_sq)
-    mean = float(np.mean(estimates))
-    stderr = float(np.std(estimates, ddof=1) / math.sqrt(batches))
-    return mean, stderr
 
 
 def ustat_bound(n: int, m: int, sigma1sq: float, t: float) -> float:
@@ -385,9 +323,10 @@ def u_at_counts(
 
     The kernel sum ``sum_k g(k) prod_i C(c_i, k_i)`` over the ``m``-multisets
     ``k`` of base points (``g`` checked against ``[-1, 1]``) is formed exactly,
-    rounded once and divided by ``C(n, m)``: ``evaluate_u``'s arithmetic, bit
-    for bit unless ``g`` rounds differently in another argument order (a
-    product of three non-dyadic points).  ``eval_cap`` bounds the terms.
+    rounded once and divided by ``C(n, m)``: the arithmetic of an exactly
+    rounded sum over the ``m``-subsets of the sample, bit for bit unless ``g``
+    rounds differently in another argument order (a product of three
+    non-dyadic points).  ``eval_cap`` bounds the terms.
     """
     n, m = problem.n, problem.m
     counts = np.asarray(counts)
@@ -413,33 +352,13 @@ def u_at_counts(
     return out
 
 
-def tabulate_u(
-    problem: UStatProblem, cap: int = DEFAULT_CAP, eval_cap: int = DEFAULT_EVAL_CAP
-) -> TabulatedFunction:
-    """The U-statistic as a dense table on the ``n``-fold product space.
-
-    Requires ``|base|^n`` within the configuration cap; used for exact tail
-    computations and for checking the per-coordinate range and interaction
-    properties of ``u`` by direct enumeration.
-    """
-    n, size = problem.n, problem.base_axis.size
-    space = FiniteProductSpace(axes=(problem.base_axis,) * n)
-    space.check_capacity(cap)
-    values = u_at_counts(problem, multisets(n, size, cap), eval_cap)
-    # rows[x]: multiset row of configuration x, built up one draw at a time.
-    rows = np.zeros((), dtype=np.intp)
-    for k in range(n):
-        rows = neighbours(multisets(k, size, cap))[rows]
-    return TabulatedFunction(space, values[rows])
-
-
 def scv_envelope_terms(
     problem: UStatProblem, cap: int = DEFAULT_CAP, eval_cap: int = DEFAULT_EVAL_CAP
 ) -> dict[str, float]:
     """Exact expected variance sum of ``u`` against two closed-form envelopes.
 
-    Returns ``lhs = sum_k E[conditional variance of u over k]`` (computed by
-    enumeration) together with::
+    Returns ``lhs = sum_k E[conditional variance of u over k]`` (exact, on
+    sample multisets within ``cap``) together with::
 
         tight_envelope = (m^2/n) sigma1^2 + m^2 (m-1)^2 / (2 n (n-m))
         safe_envelope  = (m^2/n) sigma1^2 + m^2 (m-1)^2 / (n (n-m))
@@ -449,12 +368,10 @@ def scv_envelope_terms(
     the tests), so only the safe form with the doubled second term is an
     actual upper bound; ``lhs <= safe_envelope`` always holds.
     """
-    from .operators import scv
-    from .space import expectation
-
     n, m = problem.n, problem.m
-    u = tabulate_u(problem, cap=cap, eval_cap=eval_cap)
-    lhs = expectation(scv(u))
+    size, weights = problem.base_axis.size, problem.base_axis.weights
+    u = u_at_counts(problem, multisets(n, size, cap), eval_cap)
+    lhs = bound_ingredients(u, n, weights, cap)["E_scv"]
     s1 = sigma1_squared(problem)
     base = (m * m / n) * s1
     half_term = m * m * (m - 1) ** 2 / (2.0 * n * (n - m))

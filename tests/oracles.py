@@ -20,7 +20,12 @@ import math
 import numpy as np
 
 from interaction_bounds.rls import RlsProblem, generalization_gap
-from interaction_bounds.space import DEFAULT_CAP, CapacityError
+from interaction_bounds.space import (
+    DEFAULT_CAP,
+    CapacityError,
+    FiniteProductSpace,
+    TabulatedFunction,
+)
 
 
 def configs(space):
@@ -386,7 +391,7 @@ def tabulate_u(problem):
     """The U-statistic on every configuration of the ``n``-fold base space.
 
     One exactly rounded kernel sum over the ``m``-subsets of sample positions
-    per configuration, divided by ``C(n, m)``; returns the dense value array.
+    per configuration, divided by ``C(n, m)``; returns the dense table.
     """
     n, m = problem.n, problem.m
     combos = list(itertools.combinations(range(n), m))
@@ -398,7 +403,7 @@ def tabulate_u(problem):
         values[config] = math.fsum(
             fn(tuple(sample[j] for j in combo)) for combo in combos
         ) / math.comb(n, m)
-    return values
+    return TabulatedFunction(FiniteProductSpace(axes=(problem.base_axis,) * n), values)
 
 
 def intersecting_pairs(n, m):

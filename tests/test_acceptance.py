@@ -59,7 +59,6 @@ from interaction_bounds.ustat import (
     mean_kernel,
     product_kernel,
     sign_agreement_kernel,
-    tabulate_u,
 )
 
 SEED = 20260808
@@ -223,7 +222,7 @@ def test_criterion_5_u_statistics():
     ]
     for kernel, n, axis, points in cases:
         prob = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = tabulate_u(prob)
+        u = oracles.tabulate_u(prob)
         m = kernel.m
         range_worst = max(
             float((u.values - cond_expectation(u, k).values).max()) for k in range(n)
@@ -301,12 +300,13 @@ def test_criterion_6_regularized_least_squares():
         ys = tail_rng.uniform(-1.0, 1.0, size=2)
         p0 = float(tail_rng.uniform(0.2, 0.8))
         pop = Population(xs=xs, ys=ys, probs=[p0, 1.0 - p0])
-        meas = measured_ingredients(pop, n, lam)
-        mean_gap = exact_gap_mean(pop, n, lam)
-        tmax = max(GapTable(pop, n, lam).gaps - mean_gap)
+        table = GapTable(pop, n, lam)
+        meas = measured_ingredients(table)
+        mean_gap = exact_gap_mean(table)
+        tmax = max(table.gaps - mean_gap)
         if tmax <= 0.0 or meas["b"] <= 0.0:
             continue
-        values = mc_gap_values(pop, n, lam, 100_000, seed=SEED + rep_i)
+        values = mc_gap_values(table, 100_000, seed=SEED + rep_i)
         for t in np.linspace(0.0, tmax, 11)[1:]:
             p_hat = float(np.mean(values - mean_gap > t))
             stderr = math.sqrt(p_hat * (1.0 - p_hat) / len(values))

@@ -147,9 +147,18 @@ class TestConfigHandling:
         ("normal-limit-demo", {"n_values": [1]}, {}, "n_values (1,) must all exceed m = 2"),
         ("normal-limit-demo", {"m": 1}, {}, "m must be >= 2"),
         ("normal-limit-demo", {"t": -1}, {}, "t must be in (0, inf)"),
-        ("normal-limit-demo", {"n_values": [30]}, {}, "exceed the cap of 10000000"),
+        ("normal-limit-demo", {"n_values": [30]}, {"cap": 30}, "exceed the cap of 30"),
         ("normal-limit-demo", {}, {"cap": -1}, "cap must be at least 1"),
         ("verify", {}, {"cap": 0}, "cap must be at least 1"),
+        ("bounds-table", {"t_points": 2.7}, {}, "t_points: expected an integer, got 2.7"),
+        ("bounds-table", {"t_points": True}, {}, "t_points: expected an integer, got True"),
+        ("ustat", {"m_values": [2, 2.5]}, {}, "m_values: expected an integer, got 2.5"),
+        ("verify", {}, {"seed": 1.5}, "expected an integer, got 1.5"),
+        ("verify", {}, {"count": True}, "expected an integer, got True"),
+        ("ustat", {}, {"cap": 1e3 + 0.5}, "expected an integer, got 1000.5"),
+        ("verify", {"n_axes": [2, 4, 6]}, {}, "n_axes: got 3 entries, expected 2"),
+        ("ustat", {"base_points": []}, {}, "base_points: got 0 entries, expected at least 1"),
+        ("normal-limit-demo", {"base_weights": []}, {}, "base_weights: got 0 entries, expected at least 1"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 
@@ -412,6 +421,15 @@ class TestNormalLimitDemo:
         i_lin = header.index("linear_term")
         linear = [float(line.split(",")[i_lin]) for line in lines[2:]]
         assert linear == sorted(linear, reverse=True)
+
+    def test_large_sample_on_multisets(self, tmp_path):
+        # 2^300 configurations, but only 301 sample multisets
+        config = tmp_path / "cfg.json"
+        doc = {"command": "normal-limit-demo", "params": {"n_values": [300]}}
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "n.csv"
+        assert main(["--config", str(config), "--out", str(out)]) == 0
+        assert read(out).splitlines()[2].startswith("300,")
 
     def test_default_sample_sizes_follow_m(self, tmp_path):
         out = tmp_path / "n.csv"

@@ -5,16 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from interaction_bounds import bounds
 from interaction_bounds.exchangeable import (
+    bound_ingredients,
     multiset_probabilities,
     multisets,
     neighbours,
     occupancy,
     rank,
 )
-from interaction_bounds.space import CapacityError, FiniteAxis, FiniteProductSpace
+from interaction_bounds.space import (
+    CapacityError,
+    FiniteAxis,
+    FiniteProductSpace,
+    TabulatedFunction,
+)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -50,6 +59,27 @@ def test_probabilities_aggregate_configuration_weights():
     assert math.fsum(got) == pytest.approx(1.0, abs=1e-15)
 
 
+def direct_probability(row, probs):
+    """The multinomial formed from factorials, times the powers, as one expression."""
+    weight = math.factorial(sum(row))
+    for c in row:
+        weight //= math.factorial(c)
+    return weight * math.prod(p**c for p, c in zip(probs, row) if c)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20, 41, 60])
+def test_running_multinomial_matches_factorials(n, s):
+    probs = np.random.default_rng(100 * n + s).dirichlet(np.ones(s))
+    counts = multisets(n, s)
+    want = [direct_probability(row, probs.tolist()) for row in counts.tolist()]
+    assert multiset_probabilities(counts, probs).tolist() == want
+    # Rows in any order, and of different totals, start afresh where needed.
+    mixed = np.concatenate([counts[::-1], multisets(max(n - 1, 0), s)])
+    want = [direct_probability(row, probs.tolist()) for row in mixed.tolist()]
+    assert multiset_probabilities(mixed, probs).tolist() == want
+
+
 @pytest.mark.parametrize("n", [1030, 1200])
 @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.2, 0.8), (0.9, 0.1)])
 def test_probabilities_of_large_samples(n, probs):
@@ -74,3 +104,38 @@ def test_count_above_cap_names_the_cap():
     assert len(multisets(5, 3, cap=21)) == 21
     with pytest.raises(CapacityError, match="cap of 20"):
         multisets(5, 3, cap=20)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 50.0]),
+)
+def test_bound_ingredients_match_the_dense_table(s, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    raw = rng.dirichlet(np.ones(s))
+    weights = tuple(float(w) for w in raw / math.fsum(raw.tolist()))
+    values = scale * rng.uniform(-1.0, 1.0, math.comb(n + s - 1, s - 1))
+    configs = np.indices((s,) * n).reshape(n, -1).T
+    space = FiniteProductSpace(axes=(FiniteAxis(weights=weights),) * n)
+    dense = bounds.bound_ingredients(
+        TabulatedFunction(space, values[rank(occupancy(configs, s))])
+    )
+    got = bound_ingredients(values, n, weights)
+    assert set(got) == {"E_scv", "b", "crude", "j_mu"}
+    floor = 1e-12 * float(np.abs(values).max())
+    for key, value in got.items():
+        assert value == pytest.approx(dense[key], rel=1e-12, abs=floor), key
+
+
+def test_bound_ingredients_check_their_input():
+    with pytest.raises(ValueError, match="one value per 3-multiset"):
+        bound_ingredients(np.zeros(3), 3, (0.5, 0.5))
+    with pytest.raises(ValueError, match="n >= 2"):
+        bound_ingredients(np.zeros(2), 1, (0.5, 0.5))
+    # the cap bounds the multisets of the other n - 1 draws: 15 for n = 5, s = 3
+    values = np.zeros(21)
+    assert bound_ingredients(values, 5, (0.2, 0.3, 0.5), cap=15)["j_mu"] == 0.0
+    with pytest.raises(CapacityError, match="cap of 14"):
+        bound_ingredients(values, 5, (0.2, 0.3, 0.5), cap=14)

@@ -11,13 +11,9 @@ from interaction_bounds.harness import (
     CHECKS,
     RandomInstanceSpec,
     SuiteReport,
-    TailEstimate,
-    centered_evaluator,
     exact_tail,
     generate_instance,
-    mc_tail,
     run_property_suite,
-    space_sampler,
 )
 from interaction_bounds.rng import derive_seed, substream
 from interaction_bounds.space import CapacityError, TabulatedFunction, expectation
@@ -110,44 +106,6 @@ class TestExactTail:
         ts = np.linspace(-2.0, 2.0, 41)
         tails = [exact_tail(f, float(t)) for t in ts]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
-
-
-class TestMcTail:
-    def test_constant_function(self):
-        space = uniform_space(2, 2)
-        f = TabulatedFunction.constant(space, 1.0)
-        est = mc_tail(space_sampler(space), centered_evaluator(f), 0.1, 500, seed=1)
-        assert est.mc_estimate == 0.0
-        assert est.exact is None
-        assert est.n_samples == 500
-
-    def test_agrees_with_exact(self):
-        rng = np.random.default_rng(4)
-        space = uniform_space(3, 2, 2)
-        f = TabulatedFunction(space, rng.uniform(-1, 1, space.size))
-        for t in (0.1, 0.4):
-            exact = exact_tail(f, t)
-            est = mc_tail(
-                space_sampler(space), centered_evaluator(f), t, 20_000, seed=2
-            )
-            stderr = max(est.mc_stderr, 1e-4)
-            assert abs(est.mc_estimate - exact) <= 4.0 * stderr
-
-    def test_deterministic(self):
-        space = uniform_space(2, 3)
-        rng = np.random.default_rng(5)
-        f = TabulatedFunction(space, rng.uniform(-1, 1, space.size))
-        a = mc_tail(space_sampler(space), centered_evaluator(f), 0.2, 1000, seed=3)
-        b = mc_tail(space_sampler(space), centered_evaluator(f), 0.2, 1000, seed=3)
-        assert a == b
-
-    def test_stderr_scales_with_samples(self):
-        space = uniform_space(2, 3)
-        rng = np.random.default_rng(6)
-        f = TabulatedFunction(space, rng.uniform(-1, 1, space.size))
-        small = mc_tail(space_sampler(space), centered_evaluator(f), 0.1, 2000, seed=4)
-        big = mc_tail(space_sampler(space), centered_evaluator(f), 0.1, 8000, seed=4)
-        assert 0.3 <= big.mc_stderr / small.mc_stderr <= 0.7  # about one half
 
 
 class TestPropertySuite:

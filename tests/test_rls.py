@@ -17,7 +17,6 @@ from interaction_bounds.rls import (
     empirical_scv,
     exact_gap_mean,
     exact_gap_tail,
-    exhaustive_scv,
     gap_tail_bound,
     generalization_gap,
     mc_gap_values,
@@ -221,7 +220,7 @@ class TestScvEstimators:
             population_sampler(pop, 4, 0.5), pop, replications=20, seed=1
         )
         assert mean == 0.0
-        assert exhaustive_scv(pop, 4, 0.5) == 0.0
+        assert measured_ingredients(GapTable(pop, 4, 0.5))["e_scv"] == 0.0
 
     def test_deterministic_in_seed(self):
         sampler = population_sampler(TWO_ATOM, 4, 0.5)
@@ -262,11 +261,12 @@ class TestScvEstimators:
                         * (gap(sa) - gap(sb)) ** 2
                     )
         want = total
-        assert exhaustive_scv(pop, n, lam) == pytest.approx(want, abs=1e-13)
+        got = measured_ingredients(GapTable(pop, n, lam))["e_scv"]
+        assert got == pytest.approx(want, abs=1e-13)
 
     def test_monte_carlo_matches_exhaustive(self):
         n, lam = 4, 0.5
-        exact = exhaustive_scv(TWO_ATOM, n, lam)
+        exact = measured_ingredients(GapTable(TWO_ATOM, n, lam))["e_scv"]
         mean, stderr = empirical_scv(
             population_sampler(TWO_ATOM, n, lam), TWO_ATOM, replications=600, seed=2
         )
@@ -289,29 +289,32 @@ class TestGapDistribution:
         assert table.value((0, 1, 0, 1)) == table.value((1, 1, 0, 0))
 
     def test_exact_tail_monotone(self):
-        tails = [exact_gap_tail(TWO_ATOM, 5, 0.3, t) for t in (0.0, 0.005, 0.01, 0.05)]
+        table = GapTable(TWO_ATOM, 5, 0.3)
+        tails = [exact_gap_tail(table, t) for t in (0.0, 0.005, 0.01, 0.05)]
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
     def test_mc_matches_exact_tail(self):
         n, lam = 6, 0.4
-        mean = exact_gap_mean(TWO_ATOM, n, lam)
-        values = mc_gap_values(TWO_ATOM, n, lam, 40_000, seed=4)
+        table = GapTable(TWO_ATOM, n, lam)
+        mean = exact_gap_mean(table)
+        values = mc_gap_values(table, 40_000, seed=4)
         assert np.mean(values) == pytest.approx(mean, abs=5e-4)
         for t in (0.002, 0.005, 0.01):
-            exact = exact_gap_tail(TWO_ATOM, n, lam, t)
+            exact = exact_gap_tail(table, t)
             mc = float(np.mean(values - mean > t))
             stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
             assert abs(mc - exact) <= 4.0 * stderr
 
     def test_measured_ingredients_give_valid_main_bound(self):
         n, lam = 5, 0.35
-        meas = measured_ingredients(TWO_ATOM, n, lam)
-        assert meas["b"] >= 0.0 and meas["crude_j"] >= 0.0
-        mean = exact_gap_mean(TWO_ATOM, n, lam)
-        tmax = max(GapTable(TWO_ATOM, n, lam).gaps - mean)
+        table = GapTable(TWO_ATOM, n, lam)
+        meas = measured_ingredients(table)
+        assert meas["b"] >= 0.0 and 0.0 <= meas["j_mu"] <= meas["crude_j"]
+        tmax = max(table.gaps - exact_gap_mean(table))
         for t in np.linspace(0.0, tmax, 9)[1:]:
-            bound = main_bound(meas["e_scv"], meas["b"], meas["crude_j"], float(t))
-            assert exact_gap_tail(TWO_ATOM, n, lam, float(t)) <= bound.value + 1e-12
+            tail = exact_gap_tail(table, float(t))
+            for j in (meas["j_mu"], meas["crude_j"]):
+                assert tail <= main_bound(meas["e_scv"], meas["b"], j, float(t)).value + 1e-12
 
 
 class TestMultisetEngine:
@@ -320,7 +323,7 @@ class TestMultisetEngine:
         [(TWO_ATOM, 5, 0.35), (SKEW_ATOM, 6, 0.45), (PLANE_ATOM, 4, 0.3)],
     )
     def test_measured_ingredients_match_configuration_loops(self, population, n, lam):
-        got = measured_ingredients(population, n, lam)
+        got = measured_ingredients(GapTable(population, n, lam))
         want = oracles.rls_measured_ingredients(population, n, lam)
         assert got["b"] == want["b"]
         assert got["crude_j"] == want["crude_j"]
@@ -328,7 +331,7 @@ class TestMultisetEngine:
 
     def test_mc_values_are_gaps_of_the_drawn_samples(self):
         n, lam = 5, 0.3
-        got = mc_gap_values(PLANE_ATOM, n, lam, 300, seed=6)
+        got = mc_gap_values(GapTable(PLANE_ATOM, n, lam), 300, seed=6)
         draws = np.sort(
             substream(6, 0xF0).choice(3, size=(300, n), p=PLANE_ATOM.probs), axis=1
         )
@@ -343,11 +346,10 @@ class TestMultisetEngine:
 
     def test_multisets_above_cap_name_the_cap(self):
         # 3 atoms, n = 6: the rest-samples of n - 1 points form 21 multisets
-        assert measured_ingredients(PLANE_ATOM, 6, 0.5, cap=21)["b"] >= 0.0
+        table = GapTable(PLANE_ATOM, 6, 0.5)
+        assert measured_ingredients(table, cap=21)["b"] >= 0.0
         with pytest.raises(CapacityError, match="cap of 20"):
-            measured_ingredients(PLANE_ATOM, 6, 0.5, cap=20)
-        with pytest.raises(CapacityError, match="cap of 20"):
-            exhaustive_scv(PLANE_ATOM, 6, 0.5, cap=20)
+            measured_ingredients(table, cap=20)
 
 
 class TestJson:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from interaction_bounds.functionals import interaction
-from interaction_bounds.exchangeable import multisets, occupancy
+from interaction_bounds.exchangeable import multisets, occupancy, rank
 from interaction_bounds.operators import cond_expectation
 from interaction_bounds.rng import substream
 from interaction_bounds.space import CapacityError, FiniteAxis, expectation, fsum
@@ -18,7 +18,6 @@ from interaction_bounds.ustat import (
     arcones_bound,
     check_kernel,
     crossover,
-    evaluate_u,
     exact_u_mean,
     intersecting_pairs_count,
     kernel_from_json,
@@ -27,9 +26,7 @@ from interaction_bounds.ustat import (
     sample_u_values,
     scv_envelope_terms,
     sigma1_squared,
-    sigma1_squared_mc,
     sign_agreement_kernel,
-    tabulate_u,
     tabulated_kernel,
     u_at_counts,
     ustat_bound,
@@ -85,38 +82,40 @@ class TestKernels:
 
 
 class TestEvaluateU:
+    """``u`` of one sample, given by how often it holds each base point."""
+
     def test_all_ones(self):
         p = problem(product_kernel(2), 3)
-        assert evaluate_u(p, (1.0, 1.0, 1.0)) == pytest.approx(1.0)
+        assert u_at_counts(p, [[0, 3]]).tolist() == pytest.approx([1.0])
 
     def test_mixed_signs(self):
         p = problem(product_kernel(2), 3)
-        assert evaluate_u(p, (1.0, -1.0, 1.0)) == pytest.approx(-1.0 / 3.0)
+        assert u_at_counts(p, [[1, 2]]).tolist() == pytest.approx([-1.0 / 3.0])
 
     def test_constant_kernel(self):
         const = Kernel(m=2, fn=lambda _: 0.25, name="const")
         p = problem(const, 5)
-        assert evaluate_u(p, (1.0,) * 5) == pytest.approx(0.25)
+        assert u_at_counts(p, [[2, 3]]).tolist() == pytest.approx([0.25])
 
     def test_wrong_length(self):
         p = problem(product_kernel(2), 3)
         with pytest.raises(ValueError):
-            evaluate_u(p, (1.0, 1.0))
+            u_at_counts(p, [[0, 2]])
 
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):
             problem(product_kernel(2), 2)  # n must exceed m
         with pytest.raises(OverflowError):
-            evaluate_u(problem(product_kernel(2), 65), (1.0,) * 65)
+            intersecting_pairs_count(65, 2)
 
     def test_matches_oracle_on_random_samples(self):
         rng = np.random.default_rng(8)
         kern = mean_kernel(3)
-        p = problem(kern, 6)
         for _ in range(5):
             sample = tuple(rng.uniform(-1, 1, 6))
-            assert evaluate_u(p, sample) == pytest.approx(
-                oracles.u_value(kern.fn, 3, sample), abs=1e-13
+            p = problem(kern, 6, FiniteAxis.uniform(6), sample)
+            assert u_at_counts(p, [[1] * 6]).tolist() == pytest.approx(
+                [oracles.u_value(kern.fn, 3, sample)], abs=1e-13
             )
 
 
@@ -136,11 +135,6 @@ class TestSigma1:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             sigma1_squared(problem(mean_kernel(3), 5), cap=1)
-
-    def test_monte_carlo_agrees(self):
-        p = problem(mean_kernel(2), 4)
-        mean, stderr = sigma1_squared_mc(p, n_samples=8000, seed=5)
-        assert abs(mean - 0.25) <= 4 * max(stderr, 1e-3)
 
 
 class TestBoundFormulas:
@@ -265,7 +259,7 @@ class TestProofChain:
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES)
     def test_per_coordinate_range(self, kernel, n, axis, points):
         p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = tabulate_u(p)
+        u = oracles.tabulate_u(p)
         worst = max(
             float((u.values - cond_expectation(u, k).values).max())
             for k in range(n)
@@ -275,7 +269,7 @@ class TestProofChain:
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES)
     def test_interaction_bound(self, kernel, n, axis, points):
         p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = tabulate_u(p)
+        u = oracles.tabulate_u(p)
         m = kernel.m
         j = interaction(u)
         tight = 4.0 * m * (m - 1) / math.sqrt(n * (n - 1))
@@ -285,7 +279,7 @@ class TestProofChain:
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES[:4])
     def test_exact_tail_below_bound(self, kernel, n, axis, points):
         p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = tabulate_u(p)
+        u = oracles.tabulate_u(p)
         s1 = sigma1_squared(p)
         center = expectation(u)
         w = u.space.weight_table()
@@ -312,7 +306,7 @@ class TestProofChain:
 class TestSampling:
     def test_exact_mean_matches_table(self):
         p = problem(mean_kernel(2), 5)
-        u = tabulate_u(p)
+        u = oracles.tabulate_u(p)
         assert exact_u_mean(p) == pytest.approx(expectation(u), abs=1e-12)
 
     def test_sampled_values_deterministic(self):
@@ -323,7 +317,7 @@ class TestSampling:
 
     def test_sampled_tail_agrees_with_exact(self):
         p = problem(mean_kernel(2), 6)
-        u = tabulate_u(p)
+        u = oracles.tabulate_u(p)
         center = expectation(u)
         w = u.space.weight_table()
         values = sample_u_values(p, 4000, seed=10)
@@ -355,7 +349,9 @@ class TestCountsEvaluator:
     @pytest.mark.parametrize("kernel,n", COUNT_CASES)
     def test_tabulate_matches_configuration_loop(self, kernel, n):
         p = problem(kernel, n, WEIGHTED_AXIS, WEIGHTED_POINTS)
-        assert np.array_equal(tabulate_u(p).values, oracles.tabulate_u(p))
+        configs = np.indices((3,) * n).reshape(n, -1).T
+        got = u_at_counts(p, multisets(n, 3))[rank(occupancy(configs, 3))]
+        assert np.array_equal(got, oracles.tabulate_u(p).values.ravel())
 
     @pytest.mark.parametrize("kernel,n", COUNT_CASES)
     def test_samples_match_evaluate_u(self, kernel, n):
@@ -363,10 +359,12 @@ class TestCountsEvaluator:
         got = sample_u_values(p, 200, seed=12)
         draws = substream(12, 0x0E).choice(3, size=(200, n), p=WEIGHTED_AXIS.weights)
         pts = np.asarray(WEIGHTED_POINTS)
-        assert np.array_equal(got, [evaluate_u(p, pts[row]) for row in draws])
+        want = [oracles.u_value(kernel.fn, kernel.m, pts[row]) for row in draws]
+        assert np.array_equal(got, want)
 
     def test_large_sample_beyond_evaluate_u(self):
-        # n = 200 has no configuration table, but u at all-equal points is g there
+        # n = 200 has no configuration table, but u at all-equal points is g there;
+        # the per-sample sum would have C(200, 4) terms
         p = problem(mean_kernel(4), 200, WEIGHTED_AXIS, WEIGHTED_POINTS)
         got = u_at_counts(p, np.array([[200, 0, 0], [0, 0, 200]]))
         assert got.tolist() == [-0.7, 0.9]
@@ -374,7 +372,7 @@ class TestCountsEvaluator:
     def test_out_of_range_kernel_rejected(self):
         wild = Kernel(m=2, fn=lambda pts: 1.5 * pts[0] * pts[1], name="wild")
         with pytest.raises(ValueError, match="outside"):
-            tabulate_u(problem(wild, 4))
+            u_at_counts(problem(wild, 4), multisets(4, 2))
         with pytest.raises(ValueError, match="outside"):
             sample_u_values(problem(wild, 4), 10, seed=1)
         with pytest.raises(ValueError, match="outside"):

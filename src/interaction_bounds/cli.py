@@ -279,10 +279,7 @@ def cmd_rls(config: RunConfig) -> int:
         return 1
 
     scv_mean, scv_err = rlsmod.empirical_scv(
-        rlsmod.population_sampler(population, n, lam),
-        population,
-        p["replications"],
-        seed=derive_seed(config.seed, 0xA2),
+        population, n, lam, p["replications"], seed=derive_seed(config.seed, 0xA2)
     )
     rows.append(["scv", "empirical_scv", lam, "", scv_mean, scv_err, "", ""])
     # One gap table per distinct lambda, shared by every section below.
@@ -400,6 +397,14 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
+def _real(value: Any) -> float:
+    """``value`` as a finite float; NaN and the infinities are errors."""
+    real = float(value)
+    if not math.isfinite(real):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return real
+
+
 def _list_of(
     convert: Callable[[Any], Any], lo: int = 0, hi: float = math.inf
 ) -> Callable[[Any], tuple]:
@@ -424,10 +429,11 @@ def _between(lo: float, hi: float) -> tuple[Callable[[Any], bool], str]:
     return (lambda v: lo < v < hi), f"in ({lo}, {hi})"
 
 
+#: Kernel names to ``ustat`` factory names, looked up when a config is built.
 _KERNELS = {
-    "product": usmod.product_kernel,
-    "mean": usmod.mean_kernel,
-    "sign-agreement": usmod.sign_agreement_kernel,
+    "product": "product_kernel",
+    "mean": "mean_kernel",
+    "sign-agreement": "sign_agreement_kernel",
 }
 
 _DEMO_RLS = {
@@ -441,14 +447,14 @@ _INSTANCE_FIELDS = {
     "axis_size": _Field(_list_of(_integer, 2, 2), (2, 4)),
     "values": _Field(str, "uniform"),
     "weights": _Field(str, "uniform"),
-    "epsilon": _Field(float, 0.1),
+    "epsilon": _Field(_real, 0.1),
 }
 
 # Shared by ustat and normal-limit-demo; ``FiniteAxis`` checks the weights.
 _KERNEL_FIELDS = {
     "kernel": _Field(str, "product", _KERNELS.__contains__, f"one of {sorted(_KERNELS)}"),
-    "base_points": _Field(_list_of(float, 1), (-1.0, 1.0)),
-    "base_weights": _Field(_list_of(float, 1), None),
+    "base_points": _Field(_list_of(_real, 1), (-1.0, 1.0)),
+    "base_weights": _Field(_list_of(_real, 1), None),
 }
 
 
@@ -458,7 +464,7 @@ def _instance_spec(p: dict, seed: int) -> None:
 
 def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
     """Replace the kernel fields by ``p["kernel"]`` (order to kernel) and ``p["base"]``."""
-    p["kernel"] = _KERNELS[p["kernel"]]
+    p["kernel"] = getattr(usmod, _KERNELS[p["kernel"]])
     if path := p.pop("kernel_path", None):
         kernel = _read_json(path, "kernel", usmod.kernel_from_json)
         if any(m != kernel.m for m in orders):
@@ -511,18 +517,18 @@ _SCHEMA = {
         "kernel_path": _Field(str, None),
         "m_values": _Field(_list_of(_integer), (2, 3, 4), *_at_least(2)),
         "n_values": _Field(_list_of(_integer), (10, 50, 200)),
-        "t_values": _Field(_list_of(float), (0.05, 0.1, 0.2, 0.5, 1.0), *_between(0, math.inf)),
+        "t_values": _Field(_list_of(_real), (0.05, 0.1, 0.2, 0.5, 1.0), *_between(0, math.inf)),
         "mc_samples": _Field(_integer, 2000, *_at_least(1)),
     }, lambda p, seed: _kernel_and_base(p, p["m_values"])),
     "rls": _Command(cmd_rls, {
         "path": _Field(str, None),
-        "c": _Field(float, 1.0, *_between(0, math.inf)),
+        "c": _Field(_real, 1.0, *_between(0, math.inf)),
         "t_points": _Field(_integer, 10, *_at_least(1)),
         "mc_samples": _Field(_integer, 100_000, *_at_least(1)),
         "replications": _Field(_integer, 200, *_at_least(1)),
         "grid": _Field(_integer, 3, *_at_least(1)),
-        "h": _Field(float, 1e-4, *_between(0, 0.25)),
-        "lambda_sweep": _Field(_list_of(float), tuple(np.arange(1, 10) / 10.0), *_between(0, 1)),
+        "h": _Field(_real, 1e-4, *_between(0, 0.25)),
+        "lambda_sweep": _Field(_list_of(_real), tuple(np.arange(1, 10) / 10.0), *_between(0, 1)),
     }, _rls_params),
     "bounds-table": _Command(cmd_bounds_table, {
         "t_points": _Field(_integer, 20, *_at_least(1)),
@@ -532,7 +538,7 @@ _SCHEMA = {
         **_KERNEL_FIELDS,
         "m": _Field(_integer, 2, *_at_least(2)),
         "n_values": _Field(_list_of(_integer), lambda p: tuple(range(p["m"] + 2, 13))),
-        "t": _Field(float, 1.0, *_between(0, math.inf)),
+        "t": _Field(_real, 1.0, *_between(0, math.inf)),
     }, _normal_limit_params),
 }
 

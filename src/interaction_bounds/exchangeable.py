@@ -109,8 +109,16 @@ def _scaled_probability(weight: int, row: Sequence[int], p: Sequence[float]) -> 
 
 
 def occupancy(samples: np.ndarray, s: int) -> np.ndarray:
-    """Count vectors of samples given as point indices along the last axis."""
-    return np.count_nonzero(np.asarray(samples)[..., None] == np.arange(s), axis=-2)
+    """Count vectors of samples given as point indices along the last axis.
+
+    One pass over the samples per point, so the working memory is one boolean
+    per sample entry whatever ``s`` is.
+    """
+    samples = np.asarray(samples)
+    counts = np.empty((*samples.shape[:-1], s), dtype=np.intp)
+    for i in range(s):
+        counts[..., i] = np.count_nonzero(samples == i, axis=-1)
+    return counts
 
 
 def rank(counts: np.ndarray) -> np.ndarray:

@@ -22,6 +22,12 @@ is exactly computable on every sample multiset (``GapTable``);
 ``measured_ingredients`` gives the exact variance-sum, range, and interaction
 inputs for tail bounds on the centered gap from that table, and
 ``empirical_scv`` is the seeded Monte Carlo counterpart of the variance sum.
+
+Every family of problems (the lattice of a derivative check, the multisets of
+a gap table, the replaced samples of ``empirical_scv``) is solved as a stack
+by ``solve_stack``, not one problem at a time.  Its factorization is LAPACK's ``dpotrf``/``dpotrs``
+through scipy, which is imported on the first solve, so that commands which
+solve nothing never load it.
 """
 
 from __future__ import annotations
@@ -31,13 +37,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exchangeable import bound_ingredients, multiset_probabilities, multisets, occupancy, rank
 from .rng import substream
 from .space import fsum
 
 _NORM_SLACK = 1e-12
+
+#: Samples per ``solve_stack`` call in ``sample_gaps``; bounds its working memory.
+_GAP_BLOCK = 4096
 
 
 class SolverError(Exception):
@@ -59,6 +67,8 @@ class RlsProblem:
             raise ValueError("xs and ys disagree on the sample size")
         if xs.shape[0] < 1:
             raise ValueError("need at least one sample point")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("inputs and labels must be finite")
         norms = np.linalg.norm(xs, axis=1)
         if norms.max() > 1.0 + _NORM_SLACK:
             raise ValueError(f"input norm {norms.max()} exceeds the unit ball")
@@ -82,12 +92,16 @@ class RlsProblem:
 
 @dataclass(frozen=True, eq=False)
 class RlsSolution:
-    """Weight vector with the Gram matrix and moment vector that produced it."""
+    """Weight vector with the Gram matrix and moment vector that produced it.
+
+    From ``solve_stack`` every field carries a leading stack axis, and
+    ``residual`` is an array.
+    """
 
     w: np.ndarray
     gram: np.ndarray
     moment: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("w", "gram", "moment"):
@@ -96,32 +110,75 @@ class RlsSolution:
             object.__setattr__(self, name, arr)
 
 
-def solve(problem: RlsProblem) -> RlsSolution:
-    """Solve the regularized normal equations ``(G + lam I) w = g``.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis.
 
-    Cholesky on the symmetric positive definite system (smallest eigenvalue
-    at least ``lam``); raises SolverError if the relative residual exceeds
-    1e-8, which the conditioning bound ``(1 + lam) / lam`` rules out in
-    practice.  The returned ``w`` satisfies ``|w| <= lam^{-1/2}``.
+    One BLAS dot product per vector, as ``np.linalg.norm`` takes for a single
+    vector, so each norm equals that of the vector on its own bit for bit.
     """
-    n, d = problem.n, problem.dim
-    gram = problem.xs.T @ problem.xs / n
-    moment = problem.xs.T @ problem.ys / n
-    system = gram + problem.lam * np.eye(d)
-    try:
-        w = cho_solve(cho_factor(system, lower=True), moment)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - lam > 0 prevents this
-        raise SolverError(f"factorization failed: {exc}") from exc
-    residual_vec = system @ w - moment
-    scale = float(np.linalg.norm(moment))
-    residual = float(np.linalg.norm(residual_vec)) / scale if scale > 0.0 else 0.0
-    if residual > 1e-8:
-        raise SolverError(f"relative residual {residual} exceeds 1e-8")
-    norm_w = float(np.linalg.norm(w))
-    limit = problem.lam ** -0.5
-    if norm_w > limit + 1e-10:
-        raise SolverError(f"|w| = {norm_w} exceeds lam^-1/2 = {limit}")
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def solve_stack(xs: np.ndarray, ys: np.ndarray, lam: float) -> RlsSolution:
+    """Solve ``(G_b + lam I) w_b = g_b`` for every problem ``b`` of a stack.
+
+    ``xs`` has shape ``(B, n, d)`` and ``ys`` shape ``(B, n)``, with inputs in
+    the unit ball and labels in ``[-1, 1]`` (``RlsProblem`` checks them for
+    one sample).  Every Gram matrix and moment vector comes from one stacked
+    matrix product, and each system is factored by LAPACK's ``dpotrf`` and
+    solved by ``dpotrs``, the routines behind ``scipy.linalg.cho_factor`` and
+    ``cho_solve``; each slice is bit for bit the result of solving it alone.
+    Cholesky applies because the smallest eigenvalue is at least ``lam``.
+    Raises ValueError on a non-finite system and SolverError if a relative
+    residual exceeds 1e-8, which the conditioning bound ``(1 + lam) / lam``
+    rules out in practice.  Every returned ``w`` satisfies ``|w| <= lam^{-1/2}``.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 3 or ys.shape != xs.shape[:2]:
+        raise ValueError(f"need xs (B, n, d) and ys (B, n), got {xs.shape} and {ys.shape}")
+    if not (0.0 < lam < 1.0):
+        raise ValueError("lam must lie in (0, 1)")
+    n, d = xs.shape[1:]
+    xt = np.swapaxes(xs, 1, 2)
+    gram = xt @ xs / n
+    moment = (xt @ ys[..., None])[..., 0] / n
+    system = gram + lam * np.eye(d)
+    if not (np.isfinite(system).all() and np.isfinite(moment).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    w = np.empty_like(moment)
+    for b in range(len(w)):
+        factor, info = dpotrf(system[b], lower=1, clean=0)
+        if info != 0:  # pragma: no cover - lam > 0 prevents this
+            raise SolverError(
+                f"factorization failed: {info}-th leading minor of the array is not "
+                "positive definite"
+            )
+        w[b], _ = dpotrs(factor, moment[b], lower=1)
+    residual_vec = (system @ w[..., None])[..., 0] - moment
+    scale = _norms(moment)
+    residual = np.divide(_norms(residual_vec), scale, out=np.zeros_like(scale), where=scale > 0.0)
+    if (bad := np.flatnonzero(residual > 1e-8)).size:
+        raise SolverError(f"relative residual {float(residual[bad[0]])} exceeds 1e-8")
+    norm_w = _norms(w)
+    limit = lam ** -0.5
+    if (bad := np.flatnonzero(norm_w > limit + 1e-10)).size:
+        raise SolverError(f"|w| = {float(norm_w[bad[0]])} exceeds lam^-1/2 = {limit}")
     return RlsSolution(w=w, gram=gram, moment=moment, residual=residual)
+
+
+def solve(problem: RlsProblem) -> RlsSolution:
+    """Solve the regularized normal equations ``(G + lam I) w = g`` of one sample.
+
+    The one-problem case of ``solve_stack``, with the same checks and errors;
+    the returned ``w`` satisfies ``|w| <= lam^{-1/2}``.
+    """
+    sol = solve_stack(problem.xs[None], problem.ys[None], problem.lam)
+    return RlsSolution(
+        w=sol.w[0], gram=sol.gram[0], moment=sol.moment[0], residual=float(sol.residual[0])
+    )
 
 
 def empirical_risk(solution: RlsSolution, problem: RlsProblem) -> float:
@@ -144,6 +201,8 @@ class Population:
         probs = np.asarray(self.probs, dtype=np.float64).ravel()
         if not (xs.shape[0] == ys.shape[0] == probs.shape[0]):
             raise ValueError("population fields disagree on the atom count")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(probs).all()):
+            raise ValueError("population inputs, labels and probabilities must be finite")
         if np.linalg.norm(xs, axis=1).max() > 1.0 + _NORM_SLACK:
             raise ValueError("population inputs must lie in the unit ball")
         if np.abs(ys).max() > 1.0 + _NORM_SLACK:
@@ -171,10 +230,40 @@ def true_risk(solution: RlsSolution, population: Population) -> float:
     return fsum(population.probs * r * r)
 
 
+def _gap_stack(xs: np.ndarray, ys: np.ndarray, lam: float, population: Population) -> np.ndarray:
+    """``true_risk - empirical_risk`` of each solution of ``solve_stack(xs, ys, lam)``.
+
+    Stacked matrix-vector products and one exactly rounded sum per risk, so
+    each gap equals that of its problem solved alone.
+    """
+    w = solve_stack(xs, ys, lam).w[..., None]
+    r_true = (population.xs @ w)[..., 0] - population.ys
+    r_emp = (xs @ w)[..., 0] - ys
+    true_terms = (population.probs * r_true * r_true).tolist()
+    emp_terms = (r_emp * r_emp).tolist()
+    n = xs.shape[1]
+    return np.array([math.fsum(t) - math.fsum(e) / n for t, e in zip(true_terms, emp_terms)])
+
+
 def generalization_gap(problem: RlsProblem, population: Population) -> float:
     """``true risk - empirical risk`` for the solution trained on ``problem``."""
-    solution = solve(problem)
-    return true_risk(solution, population) - empirical_risk(solution, problem)
+    return float(_gap_stack(problem.xs[None], problem.ys[None], problem.lam, population)[0])
+
+
+def sample_gaps(population: Population, samples: np.ndarray, lam: float) -> np.ndarray:
+    """Generalization gap of each sample given by atom indices along the last axis.
+
+    The atoms stay in the order given, and each gap equals
+    ``generalization_gap`` of that sample bit for bit.  Samples are solved in
+    stacks of at most ``_GAP_BLOCK``.
+    """
+    samples = np.asarray(samples)
+    flat = samples.reshape(-1, samples.shape[-1])
+    gaps = [
+        _gap_stack(population.xs[block], population.ys[block], lam, population)
+        for block in np.split(flat, range(_GAP_BLOCK, len(flat), _GAP_BLOCK))
+    ]
+    return np.concatenate(gaps).reshape(samples.shape[:-1])
 
 
 def replace_point(
@@ -231,8 +320,9 @@ class DerivativeCheckReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _interpolate(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float], t: float):
-    x = a[0] + t * (b[0] - a[0])
+def _interpolate(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float], t: np.ndarray):
+    """The points ``a + t (b - a)`` for an array of path parameters ``t``."""
+    x = a[0] + t[:, None] * (b[0] - a[0])
     y = a[1] + t * (b[1] - a[1])
     return x, y
 
@@ -258,7 +348,8 @@ def derivative_bound_check(
     rate bounds ``|dG/dt| <= 4/n`` and ``|dg/dt| <= 4/n`` and the vanishing
     mixed second difference of ``G``.  Each inequality is asserted up to
     ``rel_tol`` times its envelope (finite-difference truncation allowance);
-    ``step_warning`` flags h vs h/2 disagreement above 10 percent.
+    ``step_warning`` flags h vs h/2 disagreement above 10 percent.  Every
+    perturbed sample of the lattice is solved in one ``solve_stack`` call.
     """
     if k == l:
         raise ValueError("need two distinct sample indices")
@@ -271,83 +362,63 @@ def derivative_bound_check(
     zl_a = (np.asarray(zl_a[0], dtype=np.float64), float(zl_a[1]))
     zl_b = (np.asarray(zl_b[0], dtype=np.float64), float(zl_b[1]))
     for z in (zk_a, zk_b, zl_a, zl_b):
+        if not (np.isfinite(z[0]).all() and math.isfinite(z[1])):
+            raise ValueError("interpolation endpoints must be finite")
         if np.linalg.norm(z[0]) > 1.0 + _NORM_SLACK or abs(z[1]) > 1.0 + _NORM_SLACK:
             raise ValueError("interpolation endpoints must lie in the instance space")
 
     n, lam = problem.n, problem.lam
+    h2 = h / 2.0
+    # Offsets (ds, dt) of the samples solved around each lattice point (s, t):
+    # 0-3 the t-differences at steps h and h/2, 4-11 the mixed differences at
+    # steps h and h/2 (++, +-, -+, --), 12-13 the s-differences at step h.
+    ds = np.array([0.0, 0.0, 0.0, 0.0, h, h, -h, -h, h2, h2, -h2, -h2, h, -h])
+    dt = np.array([h, -h, h2, -h2, h, -h, h, -h, h2, -h2, h2, -h2, 0.0, 0.0])
+    s_grid, t_grid = np.meshgrid(*[np.linspace(h, 1.0 - h, grid)] * 2, indexing="ij")
+    s_at = (s_grid.reshape(-1, 1) + ds).ravel()
+    t_at = (t_grid.reshape(-1, 1) + dt).ravel()
+    xs = np.repeat(problem.xs[None], len(s_at), axis=0)
+    ys = np.repeat(problem.ys[None], len(s_at), axis=0)
+    xs[:, k], ys[:, k] = _interpolate(zk_a, zk_b, t_at)
+    xs[:, l], ys[:, l] = _interpolate(zl_a, zl_b, s_at)
+    sol = solve_stack(xs, ys, lam)
+    # Axis 0 runs over lattice points, axis 1 over the offsets.
+    w, gram, moment = (
+        a.reshape(grid * grid, len(ds), *a.shape[1:]) for a in (sol.w, sol.gram, sol.moment)
+    )
 
-    def at(s: float, t: float) -> RlsProblem:
-        xk, yk = _interpolate(zk_a, zk_b, t)
-        xl, yl = _interpolate(zl_a, zl_b, s)
-        prob = replace_point(problem, k, xk, yk)
-        return replace_point(prob, l, xl, yl)
+    def first(i: int, step: float) -> np.ndarray:
+        return _norms((w[:, i] - w[:, i + 1]) / (2.0 * step))
 
-    def w_at(s: float, t: float) -> np.ndarray:
-        return solve(at(s, t)).w
+    def mixed(v: np.ndarray, i: int, step: float, norm) -> np.ndarray:
+        return norm((v[:, i] - v[:, i + 1] - v[:, i + 2] + v[:, i + 3]) / (4.0 * step * step))
 
-    def gram_moment(s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        sol = solve(at(s, t))
-        return sol.gram, sol.moment
+    def spectral(m: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(m, 2, axis=(-2, -1))
 
-    def first_norm(s: float, t: float, step: float) -> float:
-        return float(
-            np.linalg.norm((w_at(s, t + step) - w_at(s, t - step)) / (2.0 * step))
-        )
+    f_h, f_h2 = first(0, h), first(2, h2)
+    m_h, m_h2 = mixed(w, 4, h, _norms), mixed(w, 8, h2, _norms)
+    step_warning = False
+    for a, b in ((f_h, f_h2), (m_h, m_h2)):
+        top = np.maximum(a, b)
+        step_warning |= bool(((top > 1e-12) & (np.abs(a - b) > 0.1 * top)).any())
+    max_first = max(0.0, float(f_h2.max()))
+    max_mixed = max(0.0, float(m_h2.max()))
+    gram_rates = np.concatenate([
+        spectral((gram[:, 0] - gram[:, 1]) / (2 * h)),
+        spectral((gram[:, 12] - gram[:, 13]) / (2 * h)),
+    ])
+    moment_rates = np.concatenate([
+        _norms((moment[:, 0] - moment[:, 1]) / (2 * h)),
+        _norms((moment[:, 12] - moment[:, 13]) / (2 * h)),
+    ])
+    max_gram_rate = max(0.0, float(gram_rates.max()))
+    max_moment_rate = max(0.0, float(moment_rates.max()))
+    max_gram_mixed = max(0.0, float(mixed(gram, 4, h, spectral).max()))
 
-    def mixed_norm(s: float, t: float, step: float) -> float:
-        num = (
-            w_at(s + step, t + step)
-            - w_at(s + step, t - step)
-            - w_at(s - step, t + step)
-            + w_at(s - step, t - step)
-        )
-        return float(np.linalg.norm(num / (4.0 * step * step)))
-
-    lattice = np.linspace(h, 1.0 - h, grid)
     bound_first = 8.0 * lam ** -1.5 / n
     bound_mixed = 32.0 * lam ** -2.5 / n**2
     rate_bound = 4.0 / n
-
-    max_first = max_mixed = 0.0
-    max_gram_rate = max_moment_rate = max_gram_mixed = 0.0
-    step_warning = False
-    for s in lattice:
-        for t in lattice:
-            f_h = first_norm(s, t, h)
-            f_h2 = first_norm(s, t, h / 2.0)
-            m_h = mixed_norm(s, t, h)
-            m_h2 = mixed_norm(s, t, h / 2.0)
-            for a, b in ((f_h, f_h2), (m_h, m_h2)):
-                if max(a, b) > 1e-12 and abs(a - b) > 0.1 * max(a, b):
-                    step_warning = True
-            max_first = max(max_first, f_h2)
-            max_mixed = max(max_mixed, m_h2)
-
-            g_p, v_p = gram_moment(s, t + h)
-            g_m, v_m = gram_moment(s, t - h)
-            max_gram_rate = max(
-                max_gram_rate, float(np.linalg.norm((g_p - g_m) / (2 * h), 2))
-            )
-            max_moment_rate = max(
-                max_moment_rate, float(np.linalg.norm((v_p - v_m) / (2 * h)))
-            )
-            gs_p, vs_p = gram_moment(s + h, t)
-            gs_m, vs_m = gram_moment(s - h, t)
-            max_gram_rate = max(
-                max_gram_rate, float(np.linalg.norm((gs_p - gs_m) / (2 * h), 2))
-            )
-            max_moment_rate = max(
-                max_moment_rate, float(np.linalg.norm((vs_p - vs_m) / (2 * h)))
-            )
-            g_pp, _ = gram_moment(s + h, t + h)
-            g_pm, _ = gram_moment(s + h, t - h)
-            g_mp, _ = gram_moment(s - h, t + h)
-            g_mm, _ = gram_moment(s - h, t - h)
-            max_gram_mixed = max(
-                max_gram_mixed,
-                float(np.linalg.norm((g_pp - g_pm - g_mp + g_mm) / (4 * h * h), 2)),
-            )
-
     return DerivativeCheckReport(
         h=h,
         grid=grid,
@@ -402,13 +473,9 @@ class GapTable:
         self.n = n
         self.counts = multisets(n, population.size)
         self.probs = multiset_probabilities(self.counts, population.probs)
-        atoms = np.arange(population.size)
-        gaps = []
-        for row in self.counts:
-            idx = np.repeat(atoms, row)
-            sample = RlsProblem(xs=population.xs[idx], ys=population.ys[idx], lam=lam)
-            gaps.append(generalization_gap(sample, population))
-        self.gaps = np.array(gaps)
+        atoms = np.tile(np.arange(population.size), len(self.counts))
+        samples = np.repeat(atoms, self.counts.ravel()).reshape(-1, n)
+        self.gaps = sample_gaps(population, samples, lam)
 
     def value(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Gap of each sample given by atom indices along the last axis, in any order."""
@@ -445,48 +512,45 @@ def population_sampler(
 
 
 def empirical_scv(
-    draw_problem: Callable[[np.random.Generator], RlsProblem],
     population: Population,
+    n: int,
+    lam: float,
     replications: int,
     seed: int,
     pairs_per_coordinate: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the expected variance sum of the gap.
 
-    Each replication draws a sample, then for every coordinate averages
-    ``(1/2) (gap difference under two independent replacements)^2`` over
-    ``pairs_per_coordinate`` replacement pairs drawn from the population.
-    Deterministic in ``seed``: replication ``r`` uses stream ``(seed, r)``
-    and results aggregate in replication order.  Returns (mean, stderr).
+    Each replication draws a sample of ``n`` atoms, then for every coordinate
+    averages ``(1/2) (gap difference under two independent replacements)^2``
+    over ``pairs_per_coordinate`` replacement pairs drawn from the population.
+    Deterministic in ``seed``: replication ``r`` uses stream ``(seed, r)``,
+    first for the sample and then for all its replacements, ordered by
+    coordinate, pair and side; results aggregate in replication order.  Every
+    distinct replaced sample is solved once, all in one ``sample_gaps`` call.
+    Returns (mean, stderr).
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    cache: dict[tuple[bytes, bytes], float] = {}
-
-    def gap_of(problem: RlsProblem) -> float:
-        key = (problem.xs.tobytes(), problem.ys.tobytes())
-        got = cache.get(key)
-        if got is None:
-            got = generalization_gap(problem, population)
-            cache[key] = got
-        return got
-
-    values = []
+    if pairs_per_coordinate < 1:
+        raise ValueError("need at least one replacement pair per coordinate")
+    size, probs = population.size, population.probs
+    bases, swaps = [], []
     for r in range(replications):
         rng = substream(seed, 0xE5, r)
-        problem = draw_problem(rng)
+        bases.append(rng.choice(size, size=n, p=probs))
+        swaps.append(rng.choice(size, size=(n, pairs_per_coordinate, 2), p=probs))
+    # replaced[r, k, j, a] is sample r with point k replaced by swap (k, j, a).
+    on_k = np.eye(n, dtype=bool)[:, None, None, :]
+    replaced = np.where(on_k, np.array(swaps)[..., None], np.array(bases)[:, None, None, None, :])
+    distinct, inverse = np.unique(replaced.reshape(-1, n), axis=0, return_inverse=True)
+    gaps = sample_gaps(population, distinct, lam)[inverse.ravel()].reshape(replaced.shape[:-1])
+    values = []
+    for per_sample in gaps.tolist():
         total = 0.0
-        for k in range(problem.n):
+        for pairs in per_sample:
             acc = 0.0
-            for _ in range(pairs_per_coordinate):
-                ya = int(rng.choice(population.size, p=population.probs))
-                yb = int(rng.choice(population.size, p=population.probs))
-                fa = gap_of(
-                    replace_point(problem, k, population.xs[ya], population.ys[ya])
-                )
-                fb = gap_of(
-                    replace_point(problem, k, population.xs[yb], population.ys[yb])
-                )
+            for fa, fb in pairs:
                 acc += 0.5 * (fa - fb) ** 2
             total += acc / pairs_per_coordinate
         values.append(total)

@@ -9,7 +9,9 @@ tuple to check the library's per-pair sweeps at shapes the loops are too slow
 for, and the shadow-variable variance formula over the space crossed with a
 full independent copy.  The U-statistic and regularized-least-squares
 references enumerate every sample configuration, where the library works on
-sample multisets.
+sample multisets.  The per-problem RLS paths at the end (one ``cho_factor``
+solve per sample, per replaced point and per lattice offset) are the loops
+that the library's stacked solves must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ import math
 
 import numpy as np
 
-from interaction_bounds.rls import RlsProblem, generalization_gap
+from scipy.linalg import cho_factor, cho_solve
+
+from interaction_bounds.rls import (
+    DerivativeCheckReport,
+    RlsProblem,
+    RlsSolution,
+    empirical_risk,
+    replace_point,
+    true_risk,
+)
+from interaction_bounds.rng import substream
 from interaction_bounds.space import (
     DEFAULT_CAP,
     CapacityError,
@@ -440,7 +452,7 @@ def rls_measured_ingredients(population, n, lam):
             sample = RlsProblem(
                 xs=population.xs[list(key)], ys=population.ys[list(key)], lam=lam
             )
-            cache[key] = generalization_gap(sample, population)
+            cache[key] = rls_gap(sample, population)
         return cache[key]
 
     b = -math.inf
@@ -467,3 +479,157 @@ def rls_measured_ingredients(population, n, lam):
                 acc += probs[y] * probs[y2] * d * d
         terms.append(math.prod(probs[i] for i in rest) * 0.5 * acc)
     return {"e_scv": n * math.fsum(terms), "b": b, "crude_j": n * crude}
+
+
+# ---------------------------------------------------------------------------
+# Regularized least squares, one problem at a time
+# ---------------------------------------------------------------------------
+
+
+def rls_solve(problem):
+    """``(G + lam I) w = g`` by ``cho_factor``/``cho_solve`` on one sample."""
+    n, d = problem.n, problem.dim
+    gram = problem.xs.T @ problem.xs / n
+    moment = problem.xs.T @ problem.ys / n
+    system = gram + problem.lam * np.eye(d)
+    w = cho_solve(cho_factor(system, lower=True), moment)
+    scale = float(np.linalg.norm(moment))
+    residual = float(np.linalg.norm(system @ w - moment)) / scale if scale > 0.0 else 0.0
+    return RlsSolution(w=w, gram=gram, moment=moment, residual=residual)
+
+
+def rls_gap(problem, population):
+    """``true risk - empirical risk`` of the ``rls_solve`` solution."""
+    solution = rls_solve(problem)
+    return true_risk(solution, population) - empirical_risk(solution, problem)
+
+
+def rls_gap_table_rows(population, n, lam):
+    """The gap of every ``n``-multiset, one sample per row in atom-index order."""
+    gaps = []
+    for combo in itertools.combinations_with_replacement(range(population.size), n):
+        idx = list(combo)
+        gaps.append(
+            rls_gap(RlsProblem(xs=population.xs[idx], ys=population.ys[idx], lam=lam), population)
+        )
+    return np.array(gaps)
+
+
+def rls_empirical_scv(draw_problem, population, replications, seed, pairs_per_coordinate=1):
+    """Monte Carlo variance sum with one draw and one solve per replaced point.
+
+    Replacements are drawn one ``choice`` call at a time; gaps are cached by
+    the bytes of the sample.
+    """
+    cache = {}
+
+    def gap_of(problem):
+        key = (problem.xs.tobytes(), problem.ys.tobytes())
+        if key not in cache:
+            cache[key] = rls_gap(problem, population)
+        return cache[key]
+
+    values = []
+    for r in range(replications):
+        rng = substream(seed, 0xE5, r)
+        problem = draw_problem(rng)
+        total = 0.0
+        for k in range(problem.n):
+            acc = 0.0
+            for _ in range(pairs_per_coordinate):
+                ya = int(rng.choice(population.size, p=population.probs))
+                yb = int(rng.choice(population.size, p=population.probs))
+                fa = gap_of(replace_point(problem, k, population.xs[ya], population.ys[ya]))
+                fb = gap_of(replace_point(problem, k, population.xs[yb], population.ys[yb]))
+                acc += 0.5 * (fa - fb) ** 2
+            total += acc / pairs_per_coordinate
+        values.append(total)
+    mean = math.fsum(values) / replications
+    if replications == 1:
+        return mean, math.inf
+    var = math.fsum((v - mean) ** 2 for v in values) / (replications - 1)
+    return mean, math.sqrt(var / replications)
+
+
+def rls_derivative_bound_check(
+    problem, k, l, zk_a, zk_b, zl_a, zl_b, grid=3, h=1e-4, rel_tol=1e-3
+):
+    """The derivative certification with one sample and one solve per lattice offset."""
+    zk_a, zk_b, zl_a, zl_b = (
+        (np.asarray(z[0], dtype=np.float64), float(z[1])) for z in (zk_a, zk_b, zl_a, zl_b)
+    )
+    n, lam = problem.n, problem.lam
+
+    def interpolate(a, b, t):
+        return a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+
+    def solved(s, t):
+        xk, yk = interpolate(zk_a, zk_b, t)
+        xl, yl = interpolate(zl_a, zl_b, s)
+        return rls_solve(replace_point(replace_point(problem, k, xk, yk), l, xl, yl))
+
+    def first_norm(s, t, step):
+        dw = solved(s, t + step).w - solved(s, t - step).w
+        return float(np.linalg.norm(dw / (2.0 * step)))
+
+    def mixed_norm(s, t, step):
+        num = (
+            solved(s + step, t + step).w
+            - solved(s + step, t - step).w
+            - solved(s - step, t + step).w
+            + solved(s - step, t - step).w
+        )
+        return float(np.linalg.norm(num / (4.0 * step * step)))
+
+    lattice = np.linspace(h, 1.0 - h, grid)
+    bound_first = 8.0 * lam**-1.5 / n
+    bound_mixed = 32.0 * lam**-2.5 / n**2
+    rate_bound = 4.0 / n
+    max_first = max_mixed = 0.0
+    max_gram_rate = max_moment_rate = max_gram_mixed = 0.0
+    step_warning = False
+    for s in lattice:
+        for t in lattice:
+            f_h = first_norm(s, t, h)
+            f_h2 = first_norm(s, t, h / 2.0)
+            m_h = mixed_norm(s, t, h)
+            m_h2 = mixed_norm(s, t, h / 2.0)
+            for a, b in ((f_h, f_h2), (m_h, m_h2)):
+                if max(a, b) > 1e-12 and abs(a - b) > 0.1 * max(a, b):
+                    step_warning = True
+            max_first = max(max_first, f_h2)
+            max_mixed = max(max_mixed, m_h2)
+            for (sp, tp), (sm, tm) in (((s, t + h), (s, t - h)), ((s + h, t), (s - h, t))):
+                plus, minus = solved(sp, tp), solved(sm, tm)
+                max_gram_rate = max(
+                    max_gram_rate, float(np.linalg.norm((plus.gram - minus.gram) / (2 * h), 2))
+                )
+                max_moment_rate = max(
+                    max_moment_rate, float(np.linalg.norm((plus.moment - minus.moment) / (2 * h)))
+                )
+            g_pp = solved(s + h, t + h).gram
+            g_pm = solved(s + h, t - h).gram
+            g_mp = solved(s - h, t + h).gram
+            g_mm = solved(s - h, t - h).gram
+            max_gram_mixed = max(
+                max_gram_mixed,
+                float(np.linalg.norm((g_pp - g_pm - g_mp + g_mm) / (4 * h * h), 2)),
+            )
+
+    return DerivativeCheckReport(
+        h=h,
+        grid=grid,
+        max_first=max_first,
+        bound_first=bound_first,
+        first_ok=max_first <= bound_first * (1.0 + rel_tol) + 1e-8,
+        max_mixed=max_mixed,
+        bound_mixed=bound_mixed,
+        mixed_ok=max_mixed <= bound_mixed * (1.0 + rel_tol) + 1e-8,
+        max_gram_rate=max_gram_rate,
+        max_moment_rate=max_moment_rate,
+        rate_bound=rate_bound,
+        rate_ok=max(max_gram_rate, max_moment_rate) <= rate_bound * (1.0 + rel_tol) + 1e-8,
+        max_gram_mixed=max_gram_mixed,
+        gram_mixed_ok=max_gram_mixed <= 1e-6,
+        step_warning=step_warning,
+    )

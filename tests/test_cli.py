@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import interaction_bounds
 
 from interaction_bounds.cli import main
 
@@ -159,6 +167,13 @@ class TestConfigHandling:
         ("verify", {"n_axes": [2, 4, 6]}, {}, "n_axes: got 3 entries, expected 2"),
         ("ustat", {"base_points": []}, {}, "base_points: got 0 entries, expected at least 1"),
         ("normal-limit-demo", {"base_weights": []}, {}, "base_weights: got 0 entries, expected at least 1"),
+        ("ustat", {"base_points": [math.nan, 0.5]}, {}, "base_points: expected a finite number, got nan"),
+        ("normal-limit-demo", {"base_points": [math.nan, 0.5]}, {}, "base_points: expected a finite number, got nan"),
+        ("verify", {"epsilon": math.nan}, {}, "epsilon: expected a finite number, got nan"),
+        ("bounds-table", {"epsilon": -math.inf}, {}, "epsilon: expected a finite number, got -inf"),
+        ("rls", {"path": {"population": [{"x": [math.nan], "y": 0.8, "p": 1.0}]}}, {}, "must be finite"),
+        ("rls", {"path": {"population": [{"x": [0.9], "y": math.nan, "p": 1.0}]}}, {}, "must be finite"),
+        ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8, "p": math.nan}]}}, {}, "must be finite"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 
@@ -193,6 +208,27 @@ class TestConfigHandling:
         doc = json.loads(read(out))
         assert doc["count"] == 2
         assert doc["seed"] == 9
+
+
+def test_scipy_loads_only_for_rls_solves():
+    # A fresh interpreter: verify solves nothing, so scipy stays unloaded until rls.
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from interaction_bounds.cli import main
+        loaded = ["scipy" in sys.modules]
+        for argv in (["verify", "--count", "2"], ["rls"]):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                assert main(argv) == 0, argv
+            loaded.append("scipy" in sys.modules)
+        print(json.dumps(loaded))
+    """)
+    src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [False, False, True]
 
 
 class TestUstatCommand:

@@ -43,6 +43,10 @@ def test_rows_follow_combinations_with_replacement(n, s):
 def test_occupancy_of_samples():
     samples = np.array([[[0, 2, 0, 1], [2, 2, 2, 2]]])
     assert occupancy(samples, 3).tolist() == [[[2, 1, 1], [0, 0, 4]]]
+    samples = np.random.default_rng(3).integers(0, 4, size=(5, 6, 7))
+    want = [[[list(row).count(i) for i in range(4)] for row in block] for block in samples]
+    assert occupancy(samples, 4).tolist() == want
+    assert occupancy(samples[0, 0], 4).tolist() == want[0][0]
 
 
 def test_probabilities_aggregate_configuration_weights():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from interaction_bounds.bounds import main_bound
@@ -23,7 +25,9 @@ from interaction_bounds.rls import (
     measured_ingredients,
     population_sampler,
     rls_config_from_json,
+    sample_gaps,
     solve,
+    solve_stack,
     stability_difference,
     true_risk,
 )
@@ -48,6 +52,19 @@ def random_problem(rng, d=None, n=None, lam=None):
     return RlsProblem(xs=xs, ys=ys, lam=lam)
 
 
+def random_population(rng, d, size):
+    xs = rng.normal(size=(size, d))
+    xs = xs / np.maximum(np.linalg.norm(xs, axis=1, keepdims=True), 1.0)
+    raw = rng.uniform(0.2, 1.0, size)
+    return Population(xs=xs, ys=rng.uniform(-1.0, 1.0, size), probs=raw / math.fsum(raw.tolist()))
+
+
+DIMS = st.integers(1, 3)
+SIZES = st.integers(2, 12)
+LAMBDAS = st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 0.99])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
 class TestProblemValidation:
     def test_rejects_big_inputs(self):
         with pytest.raises(ValueError):
@@ -61,6 +78,25 @@ class TestProblemValidation:
         for lam in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 RlsProblem(xs=[[0.5]], ys=[0.5], lam=lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RlsProblem(xs=[[bad], [0.5]], ys=[0.5, 0.5], lam=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            RlsProblem(xs=[[0.5], [0.5]], ys=[0.5, bad], lam=0.5)
+
+    @pytest.mark.parametrize(
+        "xs, ys, probs",
+        [
+            ([[math.nan], [-0.7]], [0.8, -0.6], [0.5, 0.5]),
+            ([[0.9], [-0.7]], [math.inf, -0.6], [0.5, 0.5]),
+            ([[0.9], [-0.7]], [0.8, -0.6], [math.nan, 0.5]),
+        ],
+    )
+    def test_population_rejects_non_finite_fields(self, xs, ys, probs):
+        with pytest.raises(ValueError, match="finite"):
+            Population(xs=xs, ys=ys, probs=probs)
 
 
 class TestSolve:
@@ -175,6 +211,14 @@ class TestDerivativeBoundCheck:
         assert rep.rate_ok, (rep.max_gram_rate, rep.max_moment_rate, rep.rate_bound)
         assert rep.gram_mixed_ok
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_endpoints(self, bad):
+        prob = RlsProblem(xs=np.zeros((3, 1)), ys=np.zeros(3), lam=0.5)
+        z = (np.zeros(1), 0.0)
+        for endpoint in ((np.array([bad]), 0.0), (np.zeros(1), bad)):
+            with pytest.raises(ValueError, match="finite"):
+                derivative_bound_check(prob, 0, 1, z, z, endpoint, z)
+
     def test_rejects_same_index(self):
         prob = RlsProblem(xs=np.zeros((3, 1)), ys=np.zeros(3), lam=0.5)
         z = (np.zeros(1), 0.0)
@@ -216,18 +260,15 @@ class TestGapTailBound:
 class TestScvEstimators:
     def test_zero_labels_give_zero(self):
         pop = Population(xs=[[0.9], [-0.7]], ys=[0.0, 0.0], probs=[0.5, 0.5])
-        mean, stderr = empirical_scv(
-            population_sampler(pop, 4, 0.5), pop, replications=20, seed=1
-        )
+        mean, stderr = empirical_scv(pop, 4, 0.5, replications=20, seed=1)
         assert mean == 0.0
         assert measured_ingredients(GapTable(pop, 4, 0.5))["e_scv"] == 0.0
 
     def test_deterministic_in_seed(self):
-        sampler = population_sampler(TWO_ATOM, 4, 0.5)
-        a = empirical_scv(sampler, TWO_ATOM, replications=50, seed=9)
-        b = empirical_scv(sampler, TWO_ATOM, replications=50, seed=9)
+        a = empirical_scv(TWO_ATOM, 4, 0.5, replications=50, seed=9)
+        b = empirical_scv(TWO_ATOM, 4, 0.5, replications=50, seed=9)
         assert a == b
-        c = empirical_scv(sampler, TWO_ATOM, replications=50, seed=10)
+        c = empirical_scv(TWO_ATOM, 4, 0.5, replications=50, seed=10)
         assert a != c
 
     def test_exhaustive_matches_literal_oracle(self):
@@ -267,15 +308,12 @@ class TestScvEstimators:
     def test_monte_carlo_matches_exhaustive(self):
         n, lam = 4, 0.5
         exact = measured_ingredients(GapTable(TWO_ATOM, n, lam))["e_scv"]
-        mean, stderr = empirical_scv(
-            population_sampler(TWO_ATOM, n, lam), TWO_ATOM, replications=600, seed=2
-        )
+        mean, stderr = empirical_scv(TWO_ATOM, n, lam, replications=600, seed=2)
         assert abs(mean - exact) <= 3.0 * stderr
 
     def test_consistent_across_seeds(self):
-        sampler = population_sampler(TWO_ATOM, 4, 0.5)
-        a, sa = empirical_scv(sampler, TWO_ATOM, replications=300, seed=21)
-        b, sb = empirical_scv(sampler, TWO_ATOM, replications=300, seed=22)
+        a, sa = empirical_scv(TWO_ATOM, 4, 0.5, replications=300, seed=21)
+        b, sb = empirical_scv(TWO_ATOM, 4, 0.5, replications=300, seed=22)
         assert abs(a - b) <= 3.0 * (sa + sb)
 
 
@@ -350,6 +388,59 @@ class TestMultisetEngine:
         assert measured_ingredients(table, cap=21)["b"] >= 0.0
         with pytest.raises(CapacityError, match="cap of 20"):
             measured_ingredients(table, cap=20)
+
+
+class TestStackedSolvesMatchPerProblemLoops:
+    """The stacked paths equal the one-``cho_factor``-solve-per-problem oracles bit for bit."""
+
+    @given(DIMS, SIZES, LAMBDAS, SEEDS)
+    def test_solve_stack_slices_are_single_solves(self, d, n, lam, seed):
+        rng = np.random.default_rng(seed)
+        problems = [random_problem(rng, d=d, n=n, lam=lam) for _ in range(5)]
+        stack = solve_stack(
+            np.array([p.xs for p in problems]), np.array([p.ys for p in problems]), lam
+        )
+        for b, problem in enumerate(problems):
+            single, reference = solve(problem), oracles.rls_solve(problem)
+            for got in (single, reference):
+                for name in ("w", "gram", "moment"):
+                    assert getattr(got, name).tobytes() == getattr(stack, name)[b].tobytes()
+                assert got.residual == stack.residual[b]
+
+    @given(DIMS, SIZES, st.integers(1, 4), LAMBDAS, SEEDS)
+    def test_gap_table_is_per_row_gaps(self, d, n, size, lam, seed):
+        population = random_population(np.random.default_rng(seed), d, size)
+        table = GapTable(population, n, lam)
+        assert table.gaps.tobytes() == oracles.rls_gap_table_rows(population, n, lam).tobytes()
+
+    @given(DIMS, SIZES, st.integers(1, 3), LAMBDAS, st.integers(1, 2), SEEDS)
+    def test_empirical_scv_is_per_replacement_loop(self, d, n, size, lam, pairs, seed):
+        population = random_population(np.random.default_rng(seed), d, size)
+        got = empirical_scv(population, n, lam, 4, seed, pairs_per_coordinate=pairs)
+        want = oracles.rls_empirical_scv(
+            population_sampler(population, n, lam), population, 4, seed, pairs
+        )
+        assert got == want
+
+    @given(DIMS, SIZES, LAMBDAS, st.integers(1, 3), SEEDS)
+    def test_derivative_check_is_per_point_loop(self, d, n, lam, grid, seed):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, d=d, n=n, lam=lam)
+        ends = [(p.xs[0], float(p.ys[0])) for p in (random_problem(rng, d=d, n=1) for _ in range(4))]
+        k, l = rng.choice(n, size=2, replace=False).tolist()
+        got = derivative_bound_check(prob, k, l, *ends, grid=grid)
+        want = oracles.rls_derivative_bound_check(prob, k, l, *ends, grid=grid)
+        assert got.to_json() == want.to_json()
+
+    def test_sample_gaps_keep_sample_order_across_blocks(self, monkeypatch):
+        monkeypatch.setattr("interaction_bounds.rls._GAP_BLOCK", 7)
+        samples = np.random.default_rng(5).integers(0, 3, size=(4, 6, 5))
+        got = sample_gaps(PLANE_ATOM, samples, 0.4)
+        assert got.shape == (4, 6)
+        for idx in np.ndindex(got.shape):
+            row = samples[idx]
+            problem = RlsProblem(xs=PLANE_ATOM.xs[row], ys=PLANE_ATOM.ys[row], lam=0.4)
+            assert got[idx] == oracles.rls_gap(problem, PLANE_ATOM)
 
 
 class TestJson:

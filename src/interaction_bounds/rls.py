@@ -25,13 +25,18 @@ inputs for tail bounds on the centered gap from that table, and
 
 Every family of problems (the lattice of a derivative check, the multisets of
 a gap table, the replaced samples of ``empirical_scv``) is solved as a stack
-by ``solve_stack``, not one problem at a time.  Its factorization is LAPACK's ``dpotrf``/``dpotrs``
-through scipy, which is imported on the first solve, so that commands which
-solve nothing never load it.
+by ``solve_stack``, not one problem at a time.  Its factorization is scipy's
+own LAPACK ``dpotrf``/``dpotrs``.  Their extension module,
+``scipy.linalg._flapack``, is loaded on the first solve without running
+``scipy.linalg``'s package init, so commands that solve nothing load no scipy
+and the first solve does not pay for the rest of ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -110,6 +115,32 @@ class RlsSolution:
             object.__setattr__(self, name, arr)
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK ``dpotrf`` and ``dpotrs``, loaded on the first call.
+
+    Loads the one extension module ``scipy.linalg._flapack`` from scipy's
+    directory, found on ``sys.path`` without running scipy code, so that
+    ``scipy.linalg``'s package init never runs.  The routines are the very
+    objects ``scipy.linalg.lapack`` exports.  Raises SolverError if scipy or
+    the extension cannot be found or loaded.
+    """
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        linalg = [f"{path}/linalg" for path in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+    if spec is None:
+        raise SolverError(f"LAPACK unavailable: cannot find {name}")
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise SolverError(f"LAPACK unavailable: cannot load {name}: {exc}") from exc
+    return module.dpotrf, module.dpotrs
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each vector along the last axis.
 
@@ -127,14 +158,15 @@ def solve_stack(xs: np.ndarray, ys: np.ndarray, lam: float) -> RlsSolution:
     one sample).  Every Gram matrix and moment vector comes from one stacked
     matrix product, and each system is factored by LAPACK's ``dpotrf`` and
     solved by ``dpotrs``, the routines behind ``scipy.linalg.cho_factor`` and
-    ``cho_solve``; each slice is bit for bit the result of solving it alone.
+    ``cho_solve`` (loaded by ``_lapack`` on the first solve, without
+    ``scipy.linalg``'s package init); each slice is bit for bit the result of
+    solving it alone.
     Cholesky applies because the smallest eigenvalue is at least ``lam``.
     Raises ValueError on a non-finite system and SolverError if a relative
     residual exceeds 1e-8, which the conditioning bound ``(1 + lam) / lam``
     rules out in practice.  Every returned ``w`` satisfies ``|w| <= lam^{-1/2}``.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
+    dpotrf, dpotrs = _lapack()
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 3 or ys.shape != xs.shape[:2]:
@@ -276,19 +308,6 @@ def replace_point(
     xs[k] = np.asarray(x, dtype=np.float64)
     ys[k] = y
     return RlsProblem(xs=xs, ys=ys, lam=problem.lam)
-
-
-def stability_difference(
-    problem: RlsProblem,
-    k: int,
-    replacement: tuple[Sequence[float], float],
-    population: Population,
-) -> float:
-    """Change of the generalization gap when sample point ``k`` is replaced."""
-    modified = replace_point(problem, k, replacement[0], replacement[1])
-    return generalization_gap(problem, population) - generalization_gap(
-        modified, population
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import pytest
 
 import interaction_bounds
 
+from interaction_bounds import rls
 from interaction_bounds.cli import main
 
 
@@ -210,25 +213,56 @@ class TestConfigHandling:
         assert doc["seed"] == 9
 
 
-def test_scipy_loads_only_for_rls_solves():
-    # A fresh interpreter: verify solves nothing, so scipy stays unloaded until rls.
+def test_rls_loads_lapack_without_scipy_linalg():
+    # A fresh interpreter: verify loads no scipy module, rls loads only the
+    # LAPACK extension, and its routines are the ones scipy.linalg.lapack exports.
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        from interaction_bounds import rls
         from interaction_bounds.cli import main
-        loaded = ["scipy" in sys.modules]
+
+        def scipy_modules():
+            return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+        loaded = [scipy_modules()]
         for argv in (["verify", "--count", "2"], ["rls"]):
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 assert main(argv) == 0, argv
-            loaded.append("scipy" in sys.modules)
-        print(json.dumps(loaded))
+            loaded.append(scipy_modules())
+        import scipy.linalg.lapack
+        dpotrf, dpotrs = rls._lapack()
+        same = dpotrf is scipy.linalg.lapack.dpotrf and dpotrs is scipy.linalg.lapack.dpotrs
+        print(json.dumps({"loaded": loaded, "same": same}))
     """)
     src = str(Path(interaction_bounds.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120, check=True,
     )
-    assert json.loads(done.stdout) == [False, False, True]
+    got = json.loads(done.stdout)
+    assert got["loaded"][:2] == [[], []]
+    assert "scipy" not in got["loaded"][2] and "scipy.linalg" not in got["loaded"][2]
+    assert got["same"]
+
+
+@pytest.mark.parametrize("scipy_dir", ["missing", "broken"])
+def test_missing_lapack_is_one_solver_failure_line(scipy_dir, tmp_path, monkeypatch, capsys):
+    spec = None
+    if scipy_dir == "broken":  # a scipy whose LAPACK extension does not load
+        (tmp_path / "linalg").mkdir()
+        (tmp_path / "linalg" / "_flapack.so").write_bytes(b"not a shared object")
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    rls._lapack.cache_clear()
+    try:
+        assert main(["rls"]) == 1
+    finally:
+        rls._lapack.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and err.count("\n") == 1, err
+    assert "scipy.linalg._flapack" in err
 
 
 class TestUstatCommand:

@@ -24,11 +24,11 @@ from interaction_bounds.rls import (
     mc_gap_values,
     measured_ingredients,
     population_sampler,
+    replace_point,
     rls_config_from_json,
     sample_gaps,
     solve,
     solve_stack,
-    stability_difference,
     true_risk,
 )
 from interaction_bounds.rng import substream
@@ -156,7 +156,9 @@ class TestRisks:
 class TestStability:
     def test_identical_replacement_is_zero(self):
         prob = RlsProblem(xs=np.ones((4, 1)) * 0.5, ys=np.full(4, 0.25), lam=0.2)
-        got = stability_difference(prob, 2, (np.array([0.5]), 0.25), TWO_ATOM)
+        got = generalization_gap(prob, TWO_ATOM) - generalization_gap(
+            replace_point(prob, 2, np.array([0.5]), 0.25), TWO_ATOM
+        )
         assert got == 0.0
 
     def test_matches_scalar_closed_form(self):
@@ -170,8 +172,9 @@ class TestStability:
         prob = RlsProblem(
             xs=np.array(xs)[:, None], ys=np.array(ys), lam=lam
         )
-        replacement = (np.array([-0.7]), -0.6)
-        got = stability_difference(prob, 1, replacement, TWO_ATOM)
+        got = generalization_gap(prob, TWO_ATOM) - generalization_gap(
+            replace_point(prob, 1, np.array([-0.7]), -0.6), TWO_ATOM
+        )
         base = oracles.rls_gap_1d(xs, ys, lam, pop_xs, pop_ys, pop_ps)
         xs2 = list(xs)
         ys2 = list(ys)

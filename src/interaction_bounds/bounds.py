@@ -1,27 +1,29 @@
 """Tail-bound formulas and the variance/bias inequalities behind them.
 
-Three exponential tail bounds for ``Pr{f - Ef > t}`` on a product space, all
-of the form ``exp(-t^2 / denominator)`` and all requiring the per-coordinate
-one-sided range condition ``f - cond_expectation(f, k) <= b``:
+Three one-sided exponential tail bounds for ``Pr{f - Ef > t}`` on a product
+space, all of the form ``exp(-t^2 / denominator)`` and all requiring the
+per-coordinate one-sided range condition ``f - cond_expectation(f, k) <= b``:
 
 * ``SUP_BERNSTEIN``     denominator ``2 sup_x scv(f)(x) + 2bt/3``
 * ``MAIN``              denominator ``2 E[scv(f)] + (2b/3 + j_mu) t``
 * ``VARIANCE_COROLLARY``denominator ``2 var(f) + j^2/2 + (2b/3 + j_mu) t``
 
 With ``j_mu == 0`` and the exact variance sum, ``MAIN`` reduces to the
-classical Bernstein inequality for sums.  The module also provides the exact
-variance identities and inequalities used to validate the bounds by brute
-force: the Efron-Stein gap and its interaction-functional envelope, the
-second-difference bound on that gap, Chatterjee's telescoping variance
-formula, the sum of variances of single-coordinate conditional means, the
-scalar function ``psi(t) = t e^t - e^t + 1``, a power-series comparison
-inequality for ``psi``, and the Chernoff-style optimization infimum.
+classical Bernstein inequality for sums.  Each bound comes back as a
+``BoundReport`` with three fields: the tag, the deviation ``t`` and the
+value.  The module also provides the exact variance identities and
+inequalities used to validate the bounds by brute force: the Efron-Stein
+gap and its interaction-functional envelope, the second-difference bound on
+that gap, Chatterjee's telescoping variance formula, the sum of variances of
+single-coordinate conditional means, the scalar function
+``psi(t) = t e^t - e^t + 1``, a power-series comparison inequality for
+``psi``, and the Chernoff-style optimization infimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -39,64 +41,33 @@ from .space import (
 
 _SLACK = 1e-10
 
-#: Order in which ingredient columns are flattened into CSV rows.
-INGREDIENT_KEYS = ("E_scv", "sup_scv", "sigma2", "b", "j", "j_mu")
-
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated tail bound with the numbers that went into it.
+    """One evaluated tail bound: its tag, the deviation ``t`` and the value.
 
-    ``value`` is the reported probability bound: ``exp(-t^2 / denominator)``,
-    doubled when ``two_sided`` (so it may exceed one and become vacuous).
-    ``ingredients`` holds whichever of ``INGREDIENT_KEYS`` the producing
-    formula consumed.
+    ``value`` is the reported probability bound ``exp(-t^2 / denominator)``.
     """
 
     theorem: str
     t: float
     value: float
-    ingredients: dict[str, float] = field(default_factory=dict)
-    two_sided: bool = False
 
     def __post_init__(self) -> None:
         if self.theorem not in ("SUP_BERNSTEIN", "MAIN", "VARIANCE_COROLLARY"):
             raise ValueError(f"unknown bound tag {self.theorem!r}")
         if self.t <= 0.0:
             raise ValueError("deviation t must be positive")
-        limit = 2.0 if self.two_sided else 1.0
-        if not (0.0 <= self.value <= limit):
-            raise ValueError(f"bound value {self.value!r} outside (0, {limit}]")
-        unknown = set(self.ingredients) - set(INGREDIENT_KEYS)
-        if unknown:
-            raise ValueError(f"unknown ingredient keys {sorted(unknown)}")
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "t": self.t,
-            "value": self.value,
-            "two_sided": self.two_sided,
-            "ingredients": {k: self.ingredients[k] for k in sorted(self.ingredients)},
-        }
-
-    def csv_row(self) -> list:
-        row: list = [self.theorem, self.t, self.value]
-        row.extend(self.ingredients.get(k, "") for k in INGREDIENT_KEYS)
-        return row
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["theorem", "t", "value", *INGREDIENT_KEYS]
+        if not (0.0 <= self.value <= 1.0):
+            raise ValueError(f"bound value {self.value!r} outside [0, 1]")
 
 
-def _exp_bound(t: float, denominator: float, two_sided: bool) -> float:
+def _exp_bound(t: float, denominator: float) -> float:
     if denominator < 0.0:
         raise ValueError("negative denominator")
     if denominator == 0.0:
         return 0.0
-    value = math.exp(-(t * t) / denominator)
-    return 2.0 * value if two_sided else value
+    return math.exp(-(t * t) / denominator)
 
 
 def psi(t: float) -> float:
@@ -136,65 +107,38 @@ def per_coordinate_range_bound(f: TabulatedFunction) -> float:
     return memo_scalar(f, "range_bound", compute)
 
 
-def sup_bernstein_bound(
-    f: TabulatedFunction, b: float, t: float, two_sided: bool = False
-) -> BoundReport:
+def sup_bernstein_bound(f: TabulatedFunction, b: float, t: float) -> BoundReport:
     """Tail bound from the configuration supremum of the variance sum.
 
-    Requires ``b >= max_k sup (f - cond_expectation(f, k))`` (checked; with
-    ``two_sided`` the mirrored condition on ``-f`` is checked too and the
-    bound value is doubled).
+    Requires ``b >= max_k sup (f - cond_expectation(f, k))`` (checked).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
     needed = per_coordinate_range_bound(f)
     if b < needed - _SLACK:
         raise ValueError(f"b={b} is below the per-coordinate range {needed}")
-    if two_sided:
-        mirrored = memo_scalar(
-            f, "mirrored_range_bound", lambda: per_coordinate_range_bound(-f)
-        )
-        if b < mirrored - _SLACK:
-            raise ValueError(
-                f"b={b} is below the mirrored per-coordinate range {mirrored}"
-            )
     sup_scv = memo_scalar(f, "sup_scv", lambda: float(scv(f).values.max()))
-    value = _exp_bound(t, 2.0 * sup_scv + 2.0 * b * t / 3.0, two_sided)
-    return BoundReport(
-        theorem="SUP_BERNSTEIN",
-        t=t,
-        value=value,
-        ingredients={"sup_scv": sup_scv, "b": b},
-        two_sided=two_sided,
-    )
+    value = _exp_bound(t, 2.0 * sup_scv + 2.0 * b * t / 3.0)
+    return BoundReport(theorem="SUP_BERNSTEIN", t=t, value=value)
 
 
-def main_bound(
-    e_scv: float, b: float, j_mu: float, t: float, two_sided: bool = False
-) -> BoundReport:
+def main_bound(e_scv: float, b: float, j_mu: float, t: float) -> BoundReport:
     """Tail bound ``exp(-t^2 / (2 e_scv + (2b/3 + j_mu) t))``.
 
     ``e_scv`` is the expected variance sum, ``b`` the per-coordinate range
     bound, ``j_mu`` the weighted interaction functional.  With ``j_mu == 0``
-    this is exactly Bernstein's inequality.  The caller is responsible for
-    the hypothesis on ``-f`` when requesting ``two_sided``.
+    this is exactly Bernstein's inequality.
     """
     if min(e_scv, b, j_mu) < 0.0:
         raise ValueError("ingredients must be nonnegative")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    value = _exp_bound(t, 2.0 * e_scv + (2.0 * b / 3.0 + j_mu) * t, two_sided)
-    return BoundReport(
-        theorem="MAIN",
-        t=t,
-        value=value,
-        ingredients={"E_scv": e_scv, "b": b, "j_mu": j_mu},
-        two_sided=two_sided,
-    )
+    value = _exp_bound(t, 2.0 * e_scv + (2.0 * b / 3.0 + j_mu) * t)
+    return BoundReport(theorem="MAIN", t=t, value=value)
 
 
 def variance_corollary_bound(
-    sigma2: float, j: float, j_mu: float, b: float, t: float, two_sided: bool = False
+    sigma2: float, j: float, j_mu: float, b: float, t: float
 ) -> BoundReport:
     """Tail bound with the true variance plus the interaction envelope.
 
@@ -205,16 +149,8 @@ def variance_corollary_bound(
         raise ValueError("ingredients must be nonnegative")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    value = _exp_bound(
-        t, 2.0 * sigma2 + 0.5 * j * j + (2.0 * b / 3.0 + j_mu) * t, two_sided
-    )
-    return BoundReport(
-        theorem="VARIANCE_COROLLARY",
-        t=t,
-        value=value,
-        ingredients={"sigma2": sigma2, "b": b, "j": j, "j_mu": j_mu},
-        two_sided=two_sided,
-    )
+    value = _exp_bound(t, 2.0 * sigma2 + 0.5 * j * j + (2.0 * b / 3.0 + j_mu) * t)
+    return BoundReport(theorem="VARIANCE_COROLLARY", t=t, value=value)
 
 
 # ---------------------------------------------------------------------------

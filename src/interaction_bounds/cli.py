@@ -236,7 +236,7 @@ def _ustat_tails(problem, t_values, cap, mc_samples, seed):
         center = usmod.exact_u_mean(problem)
         tails = {t: (fsum(probs[np.abs(values - center) > t]), 0.0) for t in t_values}
         return tails, "exact", ""
-    except (CapacityError, OverflowError):
+    except CapacityError:
         pass
     try:
         values = usmod.sample_u_values(problem, mc_samples, seed=seed)

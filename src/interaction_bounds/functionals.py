@@ -317,24 +317,17 @@ def log_mgf(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:
 _OPENING = 1e-3
 
 
-def herbst_log_mgf(
-    f: TabulatedFunction,
-    beta: float,
-    quad_tol: float = 1e-8,
-    cap: int = DEFAULT_CAP,
-) -> float:
+def herbst_log_mgf(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:
     """``beta * integral_0^beta entropy(f, gamma) / gamma^2 dgamma``.
 
-    Must agree with ``log_mgf(f, beta)`` to within ``quad_tol``; the test
-    suite asserts that identity.  Near zero the integrand is the 0/0 form of
+    Must agree with ``log_mgf(f, beta)`` to within 1e-8; the test suite
+    asserts that identity.  Near zero the integrand is the 0/0 form of
     a smooth function with limit ``variance(f) / 2``, so the first
     ``_OPENING`` of the range is integrated by a two-point panel anchored at
     the analytic limit, and adaptive Simpson handles the remainder.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if quad_tol <= 0.0:
-        raise ValueError("quad_tol must be positive")
     half_var = 0.5 * variance(f, cap)
 
     def integrand(gamma: float) -> float:
@@ -345,6 +338,6 @@ def herbst_log_mgf(
     h0 = min(_OPENING, beta)
     total = 0.5 * h0 * (half_var + integrand(h0))
     if beta > h0:
-        tol = max(quad_tol / (8.0 * max(beta, 1.0)), 1e-13)
+        tol = max(1e-8 / (8.0 * max(beta, 1.0)), 1e-13)
         total += adaptive_simpson(integrand, h0, beta, tol=tol)
     return beta * total

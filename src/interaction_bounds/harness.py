@@ -94,7 +94,11 @@ class RandomInstanceSpec:
 def generate_instance(
     spec: RandomInstanceSpec,
 ) -> tuple[FiniteProductSpace, TabulatedFunction]:
-    """Deterministically generate the instance described by ``spec``."""
+    """Deterministically generate the instance described by ``spec``.
+
+    Raises CapacityError before drawing the table when the space has more
+    configurations than the default cap.
+    """
     rng = substream(spec.seed, 0x01)
     n = int(rng.integers(spec.n_axes[0], spec.n_axes[1] + 1))
     sizes = [int(rng.integers(spec.axis_size[0], spec.axis_size[1] + 1)) for _ in range(n)]
@@ -107,6 +111,7 @@ def generate_instance(
             w = raw / math.fsum(raw.tolist())
             axes.append(FiniteAxis(weights=tuple(float(x) for x in w)))
     space = FiniteProductSpace(axes=tuple(axes))
+    space.check_capacity()
     count = space.size
     if spec.values == "uniform":
         table = rng.uniform(-1.0, 1.0, size=count)

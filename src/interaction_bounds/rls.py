@@ -52,6 +52,9 @@ _NORM_SLACK = 1e-12
 #: Samples per ``solve_stack`` call in ``sample_gaps``; bounds its working memory.
 _GAP_BLOCK = 4096
 
+#: Relative allowance on each derivative envelope for finite-difference truncation.
+_REL_TOL = 1e-3
+
 
 class SolverError(Exception):
     """The regularized normal equations failed to solve to tolerance."""
@@ -356,7 +359,6 @@ def derivative_bound_check(
     zl_b: tuple[Sequence[float], float],
     grid: int = 3,
     h: float = 1e-4,
-    rel_tol: float = 1e-3,
 ) -> DerivativeCheckReport:
     """Certify the path-derivative bounds on a ``grid x grid`` lattice.
 
@@ -366,7 +368,8 @@ def derivative_bound_check(
     differences estimate ``|dw/dt|`` and the mixed ``|d2w/ds dt|`` plus the
     rate bounds ``|dG/dt| <= 4/n`` and ``|dg/dt| <= 4/n`` and the vanishing
     mixed second difference of ``G``.  Each inequality is asserted up to
-    ``rel_tol`` times its envelope (finite-difference truncation allowance);
+    0.1 percent of its envelope plus 1e-8 (finite-difference truncation
+    allowance);
     ``step_warning`` flags h vs h/2 disagreement above 10 percent.  Every
     perturbed sample of the lattice is solved in one ``solve_stack`` call.
     """
@@ -443,14 +446,14 @@ def derivative_bound_check(
         grid=grid,
         max_first=max_first,
         bound_first=bound_first,
-        first_ok=max_first <= bound_first * (1.0 + rel_tol) + 1e-8,
+        first_ok=max_first <= bound_first * (1.0 + _REL_TOL) + 1e-8,
         max_mixed=max_mixed,
         bound_mixed=bound_mixed,
-        mixed_ok=max_mixed <= bound_mixed * (1.0 + rel_tol) + 1e-8,
+        mixed_ok=max_mixed <= bound_mixed * (1.0 + _REL_TOL) + 1e-8,
         max_gram_rate=max_gram_rate,
         max_moment_rate=max_moment_rate,
         rate_bound=rate_bound,
-        rate_ok=max(max_gram_rate, max_moment_rate) <= rate_bound * (1.0 + rel_tol) + 1e-8,
+        rate_ok=max(max_gram_rate, max_moment_rate) <= rate_bound * (1.0 + _REL_TOL) + 1e-8,
         max_gram_mixed=max_gram_mixed,
         gram_mixed_ok=max_gram_mixed <= 1e-6,
         step_warning=step_warning,
@@ -536,42 +539,36 @@ def empirical_scv(
     lam: float,
     replications: int,
     seed: int,
-    pairs_per_coordinate: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the expected variance sum of the gap.
 
     Each replication draws a sample of ``n`` atoms, then for every coordinate
-    averages ``(1/2) (gap difference under two independent replacements)^2``
-    over ``pairs_per_coordinate`` replacement pairs drawn from the population.
+    one pair of independent replacements from the population, and sums
+    ``(1/2) (gap difference under the two replacements)^2`` over coordinates.
     Deterministic in ``seed``: replication ``r`` uses stream ``(seed, r)``,
     first for the sample and then for all its replacements, ordered by
-    coordinate, pair and side; results aggregate in replication order.  Every
+    coordinate and side; results aggregate in replication order.  Every
     distinct replaced sample is solved once, all in one ``sample_gaps`` call.
     Returns (mean, stderr).
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if pairs_per_coordinate < 1:
-        raise ValueError("need at least one replacement pair per coordinate")
     size, probs = population.size, population.probs
     bases, swaps = [], []
     for r in range(replications):
         rng = substream(seed, 0xE5, r)
         bases.append(rng.choice(size, size=n, p=probs))
-        swaps.append(rng.choice(size, size=(n, pairs_per_coordinate, 2), p=probs))
-    # replaced[r, k, j, a] is sample r with point k replaced by swap (k, j, a).
-    on_k = np.eye(n, dtype=bool)[:, None, None, :]
-    replaced = np.where(on_k, np.array(swaps)[..., None], np.array(bases)[:, None, None, None, :])
+        swaps.append(rng.choice(size, size=(n, 2), p=probs))
+    # replaced[r, k, a] is sample r with point k replaced by swap (k, a).
+    on_k = np.eye(n, dtype=bool)[:, None, :]
+    replaced = np.where(on_k, np.array(swaps)[..., None], np.array(bases)[:, None, None, :])
     distinct, inverse = np.unique(replaced.reshape(-1, n), axis=0, return_inverse=True)
     gaps = sample_gaps(population, distinct, lam)[inverse.ravel()].reshape(replaced.shape[:-1])
     values = []
     for per_sample in gaps.tolist():
         total = 0.0
-        for pairs in per_sample:
-            acc = 0.0
-            for fa, fb in pairs:
-                acc += 0.5 * (fa - fb) ** 2
-            total += acc / pairs_per_coordinate
+        for fa, fb in per_sample:
+            total += 0.5 * (fa - fb) ** 2
         values.append(total)
     mean = math.fsum(values) / replications
     if replications == 1:

@@ -214,20 +214,33 @@ def sigma1_squared(problem: UStatProblem, cap: int = 1_000_000) -> float:
 def ustat_bound(n: int, m: int, sigma1sq: float, t: float) -> float:
     """Two-sided tail bound for ``|u - Eu| > t``."""
     _check_bound_args(n, m, sigma1sq, t)
-    den = 2.0 * m * m * sigma1sq + (m * m * (m - 1) ** 2) / (n - m) + 16.0 * m * m * t / 3.0
-    return 2.0 * math.exp(-n * t * t / den)
+    return 2.0 * math.exp(-n * t * t / _ustat_denominator(n, m, sigma1sq, t))
 
 
 def arcones_bound(n: int, m: int, sigma1sq: float, t: float) -> float:
-    """Comparison tail bound with prefactor 4 and a steeper linear term."""
+    """Comparison tail bound with prefactor 4 and a steeper linear term.
+
+    Vacuous (4.0) once its linear coefficient leaves the float range.
+    """
     _check_bound_args(n, m, sigma1sq, t)
-    den = 2.0 * m * m * sigma1sq + _arcones_linear_coefficient(n, m) * t
-    return 4.0 * math.exp(-n * t * t / den)
+    return 4.0 * math.exp(-n * t * t / _arcones_denominator(n, m, sigma1sq, t))
+
+
+def _ustat_denominator(n: int, m: int, sigma1sq: float, t: float) -> float:
+    return 2.0 * m * m * sigma1sq + (m * m * (m - 1) ** 2) / (n - m) + 16.0 * m * m * t / 3.0
+
+
+def _arcones_denominator(n: int, m: int, sigma1sq: float, t: float) -> float:
+    return 2.0 * m * m * sigma1sq + _arcones_linear_coefficient(n, m) * t
 
 
 def _arcones_linear_coefficient(n: int, m: int) -> float:
+    """``2^{m+2} m^m sqrt((n-1)/n) + (2/3) m^{-1}``, or ``inf`` beyond the float range."""
     # "2/3 m^{-1}" parsed as (2/3) * m^{-1}.
-    return 2.0 ** (m + 2) * float(m) ** m * math.sqrt((n - 1) / n) + (2.0 / 3.0) / m
+    try:
+        return 2.0 ** (m + 2) * float(m) ** m * math.sqrt((n - 1) / n) + (2.0 / 3.0) / m
+    except OverflowError:  # m^m, from m = 143
+        return math.inf
 
 
 def _check_bound_args(n: int, m: int, sigma1sq: float, t: float) -> None:
@@ -249,15 +262,8 @@ class CrossoverResult:
     note: str = ""
 
 
-def crossover(
-    m: int,
-    sigma1sq: float,
-    n: int,
-    t_lo: float = 1e-6,
-    t_hi: float = 10.0,
-    tol: float = 1e-9,
-) -> CrossoverResult:
-    """Smallest ``t`` beyond which ``ustat_bound`` decays faster.
+def crossover(m: int, sigma1sq: float, n: int) -> CrossoverResult:
+    """Smallest ``t`` in ``[1e-6, 10]`` beyond which ``ustat_bound`` decays faster.
 
     Comparison semantics: the exponential rates (the ``n t^2 / denominator``
     exponents) are compared, not the bound values; the constant prefactors 2
@@ -266,27 +272,22 @@ def crossover(
     vacuous, and no crossing would exist.  Rate comparison reduces to
     comparing the two denominators, whose difference is linear in ``t``, so
     the crossing is unique whenever the comparison bound has the larger
-    linear coefficient; bisection to ``tol`` locates it.
+    linear coefficient; bisection to a 1e-9 bracket locates it.
     """
-    _check_bound_args(n, m, sigma1sq, max(t_lo, 1e-300))
+    lo, hi = 1e-6, 10.0
+    _check_bound_args(n, m, sigma1sq, lo)
 
     def gap(t: float) -> float:
-        den_u = (
-            2.0 * m * m * sigma1sq
-            + (m * m * (m - 1) ** 2) / (n - m)
-            + 16.0 * m * m * t / 3.0
-        )
-        den_a = 2.0 * m * m * sigma1sq + _arcones_linear_coefficient(n, m) * t
-        return den_u - den_a  # rate of ustat_bound is better iff gap <= 0
+        # The rate of ustat_bound is better iff gap <= 0.
+        return _ustat_denominator(n, m, sigma1sq, t) - _arcones_denominator(n, m, sigma1sq, t)
 
-    lo, hi = t_lo, t_hi
     if gap(lo) <= 0.0:
         return CrossoverResult(lo, (n - m) * lo, True, "better from the grid floor")
     if gap(hi) > 0.0:
         return CrossoverResult(
             math.nan, math.nan, False, "comparison bound decays faster on the whole grid"
         )
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
@@ -326,7 +327,9 @@ def u_at_counts(
     rounded once and divided by ``C(n, m)``: the arithmetic of an exactly
     rounded sum over the ``m``-subsets of the sample, bit for bit unless ``g``
     rounds differently in another argument order (a product of three
-    non-dyadic points).  ``eval_cap`` bounds the terms.
+    non-dyadic points).  Where ``C(n, m)`` is beyond the float range, the
+    exact sum is divided by it exactly and rounded once.  ``eval_cap`` bounds
+    the terms.
     """
     n, m = problem.n, problem.m
     counts = np.asarray(counts)
@@ -348,7 +351,10 @@ def u_at_counts(
             gk * math.prod(math.comb(c, k) for c, k in zip(row, kappa))
             for gk, kappa in zip(g, kappas)
         )
-        out[r] = total / scale / ncm
+        try:
+            out[r] = total / scale / ncm
+        except OverflowError:  # C(n, m) is beyond the float range
+            out[r] = total / (scale * ncm)
     return out
 
 

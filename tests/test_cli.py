@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -263,6 +264,38 @@ def test_missing_lapack_is_one_solver_failure_line(scipy_dir, tmp_path, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("solver failure: ") and err.count("\n") == 1, err
     assert "scipy.linalg._flapack" in err
+
+
+@pytest.mark.parametrize("doc, argv", [
+    # m^m leaves the float range in the comparison bound's linear coefficient.
+    ({"command": "ustat", "params": {"m_values": [150], "n_values": [200]}}, []),
+    # C(n, m) is no float.  The exact path takes tens of seconds here, so --cap
+    # sends the run to the Monte Carlo path, which divides by C(n, m) too.
+    ({"command": "ustat", "params": {"m_values": [142], "n_values": [20000], "mc_samples": 20}},
+     ["--cap", "10"]),
+    # 4^16 configurations: the table alone would take 32 GiB.
+    ({"command": "verify", "params": {"n_axes": [16, 16], "axis_size": [4, 4]}}, []),
+    ({"command": "bounds-table", "params": {"n_axes": [16, 16], "axis_size": [4, 4]}}, []),
+], ids=["ustat-m150", "ustat-comb-overflow", "verify-4^16", "bounds-table-4^16"])
+def test_extreme_config_exits_cleanly(doc, argv, tmp_path):
+    # A fresh interpreter with 3 GiB of address space, so an oversized table
+    # fails to allocate instead of filling memory.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+    limit = 3 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "interaction_bounds.cli", "--config", str(config), *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    # Success says nothing on stderr; a capacity error says one line.
+    assert done.returncode in (0, 2), done.stderr
+    lines = done.stderr.splitlines()
+    if done.returncode == 2:
+        assert len(lines) == 1 and lines[0].startswith("config error: "), done.stderr
+    else:
+        assert lines == [], done.stderr
 
 
 class TestUstatCommand:

@@ -416,12 +416,12 @@ class TestStackedSolvesMatchPerProblemLoops:
         table = GapTable(population, n, lam)
         assert table.gaps.tobytes() == oracles.rls_gap_table_rows(population, n, lam).tobytes()
 
-    @given(DIMS, SIZES, st.integers(1, 3), LAMBDAS, st.integers(1, 2), SEEDS)
-    def test_empirical_scv_is_per_replacement_loop(self, d, n, size, lam, pairs, seed):
+    @given(DIMS, SIZES, st.integers(1, 3), LAMBDAS, SEEDS)
+    def test_empirical_scv_is_per_replacement_loop(self, d, n, size, lam, seed):
         population = random_population(np.random.default_rng(seed), d, size)
-        got = empirical_scv(population, n, lam, 4, seed, pairs_per_coordinate=pairs)
+        got = empirical_scv(population, n, lam, 4, seed)
         want = oracles.rls_empirical_scv(
-            population_sampler(population, n, lam), population, 4, seed, pairs
+            population_sampler(population, n, lam), population, 4, seed, 1
         )
         assert got == want
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -368,6 +369,13 @@ class TestCountsEvaluator:
         p = problem(mean_kernel(4), 200, WEIGHTED_AXIS, WEIGHTED_POINTS)
         got = u_at_counts(p, np.array([[200, 0, 0], [0, 0, 200]]))
         assert got.tolist() == [-0.7, 0.9]
+
+    def test_sample_count_beyond_float_range(self):
+        # C(20000, 142) ~ 1e367 is no float; the kernel sum is the x^142 coefficient
+        # of (1 - x)^10000 (1 + x)^10000 = (1 - x^2)^10000, so u = -C(10000, 71) / C(20000, 142)
+        p = problem(product_kernel(142), 20000)
+        want = -float(Fraction(math.comb(10000, 71), math.comb(20000, 142)))
+        assert u_at_counts(p, [[10000, 10000]]).tolist() == [want]
 
     def test_out_of_range_kernel_rejected(self):
         wild = Kernel(m=2, fn=lambda pts: 1.5 * pts[0] * pts[1], name="wild")

@@ -42,7 +42,7 @@ from . import ustat as usmod
 from .exchangeable import bound_ingredients, multiset_probabilities, multisets
 from .harness import RandomInstanceSpec, generate_instance, run_property_suite, tail_curve
 from .rng import derive_seed, substream
-from .space import DEFAULT_CAP, CapacityError, FiniteAxis, fsum
+from .space import DEFAULT_CAP, CapacityError, FiniteAxis, tail_probabilities
 
 
 class ConfigError(Exception):
@@ -212,8 +212,7 @@ def cmd_ustat(config: RunConfig) -> int:
             tails, kind, note = _ustat_tails(
                 problem, t_values, config.cap, p["mc_samples"], config.seed
             )
-            for t in t_values:
-                tail, stderr = tails.get(t, ("", ""))
+            for t, (tail, stderr) in zip(t_values, tails):
                 rows.append([
                     m, n, t, s1,
                     usmod.ustat_bound(n, m, s1, t),
@@ -228,32 +227,31 @@ def cmd_ustat(config: RunConfig) -> int:
 
 
 def _ustat_tails(problem, t_values, cap, mc_samples, seed):
-    """Exact two-sided tails when the sample multisets fit the cap, Monte Carlo otherwise."""
+    """Two-sided ``(tail, stderr)`` per ``t``: exact within the cap, Monte Carlo above it."""
+    center = usmod.exact_u_mean(problem)
     try:
         counts = multisets(problem.n, problem.base_axis.size, cap)
-        values = usmod.u_at_counts(problem, counts)
+        deviations = np.abs(usmod.u_at_counts(problem, counts) - center)
         probs = multiset_probabilities(counts, problem.base_axis.weights)
-        center = usmod.exact_u_mean(problem)
-        tails = {t: (fsum(probs[np.abs(values - center) > t]), 0.0) for t in t_values}
-        return tails, "exact", ""
+        return [(p, 0.0) for p in tail_probabilities(deviations, probs, t_values)], "exact", ""
     except CapacityError:
         pass
     try:
-        values = usmod.sample_u_values(problem, mc_samples, seed=seed)
-        center = usmod.exact_u_mean(problem)
-        tails = {}
-        for t in t_values:
-            p = float(np.mean(np.abs(values - center) > t))
-            tails[t] = (p, math.sqrt(p * (1.0 - p) / len(values)))
-        return tails, "mc", "exact tails over cap; fell back to Monte Carlo"
+        deviations = np.abs(usmod.sample_u_values(problem, mc_samples, seed=seed) - center)
     except CapacityError:
-        return {}, "skipped", "tail skipped; Monte Carlo budget exceeded"
+        return [("", "")] * len(t_values), "skipped", "tail skipped; Monte Carlo budget exceeded"
+    return _mc_tails(deviations, t_values), "mc", "exact tails over cap; fell back to Monte Carlo"
+
+
+def _mc_tails(deviations: np.ndarray, t_values: Sequence[float]) -> list[tuple[float, float]]:
+    """Monte Carlo ``Pr{deviation > t}`` and its standard error, for each ``t``."""
+    tails = [float(np.mean(deviations > t)) for t in t_values]
+    return [(p, math.sqrt(p * (1.0 - p) / len(deviations))) for p in tails]
 
 
 def cmd_rls(config: RunConfig) -> int:
     p = config.params
     population, n, lam = p["problem"]
-    mc_samples = p["mc_samples"]
     header = [
         "section", "key", "lam", "t", "value", "stderr", "bound_c", "bound_measured",
     ]
@@ -283,19 +281,18 @@ def cmd_rls(config: RunConfig) -> int:
     )
     rows.append(["scv", "empirical_scv", lam, "", scv_mean, scv_err, "", ""])
     # One gap table per distinct lambda, shared by every section below.
-    gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, n))
+    gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, n, cap=config.cap))
     table = gap_table(lam)
     measured = rlsmod.measured_ingredients(table)
     for key in ("e_scv", "b", "crude_j"):
         rows.append(["scv", key, lam, "", measured[key], "", "", ""])
 
     mean_gap = rlsmod.exact_gap_mean(table)
-    values = rlsmod.mc_gap_values(table, mc_samples, derive_seed(config.seed, 0xA3))
+    values = rlsmod.mc_gap_values(table, p["mc_samples"], derive_seed(config.seed, 0xA3))
     tmax = float(table.gaps.max()) - mean_gap
     if tmax > 0.0:
-        for t in np.linspace(0.0, tmax, p["t_points"] + 1)[1:].tolist():
-            tail = float(np.mean(values - mean_gap > t))
-            stderr = math.sqrt(tail * (1.0 - tail) / mc_samples)
+        t_values = np.linspace(0.0, tmax, p["t_points"] + 1)[1:].tolist()
+        for t, (tail, stderr) in zip(t_values, _mc_tails(values - mean_gap, t_values)):
             bound_c = rlsmod.gap_tail_bound(scv_mean, n, lam, p["c"], t)
             bound_measured = bnd.main_bound(
                 measured["e_scv"], measured["b"], measured["crude_j"], t

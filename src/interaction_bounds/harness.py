@@ -47,6 +47,7 @@ from .space import (
     expectation,
     fsum,
     memo_scalar,
+    tail_probabilities,
     variance,
 )
 
@@ -135,12 +136,8 @@ def generate_instance(
 
 def exact_tail(f: TabulatedFunction, t: float, cap: int = DEFAULT_CAP) -> float:
     """``Pr{f - Ef > t}`` by exact enumeration (strict inequality)."""
-    w = f.space.weight_table(cap)
     centered = f.values - memo_scalar(f, "mean", lambda: expectation(f, cap))
-    mask = centered > t
-    if not mask.any():
-        return 0.0
-    return fsum(w[mask])
+    return tail_probabilities(centered, f.space.weight_table(cap), [t])[0]
 
 
 def tail_curve(f: TabulatedFunction, ing: dict[str, float], points: int) -> list[tuple]:
@@ -151,15 +148,16 @@ def tail_curve(f: TabulatedFunction, ing: dict[str, float], points: int) -> list
     the largest deviation is at most 1e-12, where the bounds say nothing.
     """
     e_scv, sigma2, b, j, j_mu = (ing[k] for k in ("E_scv", "sigma2", "b", "j", "j_mu"))
-    tmax = f.max() - expectation(f)
+    centered = f.values - expectation(f)
+    tmax = float(centered.max())
     if b <= 1e-12 or tmax <= 1e-12:
         return []
+    t_values = np.linspace(0.0, tmax, points + 1)[1:].tolist()
     rows = []
-    for t in np.linspace(0.0, tmax, points + 1)[1:]:
-        t = float(t)
+    for t, tail in zip(t_values, tail_probabilities(centered, f.space.weight_table(), t_values)):
         rows.append((
             t,
-            exact_tail(f, t),
+            tail,
             bnd.sup_bernstein_bound(f, b, t).value,
             bnd.main_bound(e_scv, b, j_mu, t).value,
             bnd.variance_corollary_bound(sigma2, j, j_mu, b, t).value,

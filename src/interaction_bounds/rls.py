@@ -45,7 +45,7 @@ import numpy as np
 
 from .exchangeable import bound_ingredients, multiset_probabilities, multisets, occupancy, rank
 from .rng import substream
-from .space import fsum
+from .space import DEFAULT_CAP, fsum
 
 _NORM_SLACK = 1e-12
 
@@ -485,15 +485,15 @@ class GapTable:
     Both risks are symmetric in the sample, so the gap depends only on its atom
     counts (``exchangeable``): row ``r`` of ``counts`` is one ``n``-multiset,
     ``probs[r]`` its probability and ``gaps[r]`` the gap of the sample holding
-    its atoms in index order.
+    its atoms in index order.  More than ``cap`` multisets raise CapacityError.
     """
 
-    def __init__(self, population: Population, n: int, lam: float) -> None:
+    def __init__(self, population: Population, n: int, lam: float, cap: int = DEFAULT_CAP) -> None:
         if n < 2:
             raise ValueError("need a sample of at least two points")
         self.population = population
         self.n = n
-        self.counts = multisets(n, population.size)
+        self.counts = multisets(n, population.size, cap)
         self.probs = multiset_probabilities(self.counts, population.probs)
         atoms = np.tile(np.arange(population.size), len(self.counts))
         samples = np.repeat(atoms, self.counts.ravel()).reshape(-1, n)
@@ -504,6 +504,8 @@ class GapTable:
         indices = np.asarray(indices)
         if indices.shape[-1] != self.n:
             raise ValueError(f"sample of length {indices.shape[-1]}, expected {self.n}")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.population.size):
+            raise ValueError(f"atom indices must lie in [0, {self.population.size})")
         return self.gaps[rank(occupancy(indices, self.population.size))]
 
 
@@ -580,11 +582,6 @@ def empirical_scv(
 def exact_gap_mean(table: GapTable) -> float:
     """Exact ``E[gap]`` by multiset enumeration."""
     return fsum(table.probs * table.gaps)
-
-
-def exact_gap_tail(table: GapTable, t: float) -> float:
-    """Exact ``Pr{gap - E[gap] > t}`` by multiset enumeration."""
-    return fsum(table.probs[table.gaps - exact_gap_mean(table) > t])
 
 
 def mc_gap_values(table: GapTable, n_samples: int, seed: int) -> np.ndarray:

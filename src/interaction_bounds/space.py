@@ -304,6 +304,13 @@ def variance(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     return fsum(w * d * d)
 
 
+def tail_probabilities(
+    deviations: np.ndarray, weights: np.ndarray, t_values: Iterable[float]
+) -> list[float]:
+    """``Pr{deviation > t}`` per ``t``: the fsum of the weights of the larger deviations."""
+    return [fsum(weights[deviations > t]) for t in t_values]
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange:  {"axes": [{"weights": [...]}, ...], "values": [...]}
 # with values in enumeration order.

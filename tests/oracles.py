@@ -258,12 +258,13 @@ def substituted_weighted_interaction(f):
     return 2.0 * math.sqrt(float(total.max()))
 
 
-def exact_tail(f, t):
+def exact_tail(f, t, two_sided=False):
+    """``Pr{f - Ef > t}``, or ``Pr{|f - Ef| > t}``, one configuration at a time."""
     mu = expectation(f)
     return math.fsum(
         weight(f.space, c)
         for c in configs(f.space)
-        if value(f, c) - mu > t
+        if (abs(value(f, c) - mu) if two_sided else value(f, c) - mu) > t
     )
 
 

@@ -178,6 +178,7 @@ class TestConfigHandling:
         ("rls", {"path": {"population": [{"x": [math.nan], "y": 0.8, "p": 1.0}]}}, {}, "must be finite"),
         ("rls", {"path": {"population": [{"x": [0.9], "y": math.nan, "p": 1.0}]}}, {}, "must be finite"),
         ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8, "p": math.nan}]}}, {}, "must be finite"),
+        ("rls", {}, {"cap": 3}, "9 sample multisets exceed the cap of 3"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 

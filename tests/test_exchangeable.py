@@ -18,11 +18,20 @@ from interaction_bounds.exchangeable import (
     occupancy,
     rank,
 )
+from interaction_bounds.rls import GapTable, Population
 from interaction_bounds.space import (
     CapacityError,
     FiniteAxis,
     FiniteProductSpace,
     TabulatedFunction,
+    tail_probabilities,
+)
+from interaction_bounds.ustat import (
+    UStatProblem,
+    mean_kernel,
+    product_kernel,
+    sign_agreement_kernel,
+    u_at_counts,
 )
 
 
@@ -110,6 +119,14 @@ def test_count_above_cap_names_the_cap():
         multisets(5, 3, cap=20)
 
 
+def spread(values, n, weights):
+    """The dense table over ``s^n`` configurations of values given per ``n``-multiset."""
+    s = len(weights)
+    configs = np.indices((s,) * n).reshape(n, -1).T
+    space = FiniteProductSpace(axes=(FiniteAxis(weights=weights),) * n)
+    return TabulatedFunction(space, np.asarray(values)[rank(occupancy(configs, s))])
+
+
 @given(
     st.integers(1, 4),
     st.integers(2, 6),
@@ -121,11 +138,7 @@ def test_bound_ingredients_match_the_dense_table(s, n, seed, scale):
     raw = rng.dirichlet(np.ones(s))
     weights = tuple(float(w) for w in raw / math.fsum(raw.tolist()))
     values = scale * rng.uniform(-1.0, 1.0, math.comb(n + s - 1, s - 1))
-    configs = np.indices((s,) * n).reshape(n, -1).T
-    space = FiniteProductSpace(axes=(FiniteAxis(weights=weights),) * n)
-    dense = bounds.bound_ingredients(
-        TabulatedFunction(space, values[rank(occupancy(configs, s))])
-    )
+    dense = bounds.bound_ingredients(spread(values, n, weights))
     got = bound_ingredients(values, n, weights)
     assert set(got) == {"E_scv", "b", "crude", "j_mu"}
     floor = 1e-12 * float(np.abs(values).max())
@@ -143,3 +156,51 @@ def test_bound_ingredients_check_their_input():
     assert bound_ingredients(values, 5, (0.2, 0.3, 0.5), cap=15)["j_mu"] == 0.0
     with pytest.raises(CapacityError, match="cap of 14"):
         bound_ingredients(values, 5, (0.2, 0.3, 0.5), cap=14)
+
+
+#: Point weights in sixteenths: every configuration weight and every multiset
+#: probability is then exact, so both routes sum the same exact terms.
+SIXTEENTHS = st.lists(st.integers(1, 15), unique=True, max_size=2).map(
+    lambda cuts: tuple(float(d) / 16.0 for d in np.diff([0, *sorted(cuts), 16]))
+)
+
+
+def deviation_grid(deviations):
+    """Every deviation (where the strict inequality flips) and one below them all."""
+    return [float(deviations.min()) - 1.0, *np.unique(deviations).tolist()]
+
+
+@given(
+    SIXTEENTHS,
+    st.sampled_from([product_kernel(2), mean_kernel(2), mean_kernel(3), sign_agreement_kernel(2)]),
+    st.integers(3, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_tail_probabilities_of_u_statistics_match_the_configurations(weights, kernel, n, seed):
+    n = max(n, kernel.m + 1)
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, len(weights))
+    problem = UStatProblem(
+        kernel=kernel, n=n, base_axis=FiniteAxis(weights=weights), base_points=points
+    )
+    counts = multisets(n, len(weights))
+    values = u_at_counts(problem, counts)
+    dense = spread(values, n, weights)
+    deviations = np.abs(values - oracles.expectation(dense))
+    t_values = deviation_grid(deviations)
+    got = tail_probabilities(deviations, multiset_probabilities(counts, weights), t_values)
+    assert got == [oracles.exact_tail(dense, t, two_sided=True) for t in t_values]
+
+
+@given(SIXTEENTHS, st.integers(2, 4), st.sampled_from([0.3, 0.5]), st.integers(0, 2**32 - 1))
+def test_tail_probabilities_of_the_gap_match_the_configurations(weights, n, lam, seed):
+    rng = np.random.default_rng(seed)
+    s = len(weights)
+    population = Population(
+        xs=rng.uniform(-0.7, 0.7, (s, 2)), ys=rng.uniform(-1.0, 1.0, s), probs=weights
+    )
+    table = GapTable(population, n, lam)
+    dense = spread(table.gaps, n, weights)
+    deviations = table.gaps - oracles.expectation(dense)
+    t_values = deviation_grid(deviations)
+    got = tail_probabilities(deviations, table.probs, t_values)
+    assert got == [oracles.exact_tail(dense, t) for t in t_values]

@@ -18,7 +18,6 @@ from interaction_bounds.rls import (
     empirical_risk,
     empirical_scv,
     exact_gap_mean,
-    exact_gap_tail,
     gap_tail_bound,
     generalization_gap,
     mc_gap_values,
@@ -32,7 +31,7 @@ from interaction_bounds.rls import (
     true_risk,
 )
 from interaction_bounds.rng import substream
-from interaction_bounds.space import CapacityError
+from interaction_bounds.space import CapacityError, tail_probabilities
 
 TWO_ATOM = Population(xs=[[0.9], [-0.7]], ys=[0.8, -0.6], probs=[0.5, 0.5])
 SKEW_ATOM = Population(xs=[[0.6], [-1.0]], ys=[1.0, -0.2], probs=[0.3, 0.7])
@@ -329,9 +328,24 @@ class TestGapDistribution:
         table = GapTable(TWO_ATOM, 4, 0.5)
         assert table.value((0, 1, 0, 1)) == table.value((1, 1, 0, 0))
 
+    def test_gap_table_rejects_atoms_outside_the_population(self):
+        # occupancy drops an unknown atom, so rank would look up the gap of
+        # an unrelated multiset instead
+        table = GapTable(TWO_ATOM, 4, 0.5)
+        for sample in ((0, 1, 0, 5), (0, 0, 1, -1), [(0, 1, 1, 0), (0, 1, 2, 0)]):
+            with pytest.raises(ValueError, match=r"atom indices must lie in \[0, 2\)"):
+                table.value(sample)
+
+    def test_gap_table_multisets_above_cap_name_the_cap(self):
+        # 3 atoms, n = 6: 28 sample multisets
+        assert len(GapTable(PLANE_ATOM, 6, 0.5, cap=28).gaps) == 28
+        with pytest.raises(CapacityError, match="28 sample multisets exceed the cap of 27"):
+            GapTable(PLANE_ATOM, 6, 0.5, cap=27)
+
     def test_exact_tail_monotone(self):
         table = GapTable(TWO_ATOM, 5, 0.3)
-        tails = [exact_gap_tail(table, t) for t in (0.0, 0.005, 0.01, 0.05)]
+        deviations = table.gaps - exact_gap_mean(table)
+        tails = tail_probabilities(deviations, table.probs, (0.0, 0.005, 0.01, 0.05))
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
     def test_mc_matches_exact_tail(self):
@@ -340,8 +354,9 @@ class TestGapDistribution:
         mean = exact_gap_mean(table)
         values = mc_gap_values(table, 40_000, seed=4)
         assert np.mean(values) == pytest.approx(mean, abs=5e-4)
-        for t in (0.002, 0.005, 0.01):
-            exact = exact_gap_tail(table, t)
+        t_values = (0.002, 0.005, 0.01)
+        exact_tails = tail_probabilities(table.gaps - mean, table.probs, t_values)
+        for t, exact in zip(t_values, exact_tails):
             mc = float(np.mean(values - mean > t))
             stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
             assert abs(mc - exact) <= 4.0 * stderr
@@ -351,11 +366,11 @@ class TestGapDistribution:
         table = GapTable(TWO_ATOM, n, lam)
         meas = measured_ingredients(table)
         assert meas["b"] >= 0.0 and 0.0 <= meas["j_mu"] <= meas["crude_j"]
-        tmax = max(table.gaps - exact_gap_mean(table))
-        for t in np.linspace(0.0, tmax, 9)[1:]:
-            tail = exact_gap_tail(table, float(t))
+        deviations = table.gaps - exact_gap_mean(table)
+        t_values = np.linspace(0.0, max(deviations), 9)[1:].tolist()
+        for t, tail in zip(t_values, tail_probabilities(deviations, table.probs, t_values)):
             for j in (meas["j_mu"], meas["crude_j"]):
-                assert tail <= main_bound(meas["e_scv"], meas["b"], j, float(t)).value + 1e-12
+                assert tail <= main_bound(meas["e_scv"], meas["b"], j, t).value + 1e-12
 
 
 class TestMultisetEngine:

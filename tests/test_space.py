@@ -22,6 +22,7 @@ from interaction_bounds.space import (
     memo_scalar,
     tabulated_from_json,
     tabulated_to_json,
+    tail_probabilities,
     variance,
 )
 
@@ -182,6 +183,39 @@ class TestExpectationVariance:
         g = TabulatedFunction(relabeled_space, f.values[perm, :])
         assert expectation(g) == expectation(f)
         assert variance(g) == variance(f)
+
+
+class TestTailProbabilities:
+    @given(tabulated_strategy())
+    def test_dense_table_matches_oracle(self, f):
+        deviations = f.values - oracles.expectation(f)
+        t_values = [float(deviations.min()) - 1.0, *np.unique(deviations).tolist()]
+        got = tail_probabilities(deviations, f.space.weight_table(), t_values)
+        assert got == [oracles.exact_tail(f, t) for t in t_values]
+
+    def test_at_or_above_the_largest_deviation_is_zero(self):
+        deviations = np.array([-0.5, 0.25, 1.0])
+        weights = np.array([0.2, 0.3, 0.5])
+        assert tail_probabilities(deviations, weights, [1.0, 1.5, 1e300]) == [0.0, 0.0, 0.0]
+
+    def test_below_the_smallest_deviation_is_the_full_mass(self):
+        deviations = np.array([-0.5, 0.25, 1.0])
+        weights = np.array([0.1, 0.2, 0.3])
+        full = math.fsum([0.1, 0.2, 0.3])
+        assert tail_probabilities(deviations, weights, [-0.5000001, -7.0]) == [full, full]
+        assert tail_probabilities(deviations, weights, [-0.5]) == [math.fsum([0.2, 0.3])]
+
+    def test_constant_table(self):
+        f = TabulatedFunction.constant(uniform_space(3, 2), 5.0)
+        deviations = f.values - expectation(f)
+        w = f.space.weight_table()
+        assert tail_probabilities(deviations, w, [-1e-12, 0.0, 1e-12]) == [fsum(w), 0.0, 0.0]
+
+    def test_one_tail_per_t_in_order(self):
+        deviations = np.array([[0.0, 1.0], [2.0, 3.0]])
+        weights = np.full((2, 2), 0.25)
+        assert tail_probabilities(deviations, weights, [2.5, 0.5, 2.5]) == [0.25, 0.75, 0.25]
+        assert tail_probabilities(deviations, weights, []) == []
 
 
 class TestTabulatedFunction:

@@ -11,7 +11,7 @@ from interaction_bounds.functionals import interaction
 from interaction_bounds.exchangeable import multisets, occupancy, rank
 from interaction_bounds.operators import cond_expectation
 from interaction_bounds.rng import substream
-from interaction_bounds.space import CapacityError, FiniteAxis, expectation, fsum
+from interaction_bounds.space import CapacityError, FiniteAxis, expectation, tail_probabilities
 from interaction_bounds.ustat import (
     CrossoverResult,
     Kernel,
@@ -284,10 +284,10 @@ class TestProofChain:
         s1 = sigma1_squared(p)
         center = expectation(u)
         w = u.space.weight_table()
-        tmax = float(np.abs(u.values - center).max())
-        for t in np.linspace(0.0, tmax, 8)[1:]:
-            tail = fsum(w[np.abs(u.values - center) > t])
-            assert tail <= ustat_bound(n, kernel.m, s1, float(t)) + 1e-12
+        deviations = np.abs(u.values - center)
+        t_values = np.linspace(0.0, float(deviations.max()), 8)[1:].tolist()
+        for t, tail in zip(t_values, tail_probabilities(deviations, w, t_values)):
+            assert tail <= ustat_bound(n, kernel.m, s1, t) + 1e-12
 
     def test_variance_sum_envelopes(self):
         # the halved envelope is not a valid bound: the degenerate product
@@ -323,7 +323,7 @@ class TestSampling:
         w = u.space.weight_table()
         values = sample_u_values(p, 4000, seed=10)
         t = 0.25
-        exact = fsum(w[np.abs(u.values - center) > t])
+        exact = tail_probabilities(np.abs(u.values - center), w, [t])[0]
         mc = float(np.mean(np.abs(values - center) > t))
         stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
         assert abs(mc - exact) <= 4 * stderr

@@ -18,7 +18,8 @@ Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
 digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation or
 solver failure, 2 configuration error, including an enumeration over
-``--cap``; each error is one line on stderr.
+``--cap`` and an ``--out`` path that cannot be written; each error is one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -146,8 +147,11 @@ def _render_json(payload: dict) -> str:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {config.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -283,7 +287,7 @@ def cmd_rls(config: RunConfig) -> int:
     # One gap table per distinct lambda, shared by every section below.
     gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, n, cap=config.cap))
     table = gap_table(lam)
-    measured = rlsmod.measured_ingredients(table)
+    measured = rlsmod.measured_ingredients(table, config.cap)
     for key in ("e_scv", "b", "crude_j"):
         rows.append(["scv", key, lam, "", measured[key], "", "", ""])
 
@@ -300,7 +304,7 @@ def cmd_rls(config: RunConfig) -> int:
             rows.append(["bound_curve", "tail", lam, t, tail, stderr, bound_c, bound_measured])
 
     for lam_s in p["lambda_sweep"]:
-        m_s = rlsmod.measured_ingredients(gap_table(lam_s))
+        m_s = rlsmod.measured_ingredients(gap_table(lam_s), config.cap)
         for key in ("crude_j", "b", "e_scv"):
             rows.append(["lambda_sweep", key, lam_s, "", m_s[key], "", "", ""])
 

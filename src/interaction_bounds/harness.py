@@ -393,39 +393,18 @@ def _exact_checks(
         k1, k2 = int(ks[0]), int(ks[1])
         y = int(rng.integers(0, space.axes[k1].size))
         z = int(rng.integers(0, space.axes[k2].size))
-        worst = float(
-            np.abs(
-                substitute(substitute(f, k1, y), k2, z).values
-                - substitute(substitute(f, k2, z), k1, y).values
-            ).max()
+        # Each pair computes one quantity in two operator orders, left then right.
+        pairs = (
+            (lambda: substitute(substitute(f, k1, y), k2, z),
+             lambda: substitute(substitute(f, k2, z), k1, y)),
+            (lambda: cond_expectation(substitute(f, k1, y), k2),
+             lambda: substitute(cond_expectation(f, k2), k1, y)),
+            (lambda: substitute(cond_variance(f, k2), k1, y),
+             lambda: cond_variance(substitute(f, k1, y), k2)),
+            (lambda: cond_expectation(cond_expectation(f, k1), k2),
+             lambda: cond_expectation(cond_expectation(f, k2), k1)),
         )
-        worst = max(
-            worst,
-            float(
-                np.abs(
-                    cond_expectation(substitute(f, k1, y), k2).values
-                    - substitute(cond_expectation(f, k2), k1, y).values
-                ).max()
-            ),
-        )
-        worst = max(
-            worst,
-            float(
-                np.abs(
-                    substitute(cond_variance(f, k2), k1, y).values
-                    - cond_variance(substitute(f, k1, y), k2).values
-                ).max()
-            ),
-        )
-        worst = max(
-            worst,
-            float(
-                np.abs(
-                    cond_expectation(cond_expectation(f, k1), k2).values
-                    - cond_expectation(cond_expectation(f, k2), k1).values
-                ).max()
-            ),
-        )
+        worst = max(float(np.abs(a().values - b().values).max()) for a, b in pairs)
         acc["operator_commutation"].add(worst, seed)
 
     gap, envelope = bnd.efron_stein_gap(f, j=j)

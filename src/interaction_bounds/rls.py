@@ -280,17 +280,12 @@ def _gap_stack(xs: np.ndarray, ys: np.ndarray, lam: float, population: Populatio
     return np.array([math.fsum(t) - math.fsum(e) / n for t, e in zip(true_terms, emp_terms)])
 
 
-def generalization_gap(problem: RlsProblem, population: Population) -> float:
-    """``true risk - empirical risk`` for the solution trained on ``problem``."""
-    return float(_gap_stack(problem.xs[None], problem.ys[None], problem.lam, population)[0])
-
-
 def sample_gaps(population: Population, samples: np.ndarray, lam: float) -> np.ndarray:
     """Generalization gap of each sample given by atom indices along the last axis.
 
-    The atoms stay in the order given, and each gap equals
-    ``generalization_gap`` of that sample bit for bit.  Samples are solved in
-    stacks of at most ``_GAP_BLOCK``.
+    The atoms stay in the order given, and each gap equals ``true_risk -
+    empirical_risk`` of ``solve`` on that sample alone, bit for bit.  Samples
+    are solved in stacks of at most ``_GAP_BLOCK``.
     """
     samples = np.asarray(samples)
     flat = samples.reshape(-1, samples.shape[-1])
@@ -299,18 +294,6 @@ def sample_gaps(population: Population, samples: np.ndarray, lam: float) -> np.n
         for block in np.split(flat, range(_GAP_BLOCK, len(flat), _GAP_BLOCK))
     ]
     return np.concatenate(gaps).reshape(samples.shape[:-1])
-
-
-def replace_point(
-    problem: RlsProblem, k: int, x: Sequence[float], y: float
-) -> RlsProblem:
-    if not (0 <= k < problem.n):
-        raise IndexError(f"sample index {k} out of range")
-    xs = problem.xs.copy()
-    ys = problem.ys.copy()
-    xs[k] = np.asarray(x, dtype=np.float64)
-    ys[k] = y
-    return RlsProblem(xs=xs, ys=ys, lam=problem.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +492,7 @@ class GapTable:
         return self.gaps[rank(occupancy(indices, self.population.size))]
 
 
-def measured_ingredients(table: GapTable, cap: int = 1_000_000) -> dict[str, float]:
+def measured_ingredients(table: GapTable, cap: int = DEFAULT_CAP) -> dict[str, float]:
     """Exact tail-bound inputs for the gap on a finite population.
 
     Returns ``e_scv`` (expected variance sum), ``b`` (largest one-sided

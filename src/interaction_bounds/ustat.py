@@ -1,4 +1,4 @@
-"""U-statistics: evaluation on sample multisets, tail bounds, and subset-pair counts.
+"""U-statistics: evaluation on sample multisets and tail bounds.
 
 A U-statistic of order ``m`` averages a symmetric kernel ``g`` with values in
 ``[-1, 1]`` over all increasing ``m``-tuples of an ``n``-sample.  Two
@@ -19,8 +19,8 @@ The counting identity behind the first bound: the number of ordered pairs of
 ``C(n,m) * (C(n,m) - C(n-m,m))``, and the intersecting fraction
 ``(C(n,m) - C(n-m,m)) / C(n,m)`` is at most ``m^2 / (n-m)``.  Note the count
 itself can exceed ``C(n,m) * m^2/(n-m)`` (already at n=4, m=2: 30 > 12); only
-the fraction form is valid, and that is what ``intersecting_pairs_count``
-certifies.
+the fraction form is valid.  Acceptance criterion 5
+(``tests/test_acceptance.py``) checks both against exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -32,18 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import (
-    bound_ingredients,
-    multiset_probabilities,
-    multisets,
-    neighbours,
-    occupancy,
-)
+from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy
 from .rng import substream
-from .space import DEFAULT_CAP, CapacityError, FiniteAxis
-
-#: Largest sample size for which combination enumeration is permitted.
-MAX_SAMPLE = 64
+from .space import CapacityError, FiniteAxis
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
 #: multiset) products in ``u_at_counts``.
@@ -54,10 +45,11 @@ DEFAULT_EVAL_CAP = 10_000_000
 class Kernel:
     """A symmetric kernel of order ``m`` with values in ``[-1, 1]``.
 
-    ``fn`` maps an ``m``-tuple of base-set points (floats) to a real.
-    Symmetry and the range constraint are certified by ``check_kernel``;
-    the kernel table behind ``u_at_counts``, ``sigma1_squared`` and
-    ``exact_u_mean`` rejects an out-of-range kernel value.
+    ``fn`` maps an ``m``-tuple of base-set points (floats) to a real.  The
+    kernel table behind ``u_at_counts``, ``sigma1_squared`` and
+    ``exact_u_mean`` reads it once per multiset of base points, in base order,
+    and rejects an out-of-range value; symmetry is assumed, and
+    ``tabulated_kernel`` checks it exhaustively.
     """
 
     m: int
@@ -67,11 +59,6 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("kernel order must be at least 2")
-
-    def evaluate(self, points: Sequence[float]) -> float:
-        if len(points) != self.m:
-            raise ValueError(f"kernel of order {self.m} got {len(points)} points")
-        return float(self.fn(tuple(points)))
 
 
 def product_kernel(m: int = 2) -> Kernel:
@@ -134,22 +121,6 @@ def kernel_from_json(doc: dict) -> Kernel:
     if unknown:
         raise ValueError(f"unknown kernel fields {sorted(unknown)}")
     return tabulated_kernel(doc["points"], doc["table"], int(doc["m"]))
-
-
-def check_kernel(
-    kernel: Kernel, points: Sequence[float], seed: int = 0, trials: int = 64
-) -> None:
-    """Certify range and permutation invariance on random tuples."""
-    rng = substream(seed, 0x5E)
-    pts = list(points)
-    for _ in range(trials):
-        tup = tuple(pts[int(i)] for i in rng.integers(0, len(pts), size=kernel.m))
-        val = kernel.evaluate(tup)
-        if not (-1.0 - 1e-12 <= val <= 1.0 + 1e-12):
-            raise ValueError(f"kernel value {val} at {tup} outside [-1, 1]")
-        perm = tuple(tup[int(i)] for i in rng.permutation(kernel.m))
-        if abs(kernel.evaluate(perm) - val) > 1e-12:
-            raise ValueError(f"kernel not symmetric on {tup} vs {perm}")
 
 
 @dataclass(frozen=True)
@@ -297,26 +268,6 @@ def crossover(m: int, sigma1sq: float, n: int) -> CrossoverResult:
     return CrossoverResult(t_star, (n - m) * t_star, True)
 
 
-def intersecting_pairs_count(n: int, m: int) -> tuple[int, bool]:
-    """Ordered pairs of ``m``-subsets of ``{1..n}`` with nonempty intersection.
-
-    Returns ``(exact, ratio_ok)``: the exact count
-    ``C(n,m) (C(n,m) - C(n-m,m))`` and whether the intersecting fraction
-    satisfies ``(C(n,m) - C(n-m,m)) / C(n,m) <= m^2 / (n-m)`` (checked in
-    exact integer arithmetic).  The fraction form is the valid one; the count
-    against ``C(n,m) m^2/(n-m)`` fails already at ``n=4, m=2``.
-    """
-    if m < 1 or n <= m:
-        raise ValueError("need n > m >= 1")
-    if n > MAX_SAMPLE:
-        raise OverflowError(f"n={n} exceeds the supported {MAX_SAMPLE}")
-    total = math.comb(n, m)
-    disjoint = math.comb(n - m, m)
-    exact = total * (total - disjoint)
-    ratio_ok = (total - disjoint) * (n - m) <= m * m * total
-    return exact, ratio_ok
-
-
 def u_at_counts(
     problem: UStatProblem, counts: np.ndarray, eval_cap: int = DEFAULT_EVAL_CAP
 ) -> np.ndarray:
@@ -356,36 +307,6 @@ def u_at_counts(
         except OverflowError:  # C(n, m) is beyond the float range
             out[r] = total / (scale * ncm)
     return out
-
-
-def scv_envelope_terms(
-    problem: UStatProblem, cap: int = DEFAULT_CAP, eval_cap: int = DEFAULT_EVAL_CAP
-) -> dict[str, float]:
-    """Exact expected variance sum of ``u`` against two closed-form envelopes.
-
-    Returns ``lhs = sum_k E[conditional variance of u over k]`` (exact, on
-    sample multisets within ``cap``) together with::
-
-        tight_envelope = (m^2/n) sigma1^2 + m^2 (m-1)^2 / (2 n (n-m))
-        safe_envelope  = (m^2/n) sigma1^2 + m^2 (m-1)^2 / (n (n-m))
-
-    The tight form bounds each intersecting-pair covariance term by one, but
-    those terms can reach two (a degenerate product kernel attains it, see
-    the tests), so only the safe form with the doubled second term is an
-    actual upper bound; ``lhs <= safe_envelope`` always holds.
-    """
-    n, m = problem.n, problem.m
-    size, weights = problem.base_axis.size, problem.base_axis.weights
-    u = u_at_counts(problem, multisets(n, size, cap), eval_cap)
-    lhs = bound_ingredients(u, n, weights, cap)["E_scv"]
-    s1 = sigma1_squared(problem)
-    base = (m * m / n) * s1
-    half_term = m * m * (m - 1) ** 2 / (2.0 * n * (n - m))
-    return {
-        "lhs": lhs,
-        "tight_envelope": base + half_term,
-        "safe_envelope": base + 2.0 * half_term,
-    }
 
 
 def sample_u_values(

@@ -12,6 +12,8 @@ references enumerate every sample configuration, where the library works on
 sample multisets.  The per-problem RLS paths at the end (one ``cho_factor``
 solve per sample, per replaced point and per lattice offset) are the loops
 that the library's stacked solves must reproduce bit for bit.
+``scv_envelope_terms`` is the one exception to independence: it composes
+library paths, to check an inequality of the paper rather than a path.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import numpy as np
 
 from scipy.linalg import cho_factor, cho_solve
 
+from interaction_bounds.exchangeable import bound_ingredients, multisets
 from interaction_bounds.rls import (
     DerivativeCheckReport,
     RlsProblem,
     RlsSolution,
     empirical_risk,
-    replace_point,
     true_risk,
 )
 from interaction_bounds.rng import substream
@@ -38,6 +40,7 @@ from interaction_bounds.space import (
     FiniteProductSpace,
     TabulatedFunction,
 )
+from interaction_bounds.ustat import sigma1_squared, u_at_counts
 
 
 def configs(space):
@@ -426,6 +429,33 @@ def intersecting_pairs(n, m):
     )
 
 
+def scv_envelope_terms(problem):
+    """Exact expected variance sum of ``u`` against two closed-form envelopes.
+
+    Returns ``lhs = sum_k E[conditional variance of u over k]`` (exact, on
+    sample multisets, from the library paths) together with::
+
+        tight_envelope = (m^2/n) sigma1^2 + m^2 (m-1)^2 / (2 n (n-m))
+        safe_envelope  = (m^2/n) sigma1^2 + m^2 (m-1)^2 / (n (n-m))
+
+    The tight form bounds each intersecting-pair covariance term by one, but
+    those terms can reach two (a degenerate product kernel attains it, see
+    the tests), so only the safe form with the doubled second term is an
+    actual upper bound; ``lhs <= safe_envelope`` always holds.
+    """
+    n, m = problem.n, problem.m
+    size, weights = problem.base_axis.size, problem.base_axis.weights
+    u = u_at_counts(problem, multisets(n, size))
+    lhs = bound_ingredients(u, n, weights)["E_scv"]
+    base = (m * m / n) * sigma1_squared(problem)
+    half_term = m * m * (m - 1) ** 2 / (2.0 * n * (n - m))
+    return {
+        "lhs": lhs,
+        "tight_envelope": base + half_term,
+        "safe_envelope": base + 2.0 * half_term,
+    }
+
+
 def rls_gap_1d(xs, ys, lam, pop_xs, pop_ys, pop_ps):
     """Scalar closed-form generalization gap for one-dimensional problems."""
     n = len(xs)
@@ -485,6 +515,17 @@ def rls_measured_ingredients(population, n, lam):
 # ---------------------------------------------------------------------------
 # Regularized least squares, one problem at a time
 # ---------------------------------------------------------------------------
+
+
+def replace_point(problem, k, x, y):
+    """``problem`` with sample point ``k`` replaced by ``(x, y)``."""
+    if not (0 <= k < problem.n):
+        raise IndexError(f"sample index {k} out of range")
+    xs = problem.xs.copy()
+    ys = problem.ys.copy()
+    xs[k] = np.asarray(x, dtype=np.float64)
+    ys[k] = y
+    return RlsProblem(xs=xs, ys=ys, lam=problem.lam)
 
 
 def rls_solve(problem):

@@ -55,7 +55,6 @@ from interaction_bounds.space import FiniteAxis, expectation
 from interaction_bounds.ustat import (
     UStatProblem,
     crossover,
-    intersecting_pairs_count,
     mean_kernel,
     product_kernel,
     sign_agreement_kernel,
@@ -197,17 +196,20 @@ def test_criterion_5_u_statistics():
     start = time.perf_counter()
     problems = []
 
-    # subset-pair counts vs exhaustive enumeration for all n <= 8, m in {2, 3}
+    # the subset-pair identity C(n,m) (C(n,m) - C(n-m,m)) and the fraction bound
+    # (C(n,m) - C(n-m,m)) / C(n,m) <= m^2 / (n-m), vs exhaustive enumeration
+    # for all n <= 8, m in {2, 3}
     for m in (2, 3):
         for n in range(m + 1, 9):
-            exact, ratio_ok = intersecting_pairs_count(n, m)
-            if exact != oracles.intersecting_pairs(n, m) or not ratio_ok:
+            total, disjoint = math.comb(n, m), math.comb(n - m, m)
+            ratio_ok = (total - disjoint) * (n - m) <= m * m * total
+            if oracles.intersecting_pairs(n, m) != total * (total - disjoint) or not ratio_ok:
                 problems.append(("pair count", n, m))
 
     # the count-form estimate fails at (4, 2) while the fraction form holds
-    exact42, ratio42 = intersecting_pairs_count(4, 2)
+    exact42 = oracles.intersecting_pairs(4, 2)
     claim42 = math.comb(4, 2) * 4 // 2
-    if not (exact42 == 30 and exact42 > claim42 and ratio42):
+    if not (exact42 == 30 and exact42 > claim42):
         problems.append(("stated-form discrepancy", exact42, claim42))
 
     # per-coordinate range and interaction chain on small base sets

@@ -197,6 +197,12 @@ class TestConfigHandling:
         if problem:
             assert "bad rls problem document" in err, err
 
+    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_one_config_error(self, tmp_path, capsys, missing_dir):
+        out = tmp_path / "missing" / "x.csv" if missing_dir else tmp_path
+        assert main(["normal-limit-demo", "--out", str(out)]) == 2
+        assert str(out) in assert_one_config_error(capsys)
+
     def test_unparseable_json(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text("{not json")
@@ -460,6 +466,18 @@ class TestRlsCommand:
         assert doc["schema"] == 1
         sections = {row["section"] for row in doc["rows"]}
         assert {"summary", "derivative_check", "scv", "bound_curve"} <= sections
+
+    def test_cap_reaches_measured_ingredients(self, monkeypatch):
+        caps = []
+        real = rls.measured_ingredients
+
+        def recording(table, *cap):
+            caps.append(cap)
+            return real(table, *cap)
+
+        monkeypatch.setattr(rls, "measured_ingredients", recording)
+        assert main(["rls", "--cap", "50"]) == 0
+        assert caps and set(caps) == {(50,)}
 
     def test_bad_problem_file_is_config_error(self, tmp_path):
         problem_path = tmp_path / "problem.json"

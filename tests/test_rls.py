@@ -19,11 +19,9 @@ from interaction_bounds.rls import (
     empirical_scv,
     exact_gap_mean,
     gap_tail_bound,
-    generalization_gap,
     mc_gap_values,
     measured_ingredients,
     population_sampler,
-    replace_point,
     rls_config_from_json,
     sample_gaps,
     solve,
@@ -153,33 +151,31 @@ class TestRisks:
 
 
 class TestStability:
+    """The change of the gap when one sample point is replaced (``sample_gaps`` rows)."""
+
     def test_identical_replacement_is_zero(self):
-        prob = RlsProblem(xs=np.ones((4, 1)) * 0.5, ys=np.full(4, 0.25), lam=0.2)
-        got = generalization_gap(prob, TWO_ATOM) - generalization_gap(
-            replace_point(prob, 2, np.array([0.5]), 0.25), TWO_ATOM
-        )
-        assert got == 0.0
+        # atoms 0 and 2 are the same point, so trading one for the other changes nothing
+        pop = Population(xs=[[0.5], [-0.7], [0.5]], ys=[0.25, -0.6, 0.25], probs=[0.25, 0.5, 0.25])
+        before, after = sample_gaps(pop, [[0, 0, 0, 0], [0, 0, 2, 0]], 0.2)
+        assert before - after == 0.0
 
     def test_matches_scalar_closed_form(self):
-        # independent scalar route for d = 1: w = sum(xy) / (sum(x^2) + n lam)
-        xs = [0.9, -0.7, 0.4, 0.9]
-        ys = [0.8, -0.6, 0.1, -0.2]
+        # independent scalar route for d = 1: w = sum(xy) / (sum(x^2) + n lam);
+        # atoms 2 and 3 carry no weight, so the true risk is that over TWO_ATOM
+        pop = Population(
+            xs=[[0.9], [-0.7], [0.4], [0.9]], ys=[0.8, -0.6, 0.1, -0.2], probs=[0.5, 0.5, 0, 0]
+        )
         lam = 0.35
-        pop_xs = [0.9, -0.7]
-        pop_ys = [0.8, -0.6]
-        pop_ps = [0.5, 0.5]
-        prob = RlsProblem(
-            xs=np.array(xs)[:, None], ys=np.array(ys), lam=lam
+        samples = [[0, 1, 2, 3], [0, 0, 2, 3]]  # point 1 replaced by atom 0
+        before, after = sample_gaps(pop, samples, lam)
+        base, modified = (
+            oracles.rls_gap_1d(
+                pop.xs[row, 0].tolist(), pop.ys[row].tolist(), lam,
+                pop.xs[:, 0].tolist(), pop.ys.tolist(), pop.probs.tolist(),
+            )
+            for row in samples
         )
-        got = generalization_gap(prob, TWO_ATOM) - generalization_gap(
-            replace_point(prob, 1, np.array([-0.7]), -0.6), TWO_ATOM
-        )
-        base = oracles.rls_gap_1d(xs, ys, lam, pop_xs, pop_ys, pop_ps)
-        xs2 = list(xs)
-        ys2 = list(ys)
-        xs2[1], ys2[1] = -0.7, -0.6
-        modified = oracles.rls_gap_1d(xs2, ys2, lam, pop_xs, pop_ys, pop_ps)
-        assert got == pytest.approx(base - modified, abs=1e-12)
+        assert before - after == pytest.approx(base - modified, abs=1e-12)
 
 
 class TestDerivativeBoundCheck:
@@ -392,9 +388,8 @@ class TestMultisetEngine:
             substream(6, 0xF0).choice(3, size=(300, n), p=PLANE_ATOM.probs), axis=1
         )
         want = [
-            generalization_gap(
-                RlsProblem(xs=PLANE_ATOM.xs[row], ys=PLANE_ATOM.ys[row], lam=lam),
-                PLANE_ATOM,
+            oracles.rls_gap(
+                RlsProblem(xs=PLANE_ATOM.xs[row], ys=PLANE_ATOM.ys[row], lam=lam), PLANE_ATOM
             )
             for row in draws
         ]

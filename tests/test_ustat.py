@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,19 +14,15 @@ from interaction_bounds.operators import cond_expectation
 from interaction_bounds.rng import substream
 from interaction_bounds.space import CapacityError, FiniteAxis, expectation, tail_probabilities
 from interaction_bounds.ustat import (
-    CrossoverResult,
     Kernel,
     UStatProblem,
     arcones_bound,
-    check_kernel,
     crossover,
     exact_u_mean,
-    intersecting_pairs_count,
     kernel_from_json,
     mean_kernel,
     product_kernel,
     sample_u_values,
-    scv_envelope_terms,
     sigma1_squared,
     sign_agreement_kernel,
     tabulated_kernel,
@@ -43,8 +40,11 @@ def problem(kernel, n, axis=TWO_POINT, points=PM_ONE):
 
 class TestKernels:
     def test_builtins_pass_checks(self):
+        # tabulated_kernel checks range and symmetry on every tuple of the table
+        points = [-1.0, -0.25, 0.0, 0.5, 1.0]
         for kernel in (product_kernel(2), mean_kernel(3), sign_agreement_kernel(2)):
-            check_kernel(kernel, [-1.0, -0.25, 0.0, 0.5, 1.0], seed=3)
+            table = [kernel.fn(p) for p in itertools.product(points, repeat=kernel.m)]
+            tabulated_kernel(points, table, kernel.m)
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
@@ -52,9 +52,9 @@ class TestKernels:
 
     def test_sign_agreement_values(self):
         k = sign_agreement_kernel(3)
-        assert k.evaluate((0.5, 0.1, 1.0)) == 1.0
-        assert k.evaluate((-0.5, -1.0, -0.1)) == 1.0
-        assert k.evaluate((0.5, -0.1, 1.0)) == -1.0
+        assert k.fn((0.5, 0.1, 1.0)) == 1.0
+        assert k.fn((-0.5, -1.0, -0.1)) == 1.0
+        assert k.fn((0.5, -0.1, 1.0)) == -1.0
 
     def test_tabulated_kernel_lookup_and_json(self):
         doc = {
@@ -63,10 +63,10 @@ class TestKernels:
             "table": [1.0, -1.0, -1.0, 1.0],  # product kernel on {-1,1}
         }
         kernel = kernel_from_json(doc)
-        assert kernel.evaluate((-1.0, 1.0)) == -1.0
-        assert kernel.evaluate((1.0, 1.0)) == 1.0
+        assert kernel.fn((-1.0, 1.0)) == -1.0
+        assert kernel.fn((1.0, 1.0)) == 1.0
         with pytest.raises(ValueError):
-            kernel.evaluate((0.5, 1.0))
+            kernel.fn((0.5, 1.0))
 
     def test_tabulated_kernel_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -76,10 +76,6 @@ class TestKernels:
         with pytest.raises(ValueError, match="range|\\[-1, 1\\]"):
             tabulated_kernel([-1.0, 1.0], [0.0, 2.0, 2.0, 0.0], m=2)
 
-    def test_check_kernel_catches_asymmetry(self):
-        bad = Kernel(m=2, fn=lambda p: 0.5 * (p[0] - p[1]), name="bad")
-        with pytest.raises(ValueError, match="symmetric"):
-            check_kernel(bad, [-1.0, 0.5, 1.0], seed=0)
 
 
 class TestEvaluateU:
@@ -106,8 +102,6 @@ class TestEvaluateU:
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):
             problem(product_kernel(2), 2)  # n must exceed m
-        with pytest.raises(OverflowError):
-            intersecting_pairs_count(65, 2)
 
     def test_matches_oracle_on_random_samples(self):
         rng = np.random.default_rng(8)
@@ -223,27 +217,31 @@ class TestCrossover:
 
 
 class TestIntersectingPairs:
+    """Ordered pairs of intersecting ``m``-subsets of ``{1..n}``, by enumeration.
+
+    The identity ``C(n,m) (C(n,m) - C(n-m,m))`` and the fraction bound
+    ``(C(n,m) - C(n-m,m)) / C(n,m) <= m^2 / (n-m)`` behind ``ustat_bound``.
+    """
+
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("n", range(4, 9))
     def test_matches_exhaustive_enumeration(self, n, m):
         if n <= m:
             pytest.skip("need n > m")
-        exact, ratio_ok = intersecting_pairs_count(n, m)
-        assert exact == oracles.intersecting_pairs(n, m)
-        assert ratio_ok
+        total, disjoint = math.comb(n, m), math.comb(n - m, m)
+        assert oracles.intersecting_pairs(n, m) == total * (total - disjoint)
+        assert (total - disjoint) * (n - m) <= m * m * total
 
     def test_identity_form(self):
-        exact, _ = intersecting_pairs_count(5, 2)
-        assert exact == math.comb(5, 2) * (math.comb(5, 2) - math.comb(3, 2))
-        assert exact == 70
+        assert oracles.intersecting_pairs(5, 2) == 10 * (10 - 3) == 70
 
     def test_count_form_fails_at_four_choose_two(self):
         # the count itself exceeds C(n,m) * m^2/(n-m): 30 > 12, so only the
         # intersecting-fraction form of the estimate is usable
-        exact, ratio_ok = intersecting_pairs_count(4, 2)
+        exact = oracles.intersecting_pairs(4, 2)
         assert exact == 30
         assert exact > math.comb(4, 2) * 2**2 // (4 - 2)
-        assert ratio_ok
+        assert (math.comb(4, 2) - math.comb(2, 2)) * (4 - 2) <= 2**2 * math.comb(4, 2)
 
 
 PROOF_CHAIN_CASES = [
@@ -292,7 +290,7 @@ class TestProofChain:
     def test_variance_sum_envelopes(self):
         # the halved envelope is not a valid bound: the degenerate product
         # kernel exceeds it for n >= 4, while the doubled form always holds
-        terms = scv_envelope_terms(problem(product_kernel(2), 4))
+        terms = oracles.scv_envelope_terms(problem(product_kernel(2), 4))
         assert terms["lhs"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert terms["lhs"] > terms["tight_envelope"] + 0.05
         assert terms["lhs"] <= terms["safe_envelope"] + 1e-10
@@ -300,7 +298,7 @@ class TestProofChain:
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES)
     def test_safe_envelope_holds(self, kernel, n, axis, points):
         p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        terms = scv_envelope_terms(p)
+        terms = oracles.scv_envelope_terms(p)
         assert terms["lhs"] <= terms["safe_envelope"] + 1e-10
 
 

@@ -43,7 +43,7 @@ from . import ustat as usmod
 from .exchangeable import bound_ingredients, multiset_probabilities, multisets
 from .harness import RandomInstanceSpec, generate_instance, run_property_suite, tail_curve
 from .rng import derive_seed, substream
-from .space import DEFAULT_CAP, CapacityError, FiniteAxis, tail_probabilities
+from .space import DEFAULT_CAP, CapacityError, FiniteAxis, _integer, tail_probabilities
 
 
 class ConfigError(Exception):
@@ -389,13 +389,6 @@ class _Field:
             if not self.ok(v):
                 raise ValueError(f"{name}{' entries' * is_list} must be {self.rule}, got {v!r}")
         return value
-
-
-def _integer(value: Any) -> int:
-    """``value`` as an int if it is integral; a bool or a fraction is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _real(value: Any) -> float:

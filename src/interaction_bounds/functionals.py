@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .operators import _center, _contract, _expand_constant
+from .operators import _center, _constant_along, _contract
 from .quadrature import adaptive_simpson
 from .space import (
     DEFAULT_CAP,
@@ -64,16 +65,14 @@ class InteractionReport:
     ``c = f - cond_expectation(f, k)``, because centring along ``k`` commutes
     with substitution on ``l``.
 
-    ``argmax_config`` is the configuration attaining the supremum in ``j``
-    (smallest enumeration index on ties).  ``approximate`` is always false;
-    the field and its JSON key remain for readers of the report format.
+    ``approximate`` is a class constant, always false: every number in the
+    report is exact.
     """
 
     j: float
     j_mu: float
     crude: float
-    argmax_config: tuple[int, ...]
-    approximate: bool
+    approximate: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if min(self.j, self.j_mu, self.crude) < 0.0:
@@ -82,15 +81,6 @@ class InteractionReport:
             raise ValueError(
                 f"interaction chain violated: {self.j_mu} <= {self.j} <= {self.crude}"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "j_mu": self.j_mu,
-            "crude": self.crude,
-            "argmax_config": list(self.argmax_config),
-            "approximate": self.approximate,
-        }
 
 
 def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
@@ -123,12 +113,14 @@ def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
 
 def interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """Worst-case interaction functional of ``f``."""
-    return interaction_report(f, cap, with_j_mu=False).j
+    f.space.check_capacity(cap)
+    return math.sqrt(max(float(_interaction_tables(f)[0].max()), 0.0))
 
 
 def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """``n`` times the largest absolute mixed second difference of ``f``."""
-    return interaction_report(f, cap, with_j_mu=False).crude
+    f.space.check_capacity(cap)
+    return f.space.n * _interaction_tables(f)[1]
 
 
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
@@ -192,27 +184,18 @@ def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     return 2.0 * math.sqrt(max(float(table.max()), 0.0))
 
 
-def interaction_report(
-    f: TabulatedFunction,
-    cap: int = DEFAULT_CAP,
-    with_j_mu: bool = True,
-) -> InteractionReport:
-    """Evaluate both interaction functionals and the crude bound together.
+def interaction_report(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> InteractionReport:
+    """``interaction``, ``weighted_interaction`` and ``crude_interaction_bound`` of ``f``.
 
-    Raises ``CapacityError`` above ``cap`` configurations.  Without
-    ``with_j_mu`` the report carries ``j_mu = 0``.
+    One pass over the axis pairs gives ``j`` and ``crude``.  Raises
+    ``CapacityError`` above ``cap`` configurations.
     """
-    space = f.space
-    space.check_capacity(cap)
+    f.space.check_capacity(cap)
     total, max_abs = _interaction_tables(f)
-    flat_arg = int(np.argmax(total))
-    argmax = tuple(int(i) for i in np.unravel_index(flat_arg, space.shape))
     return InteractionReport(
-        j=math.sqrt(max(float(total.flat[flat_arg]), 0.0)),
-        j_mu=weighted_interaction(f, cap) if with_j_mu else 0.0,
-        crude=space.n * max_abs,
-        argmax_config=argmax,
-        approximate=False,
+        j=math.sqrt(max(float(total.max()), 0.0)),
+        j_mu=weighted_interaction(f, cap),
+        crude=f.space.n * max_abs,
     )
 
 
@@ -235,9 +218,6 @@ class GibbsState:
     beta: float
     log_z: float
     tilted: np.ndarray
-
-    def expectation(self, g: TabulatedFunction) -> float:
-        return gibbs_expectation(self, g)
 
 
 def gibbs(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> GibbsState:
@@ -294,7 +274,7 @@ def conditional_entropy(
     num = _contract(f.values * e, w, k)
     log_zk = np.squeeze(shift, axis=k) + np.log(z)
     s = beta * (num / z) - log_zk
-    return TabulatedFunction(space, _expand_constant(space, s, k))
+    return _constant_along(space, s, k)
 
 
 def tilted_variance(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:

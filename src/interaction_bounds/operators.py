@@ -9,9 +9,9 @@ differences, and the self-bounding operator
 
 Every operator returns a fresh dense table; there is no in-place mutation and
 no lazy composition.  Outputs that are mathematically independent of a
-coordinate are built by explicit broadcast, so they are constant along that
-fiber by construction.  Setting ``STRUCTURAL_CHECKS = True`` (tests do this)
-additionally re-verifies that property numerically after each operator.
+coordinate come from ``_constant_along``, which copies one reduced array
+along that axis, so they are exactly constant along the fiber by
+construction.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .space import FiniteProductSpace, TabulatedFunction
-
-#: When true, operators re-check that fiber-independent outputs really are
-#: constant along the eliminated coordinate (cheap structural self-check;
-#: meant for debug/test runs only).
-STRUCTURAL_CHECKS = False
-
-_FIBER_TOL = 1e-12
-
 
 def _contract(values: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """``np.tensordot(values, w, axes=([k], [0]))``, bit for bit.
@@ -45,27 +37,16 @@ def _keep_axis(reduced: np.ndarray, shape: tuple[int, ...], k: int) -> np.ndarra
     return reduced.reshape(shape[:k] + (1,) + shape[k + 1 :])
 
 
-def _expand_constant(space: FiniteProductSpace, reduced: np.ndarray, k: int) -> np.ndarray:
-    """Re-insert axis ``k`` as a constant dimension and materialize."""
+def _constant_along(space: FiniteProductSpace, reduced: np.ndarray, k: int) -> TabulatedFunction:
+    """The table on ``space`` that repeats ``reduced`` along axis ``k``."""
     out = np.empty(space.shape)
     out[...] = _keep_axis(np.asarray(reduced), space.shape, k)
-    return out
+    return TabulatedFunction(space, out)
 
 
 def _center(values: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """``values`` minus their ``w``-weighted mean along axis ``k``."""
     return values - _keep_axis(_contract(values, w, k), values.shape, k)
-
-
-def _check_fiber_constant(values: np.ndarray, k: int) -> None:
-    if not STRUCTURAL_CHECKS:
-        return
-    spread = values.max(axis=k) - values.min(axis=k)
-    worst = float(np.max(spread)) if spread.size else 0.0
-    if worst > _FIBER_TOL:
-        raise AssertionError(
-            f"output claimed independent of axis {k} varies by {worst!r}"
-        )
 
 
 def substitute(f: TabulatedFunction, k: int, y: int) -> TabulatedFunction:
@@ -77,10 +58,7 @@ def substitute(f: TabulatedFunction, k: int, y: int) -> TabulatedFunction:
     """
     space = f.space
     space.check_point(k, y)
-    reduced = np.take(f.values, y, axis=k)
-    out = _expand_constant(space, reduced, k)
-    _check_fiber_constant(out, k)
-    return TabulatedFunction(space, out)
+    return _constant_along(space, np.take(f.values, y, axis=k), k)
 
 
 def difference(f: TabulatedFunction, k: int, y: int, y2: int) -> TabulatedFunction:
@@ -93,9 +71,7 @@ def difference(f: TabulatedFunction, k: int, y: int, y2: int) -> TabulatedFuncti
     space.check_point(k, y)
     space.check_point(k, y2)
     reduced = np.take(f.values, y, axis=k) - np.take(f.values, y2, axis=k)
-    out = _expand_constant(space, reduced, k)
-    _check_fiber_constant(out, k)
-    return TabulatedFunction(space, out)
+    return _constant_along(space, reduced, k)
 
 
 def cond_expectation(f: TabulatedFunction, k: int) -> TabulatedFunction:
@@ -107,10 +83,7 @@ def cond_expectation(f: TabulatedFunction, k: int) -> TabulatedFunction:
     space = f.space
     space.check_axis(k)
     w = space.axes[k].weight_array()
-    reduced = _contract(f.values, w, k)
-    out = _expand_constant(space, reduced, k)
-    _check_fiber_constant(out, k)
-    return TabulatedFunction(space, out)
+    return _constant_along(space, _contract(f.values, w, k), k)
 
 
 def cond_variance(f: TabulatedFunction, k: int) -> TabulatedFunction:
@@ -125,10 +98,7 @@ def cond_variance(f: TabulatedFunction, k: int) -> TabulatedFunction:
     space.check_axis(k)
     w = space.axes[k].weight_array()
     centered = _center(f.values, w, k)
-    reduced = _contract(centered * centered, w, k)
-    out = _expand_constant(space, reduced, k)
-    _check_fiber_constant(out, k)
-    return TabulatedFunction(space, out)
+    return _constant_along(space, _contract(centered * centered, w, k), k)
 
 
 def cond_variance_pairs(f: TabulatedFunction, k: int) -> TabulatedFunction:
@@ -141,9 +111,7 @@ def cond_variance_pairs(f: TabulatedFunction, k: int) -> TabulatedFunction:
     pair_w = np.multiply.outer(w, w)
     reduced = 0.5 * np.tensordot(pair_w, diff * diff, axes=([0, 1], [0, 1]))
     # tensordot put the remaining axes in moveaxis order; restore axis k.
-    out = _expand_constant(space, reduced, k)
-    _check_fiber_constant(out, k)
-    return TabulatedFunction(space, out)
+    return _constant_along(space, reduced, k)
 
 
 def scv(f: TabulatedFunction) -> TabulatedFunction:

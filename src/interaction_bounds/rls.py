@@ -45,7 +45,7 @@ import numpy as np
 
 from .exchangeable import bound_ingredients, multiset_probabilities, multisets, occupancy, rank
 from .rng import substream
-from .space import DEFAULT_CAP, fsum
+from .space import DEFAULT_CAP, _integer, fsum
 
 _NORM_SLACK = 1e-12
 
@@ -587,11 +587,13 @@ def rls_config_from_json(doc: dict) -> tuple[Population, int, float]:
     unknown = set(doc) - {"dim", "lambda", "n", "population"}
     if unknown:
         raise ValueError(f"unknown fields {sorted(unknown)}")
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"])
     lam = float(doc["lambda"])
-    n = int(doc["n"])
+    n = _integer(doc["n"])
     if not (0.0 < lam < 1.0) or n < 2:
         raise ValueError(f"need lambda in (0, 1) and n >= 2, got lambda={lam}, n={n}")
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
     atoms = doc["population"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("'population' must be a non-empty list")

@@ -317,6 +317,13 @@ def tail_probabilities(
 # ---------------------------------------------------------------------------
 
 
+def _integer(value) -> int:
+    """``value`` as an int if it is integral; a bool or a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def space_from_json(doc: dict) -> FiniteProductSpace:
     axes_doc = doc.get("axes")
     if not isinstance(axes_doc, list) or not axes_doc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy
 from .rng import substream
-from .space import CapacityError, FiniteAxis
+from .space import CapacityError, FiniteAxis, _integer
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
 #: multiset) products in ``u_at_counts``.
@@ -120,7 +120,7 @@ def kernel_from_json(doc: dict) -> Kernel:
     unknown = set(doc) - {"points", "table", "m"}
     if unknown:
         raise ValueError(f"unknown kernel fields {sorted(unknown)}")
-    return tabulated_kernel(doc["points"], doc["table"], int(doc["m"]))
+    return tabulated_kernel(doc["points"], doc["table"], _integer(doc["m"]))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from interaction_bounds import operators
 from interaction_bounds.space import (
     FiniteAxis,
     FiniteProductSpace,
@@ -22,14 +20,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("deterministic")
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _structural_checks():
-    # Re-verify fiber independence of operator outputs throughout the tests.
-    operators.STRUCTURAL_CHECKS = True
-    yield
-    operators.STRUCTURAL_CHECKS = False
 
 
 def uniform_space(*sizes: int) -> FiniteProductSpace:

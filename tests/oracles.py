@@ -88,10 +88,6 @@ def cond_variance_at(f, k, config):
     )
 
 
-def scv_at(f, config):
-    return math.fsum(cond_variance_at(f, k, config) for k in range(f.space.n))
-
-
 def second_difference_at(f, k, l, y, y2, z, z2, config):
     c = list(config)
     c[k], c[l] = y, z

@@ -390,6 +390,19 @@ class TestUstatCommand:
         assert main(["--config", str(config)]) == 2
         assert "none.json" in assert_one_config_error(capsys)
 
+    @pytest.mark.parametrize("m, status", [(2, 0), (2.5, 2)])
+    def test_kernel_file_order_must_be_integral(self, tmp_path, capsys, m, status):
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(
+            json.dumps({"points": [-1.0, 1.0], "table": [1.0, -1.0, -1.0, 1.0], "m": m})
+        )
+        config = tmp_path / "cfg.json"
+        params = {"kernel_path": str(kernel_path), "m_values": [2], "n_values": [10]}
+        config.write_text(json.dumps({"command": "ustat", "params": params}))
+        assert main(["--config", str(config), "--out", str(tmp_path / "u.csv")]) == status
+        if status == 2:
+            assert "bad kernel document" in assert_one_config_error(capsys)
+
     def test_crossover_column_near_expected_products(self, tmp_path):
         out = tmp_path / "u.csv"
         config = tmp_path / "cfg.json"
@@ -479,14 +492,22 @@ class TestRlsCommand:
         assert main(["rls", "--cap", "50"]) == 0
         assert caps and set(caps) == {(50,)}
 
-    def test_bad_problem_file_is_config_error(self, tmp_path):
+    def test_bad_problem_file_is_config_error(self, tmp_path, capsys):
         problem_path = tmp_path / "problem.json"
-        problem_path.write_text(json.dumps({"dim": 1}))
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps({"command": "rls", "params": {"path": str(problem_path)}})
         )
-        assert main(["--config", str(config)]) == 2
+        atom = {"y": 0.5, "p": 1.0}
+        for doc in (
+            {"dim": 1},
+            {"dim": 0, "lambda": 0.5, "n": 4, "population": [{"x": [], **atom}]},
+            {"dim": 1.5, "lambda": 0.5, "n": 4, "population": [{"x": [0.5], **atom}]},
+            {"dim": 1, "lambda": 0.5, "n": 3.7, "population": [{"x": [0.5], **atom}]},
+        ):
+            problem_path.write_text(json.dumps(doc))
+            assert main(["--config", str(config)]) == 2, doc
+            assert "bad rls problem document" in assert_one_config_error(capsys)
 
     def test_missing_problem_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -150,43 +150,17 @@ class TestInteraction:
 
 
 class TestInteractionReport:
-    def test_json_fields(self):
-        f = coordinate_product(uniform_space(2, 2))
-        doc = interaction_report(f).to_json()
-        assert set(doc) == {"j", "j_mu", "crude", "argmax_config", "approximate"}
-        assert doc["approximate"] is False
-        assert doc["argmax_config"] == [0, 0]
-
-    def test_argmax_attains_supremum(self):
-        f = random_table((3, 3, 2), seed=13)
+    @given(tabulated_strategy())
+    def test_fields_match_the_functionals_bit_for_bit(self, f):
         report = interaction_report(f)
-        # recompute the objective at the reported argmax with the oracle
-        space = f.space
-        total = 0.0
-        for k in range(space.n):
-            for l in range(space.n):
-                if k == l:
-                    continue
-                worst = 0.0
-                for y in range(space.axes[k].size):
-                    for y2 in range(space.axes[k].size):
-                        for z in range(space.axes[l].size):
-                            for z2 in range(space.axes[l].size):
-                                worst = max(
-                                    worst,
-                                    oracles.second_difference_at(
-                                        f, k, l, y, y2, z, z2, report.argmax_config
-                                    )
-                                    ** 2,
-                                )
-                total += worst
-        assert math.sqrt(total) == pytest.approx(report.j, abs=1e-12)
+        assert interaction(f) == report.j
+        assert crude_interaction_bound(f) == report.crude
+        assert weighted_interaction(f) == report.j_mu
+        assert report.approximate is False
 
     def test_chain_validated(self):
         with pytest.raises(ValueError):
-            InteractionReport(
-                j=1.0, j_mu=2.0, crude=3.0, argmax_config=(0,), approximate=False
-            )
+            InteractionReport(j=1.0, j_mu=2.0, crude=3.0)
 
     def test_cap_exceeded_raises(self):
         f = random_table((3, 3, 2), seed=100)

@@ -16,6 +16,7 @@ from conftest import (
     tabulated_strategy,
     uniform_space,
 )
+from interaction_bounds.functionals import conditional_entropy
 from interaction_bounds.operators import (
     _contract,
     cond_expectation,
@@ -103,6 +104,24 @@ class TestDifference:
         a = difference(f, 0, 2, 1)
         b = difference(f, 0, 1, 2)
         assert np.allclose(a.values, -b.values)
+
+
+class TestConstantAlongEliminatedAxis:
+    @given(tabulated_strategy())
+    def test_outputs_are_exactly_constant_along_k(self, f):
+        for k, axis in enumerate(f.space.axes):
+            last = axis.size - 1
+            for out in (
+                substitute(f, k, last),
+                difference(f, k, last, 0),
+                cond_expectation(f, k),
+                cond_variance(f, k),
+                cond_variance_pairs(f, k),
+                conditional_entropy(f, k, 0.7),
+            ):
+                assert out.values.shape == f.space.shape
+                spread = out.values.max(axis=k) - out.values.min(axis=k)
+                assert np.all(spread == 0.0)
 
 
 class TestContract:

@@ -95,13 +95,35 @@ def _psi_over_square(gamma: float) -> float:
     return psi(gamma) / (gamma * gamma)
 
 
+def _variance_sum(f: TabulatedFunction, key: str) -> float:
+    """``E_scv`` (``E[scv(f)]``) or ``sup_scv`` (``sup_x scv(f)(x)``), stored per function.
+
+    The first call for ``f`` builds the table ``scv(f)`` once and stores both.
+    """
+
+    def compute() -> float:
+        table = scv(f)
+        both = {"E_scv": expectation(table), "sup_scv": float(table.values.max())}
+        for name, value in both.items():
+            if name != key:
+                memo_scalar(f, name, lambda: value)
+        return both[key]
+
+    return memo_scalar(f, key, compute)
+
+
+def _variance(f: TabulatedFunction) -> float:
+    """``variance(f)``, stored per function."""
+    return memo_scalar(f, "sigma2", lambda: variance(f))
+
+
 def per_coordinate_range_bound(f: TabulatedFunction) -> float:
     """Smallest valid ``b``: ``max_k sup_x (f - cond_expectation(f, k))(x)``."""
 
     def compute() -> float:
         worst = -math.inf
-        for k in range(f.space.n):
-            worst = max(worst, float((f.values - cond_expectation(f, k).values).max()))
+        for k, axis in enumerate(f.space.axes):
+            worst = max(worst, float(_center(f.values, axis.weight_array(), k).max()))
         return worst
 
     return memo_scalar(f, "range_bound", compute)
@@ -117,8 +139,7 @@ def sup_bernstein_bound(f: TabulatedFunction, b: float, t: float) -> BoundReport
     needed = per_coordinate_range_bound(f)
     if b < needed - _SLACK:
         raise ValueError(f"b={b} is below the per-coordinate range {needed}")
-    sup_scv = memo_scalar(f, "sup_scv", lambda: float(scv(f).values.max()))
-    value = _exp_bound(t, 2.0 * sup_scv + 2.0 * b * t / 3.0)
+    value = _exp_bound(t, 2.0 * _variance_sum(f, "sup_scv") + 2.0 * b * t / 3.0)
     return BoundReport(theorem="SUP_BERNSTEIN", t=t, value=value)
 
 
@@ -168,7 +189,7 @@ def efron_stein_gap(
     gap.  The gap is zero exactly when ``f`` is a sum of per-coordinate
     functions.  Pass ``j`` to reuse an already computed interaction value.
     """
-    gap = expectation(scv(f)) - variance(f)
+    gap = _variance_sum(f, "E_scv") - _variance(f)
     if j is None:
         j = interaction(f)
     return gap, 0.25 * j * j
@@ -262,12 +283,11 @@ def bound_ingredients(f: TabulatedFunction) -> dict[str, float]:
     Keys: ``E_scv``, ``sup_scv``, ``sigma2``, ``b`` (per-coordinate range),
     ``j``, ``j_mu``, plus ``crude`` and ``bd_term`` for reporting.
     """
-    scv_table = scv(f)
     report = interaction_report(f)
     return {
-        "E_scv": expectation(scv_table),
-        "sup_scv": float(scv_table.values.max()),
-        "sigma2": variance(f),
+        "E_scv": _variance_sum(f, "E_scv"),
+        "sup_scv": _variance_sum(f, "sup_scv"),
+        "sigma2": _variance(f),
         "b": per_coordinate_range_bound(f),
         "j": report.j,
         "j_mu": report.j_mu,

@@ -18,8 +18,8 @@ Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
 digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation or
 solver failure, 2 configuration error, including an enumeration over
-``--cap`` and an ``--out`` path that cannot be written; each error is one line
-on stderr.
+``--cap``, a run that exhausts memory within ``--cap`` and an ``--out`` path
+that cannot be written; each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -581,6 +581,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _SCHEMA[config.command].run(config)
     except (ConfigError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "no detail"
+        print(f"config error: out of memory ({detail}); lower --cap", file=sys.stderr)
         return 2
     except rlsmod.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

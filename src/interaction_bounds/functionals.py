@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .operators import _center, _constant_along, _contract
+from .operators import _center, _constant_along, _contract, _keep_axis
 from .quadrature import adaptive_simpson
 from .space import (
     DEFAULT_CAP,
@@ -65,6 +65,15 @@ class InteractionReport:
     ``c = f - cond_expectation(f, k)``, because centring along ``k`` commutes
     with substitution on ``l``.
 
+    ``_interaction_tables`` gives ``j`` and ``crude`` from one sweep over the
+    unordered axis pairs, on one contiguous copy of the table per pair.
+    ``_weighted_objective_tables`` gives ``j_mu`` with each axis centred once,
+    in a sweep over ``l``, the points ``z`` of axis ``l`` and ``k != l``, with
+    three table-sized temporaries besides the ``n`` centred tables.  Both
+    return the bits of the direct reductions (``tests/oracles.py``): maxima
+    and minima are exact, and every sum and BLAS product is the same
+    operation, in the same order, as there.
+
     ``approximate`` is a class constant, always false: every number in the
     report is exact.
     """
@@ -89,21 +98,34 @@ def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
     Returns the table ``sum over ordered pairs (k,l), k != l, of
     max over point tuples of (second difference)^2`` together with the global
     maximum absolute second difference.  Visits each unordered pair once and
-    reduces it through the range form in ``InteractionReport``, so the
-    largest temporary holds ``(s_k choose 2) * size / s_k`` values.
+    reduces it through the range form in ``InteractionReport``.  Per pair the
+    table is copied once with axes ``k, l`` first, as ``fkl[y, z, rest]``.
+    For each ``y`` the differences ``d = fkl[y] - fkl[y']`` over all
+    ``y' > y`` are one contiguous subtract, and their ranges over ``z`` are
+    maxima and minima over the middle axis of ``d``, whose rows ``rest`` are
+    contiguous.  The largest range over ``y' > y`` then enters a running
+    maximum over ``y``.  The temporaries hold one table copy plus
+    ``(s_k - 1) * size / s_k`` values.  Maxima, minima and the one
+    subtraction per range are exact, so the result does not depend on the
+    grouping of the pairs: it equals a reduction over all ``y < y'`` at once
+    bit for bit.
     """
     space = f.space
     total = np.zeros(space.shape)
     max_abs = 0.0
     for k in range(space.n):
         for l in range(k + 1, space.n):
-            if space.shape[k] == 1 or space.shape[l] == 1:
+            s_k, s_l = space.shape[k], space.shape[l]
+            if s_k == 1 or s_l == 1:
                 continue  # every second difference on the pair is zero
             others = [a for a in range(space.n) if a not in (k, l)]
-            fkl = f.values.transpose(k, l, *others)
-            y, y2 = np.triu_indices(space.shape[k], 1)
-            d = fkl[y] - fkl[y2]
-            spread = (d.max(axis=1) - d.min(axis=1)).max(axis=0)
+            fkl = np.ascontiguousarray(f.values.transpose(k, l, *others))
+            fkl = fkl.reshape(s_k, s_l, -1)
+            spread = None
+            for y in range(s_k - 1):
+                d = fkl[y] - fkl[y + 1 :]
+                rows = (d.max(axis=1) - d.min(axis=1)).max(axis=0)
+                spread = rows if spread is None else np.maximum(spread, rows, out=spread)
             max_abs = max(max_abs, float(spread.max()))
             total += 2.0 * (spread * spread).reshape(
                 tuple(1 if a in (k, l) else s for a, s in enumerate(space.shape))
@@ -126,50 +148,67 @@ def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> flo
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
     """Table of ``sum_l max_z sum_{k != l} cond_variance(f - f@z, k)``.
 
-    For each axis ``l`` the terms of every ``k != l`` (``_objective_terms``)
-    add up in one ``(s_l,) + shape`` accumulator, whose maximum over the
-    points ``z`` of axis ``l`` is taken once.  The centring is redone for
-    each pair, so the temporaries hold ``O(s_l * size)`` values per pair.
+    Each axis ``k`` is centred once, ``c_k = f - E_k f`` (see
+    ``InteractionReport``), and stored contiguously in the layout of
+    ``_blas_layout``.  The loops then run over ``l``, the points ``z`` of
+    axis ``l`` and ``k != l``: ``(c_k - c_k@z)^2`` is one contiguous subtract
+    into a table-sized buffer and an in-place square, its conditional mean
+    over ``k`` one matrix-vector product, and the products add up in ``k``
+    order in one table-sized accumulator, whose running ``np.maximum`` over
+    ``z`` goes into the total.  Besides the ``n`` centred tables the
+    temporaries hold three tables and one conditional-mean row.
+
+    Why the bits hold: the subtract, the square and the sum in ``k`` order
+    are the same floating-point operations in every loop order, and the
+    maximum is exact.  Each matrix-vector product gets the matrix that
+    ``_contract`` would hand BLAS for that one table, never a row of a larger
+    stacked matrix, which BLAS may round differently.
     """
     space = f.space
-    weights = [axis.weight_array() for axis in space.axes]
-    total = np.zeros(space.shape)
-    for l in range(space.n):
-        acc = np.zeros((space.shape[l],) + space.shape)
-        for k in range(space.n):
-            if k != l:
-                acc += _objective_terms(f.values, weights[k], k, l)
-        total += acc.max(axis=0)
+    shape, n = space.shape, space.n
+    buf, cv_buf = np.empty(space.size), np.empty(space.size // min(shape))
+    sweeps = []
+    for k, axis in enumerate(space.axes):
+        w = axis.weight_array()
+        order = _blas_layout(shape, k)
+        c = np.ascontiguousarray(_center(f.values, w, k).transpose(order))
+        sq = buf.reshape(c.shape)
+        # ``_blas_layout`` makes this reshape a view of ``buf``, not a copy.
+        matrix = sq.transpose(*(order.index(a) for a in range(n) if a != k), order.index(k))
+        matrix = matrix.reshape(-1, shape[k])
+        cv = cv_buf[: space.size // shape[k]]
+        sweeps.append((order, c, sq, matrix, w, cv, _keep_axis(cv, shape, k)))
+    total = np.zeros(shape)
+    inner, best = np.empty(shape), np.empty(shape)
+    for l in range(n):
+        for z in range(shape[l]):
+            inner.fill(0.0)
+            for k, (order, c, sq, matrix, w, cv, cv_table) in enumerate(sweeps):
+                if k == l:
+                    continue
+                np.subtract(c, c[(slice(None),) * order.index(l) + (slice(z, z + 1),)], out=sq)
+                sq *= sq
+                np.matmul(matrix, w, out=cv)
+                inner += cv_table
+            if z == 0:
+                best[...] = inner
+            else:
+                np.maximum(best, inner, out=best)
+        total += best
     return total
 
 
-def _objective_terms(values: np.ndarray, w: np.ndarray, k: int, l: int) -> np.ndarray:
-    """``cond_variance(f - f@z, k)`` for every point ``z`` of axis ``l`` at once.
+def _blas_layout(shape: tuple[int, ...], k: int) -> list[int]:
+    """Axis order in which a table is stored to contract axis ``k`` by BLAS.
 
-    Row ``z`` of the result has the shape of ``values`` with axis ``k`` of
-    length one.  With ``c = f - E_k f`` (see ``InteractionReport``), each
-    table ``(c - c@z)^2`` is stored as ``_contract`` hands one table to BLAS:
-    in table order where its reshape is a view (axis ``k`` is first or last
-    up to length-one axes, or has length one), else copied with axis ``k``
-    last.  Every ``z`` then gets its own matrix-vector product on the same
-    matrix as in a loop over ``z``, which is what keeps the result bit for
-    bit; BLAS may round a row differently inside one larger matrix.
+    Table order where ``_contract``'s reshape of it is a view (axis ``k`` is
+    first or last up to length-one axes, or has length one), else the other
+    axes in table order with ``k`` last: the layout ``_contract`` hands BLAS
+    after ``reshape`` copies.
     """
-    shape, s_k = values.shape, values.shape[k]
-    rest = [a for a in range(len(shape)) if a != k]
-    if s_k == 1 or math.prod(shape[:k]) == 1 or math.prod(shape[k + 1 :]) == 1:
-        order = list(range(len(shape)))
-    else:
-        order = rest + [k]
-    c = _center(values, w, k).transpose(order)
-    lc = order.index(l)
-    at_z = c.transpose(lc, *(a for a in range(len(shape)) if a != lc))
-    diff = np.empty((shape[l],) + c.shape)
-    np.subtract(c, at_z[(slice(None),) * (lc + 1) + (None,)], out=diff)
-    diff *= diff
-    moved = diff.transpose(0, *(1 + order.index(a) for a in rest), 1 + order.index(k))
-    cv = np.matmul(moved.reshape(shape[l], -1, s_k), w)
-    return cv.reshape((shape[l],) + shape[:k] + (1,) + shape[k + 1 :])
+    if shape[k] == 1 or math.prod(shape[:k]) == 1 or math.prod(shape[k + 1 :]) == 1:
+        return list(range(len(shape)))
+    return [a for a in range(len(shape)) if a != k] + [k]
 
 
 def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:

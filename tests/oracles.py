@@ -207,10 +207,39 @@ def stencil_bias_bound(f):
     return 0.25 * math.fsum(total)
 
 
-def weighted_objective_tables_per_z(f):
-    """``functionals._weighted_objective_tables`` one point ``z`` at a time.
+def interaction_tables_triu(f):
+    """``functionals._interaction_tables`` with each pair reduced on a strided view.
 
-    The loop the batched sweep replaced, with the same numpy calls in the same
+    The pair sweep before the contiguous per-pair copy: all ``y < y'`` at
+    once through ``np.triu_indices``, and the range over ``z`` by ``max`` and
+    ``min`` along a strided axis.  Maxima, minima and the one subtraction per
+    range are exact, so the two must agree bit for bit.
+    """
+    space = f.space
+    total = np.zeros(space.shape)
+    max_abs = 0.0
+    for k in range(space.n):
+        for l in range(k + 1, space.n):
+            if space.shape[k] == 1 or space.shape[l] == 1:
+                continue
+            others = [a for a in range(space.n) if a not in (k, l)]
+            fkl = f.values.transpose(k, l, *others)
+            y, y2 = np.triu_indices(space.shape[k], 1)
+            d = fkl[y] - fkl[y2]
+            spread = (d.max(axis=1) - d.min(axis=1)).max(axis=0)
+            max_abs = max(max_abs, float(spread.max()))
+            total += 2.0 * (spread * spread).reshape(
+                tuple(1 if a in (k, l) else s for a, s in enumerate(space.shape))
+            )
+    return total, max_abs
+
+
+def weighted_objective_tables_per_z(f):
+    """``functionals._weighted_objective_tables`` through ``np.tensordot``.
+
+    Centres every axis once, then for each ``(l, z, k)`` contracts
+    ``(c_k - c_k@z)^2`` with ``np.tensordot``, which hands BLAS the same
+    matrix as the library's per-table product.  The sums run in the same
     order, so the two must agree bit for bit.
     """
     space = f.space

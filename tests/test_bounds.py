@@ -8,6 +8,7 @@ from hypothesis import given
 
 import oracles
 from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
+from interaction_bounds import bounds
 from interaction_bounds.bounds import (
     BoundReport,
     bias_second_difference_bound,
@@ -338,6 +339,30 @@ class TestIngredientsAndOrdering:
         ing = bound_ingredients(f)
         assert ing["E_scv"] == pytest.approx(ing["sup_scv"], abs=1e-12)
         assert ing["j"] <= 1e-12 and ing["j_mu"] <= 1e-12
+
+    @pytest.mark.parametrize("first", ["ingredients", "sup_bernstein"])
+    def test_variance_sum_built_once_per_function(self, monkeypatch, first):
+        f = random_table((3, 2, 4), seed=62)
+        table = scv(f)
+        e_scv, sup_scv, sigma2 = expectation(table), float(table.values.max()), variance(f)
+        b, t = per_coordinate_range_bound(f), 0.5
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return scv(g)
+
+        monkeypatch.setattr(bounds, "scv", counting)
+        if first == "sup_bernstein":
+            sup_value = sup_bernstein_bound(f, b, t).value
+        ing = bound_ingredients(f)
+        gap, _ = efron_stein_gap(f, ing["j"])
+        if first == "ingredients":
+            sup_value = sup_bernstein_bound(f, b, t).value
+        assert built == [f]
+        assert (ing["E_scv"], ing["sup_scv"], ing["sigma2"]) == (e_scv, sup_scv, sigma2)
+        assert gap == e_scv - sigma2
+        assert sup_value == math.exp(-(t * t) / (2.0 * sup_scv + 2.0 * b * t / 3.0))
 
     def test_bounded_difference_term_product(self):
         f = coordinate_product(uniform_space(2, 2))

@@ -15,7 +15,7 @@ import pytest
 
 import interaction_bounds
 
-from interaction_bounds import rls
+from interaction_bounds import exchangeable, rls
 from interaction_bounds.cli import main
 
 
@@ -491,6 +491,16 @@ class TestRlsCommand:
         monkeypatch.setattr(rls, "measured_ingredients", recording)
         assert main(["rls", "--cap", "50"]) == 0
         assert caps and set(caps) == {(50,)}
+
+    def test_out_of_memory_is_one_config_error(self, monkeypatch, capsys):
+        def exhausted(counts):
+            raise MemoryError("Unable to allocate 898. MiB for an array")
+
+        monkeypatch.setattr(exchangeable, "rank", exhausted)
+        assert main(["rls"]) == 2
+        err = assert_one_config_error(capsys)
+        assert "out of memory (Unable to allocate 898. MiB for an array)" in err
+        assert err.rstrip().endswith("lower --cap")
 
     def test_bad_problem_file_is_config_error(self, tmp_path, capsys):
         problem_path = tmp_path / "problem.json"

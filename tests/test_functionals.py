@@ -21,6 +21,7 @@ from interaction_bounds.bounds import bias_second_difference_bound
 from interaction_bounds.functionals import (
     GibbsState,
     InteractionReport,
+    _interaction_tables,
     _weighted_objective_tables,
     conditional_entropy,
     crude_interaction_bound,
@@ -140,6 +141,21 @@ class TestInteraction:
     @example(seeded_table((1, 1), True, 3))
     @example(seeded_table((9, 3, 8), True, 4))
     def test_batched_objective_is_per_z_loop_bit_for_bit(self, f):
+        want = oracles.weighted_objective_tables_per_z(f)
+        assert np.array_equal(_weighted_objective_tables(f), want)
+
+    @pytest.mark.parametrize(
+        "shape", [(4,) * 5, (3,) * 6, (2,) * 9, (1, 3, 1, 4, 2, 1, 3, 1)], ids=str
+    )
+    @pytest.mark.parametrize("dirichlet", [False, True], ids=["uniform", "dirichlet"])
+    def test_pair_kernels_bit_for_bit_on_deep_shapes(self, shape, dirichlet):
+        # Five to nine axes: every axis takes the copied layout of the j_mu
+        # sweep at least once, with length-one axes first, inside and last.
+        f = seeded_table(shape, dirichlet, seed=len(shape))
+        table, max_abs = _interaction_tables(f)
+        want_table, want_max_abs = oracles.interaction_tables_triu(f)
+        assert np.array_equal(table, want_table)
+        assert max_abs == want_max_abs
         want = oracles.weighted_objective_tables_per_z(f)
         assert np.array_equal(_weighted_objective_tables(f), want)
 

@@ -95,21 +95,30 @@ def _psi_over_square(gamma: float) -> float:
     return psi(gamma) / (gamma * gamma)
 
 
+def scv_table(f: TabulatedFunction) -> TabulatedFunction:
+    """The table ``scv(f)``, with ``E[scv(f)]`` and ``sup_x scv(f)(x)`` stored for ``f``.
+
+    For a caller that needs the table itself: the bounds here then read the
+    stored sums instead of building ``scv(f)`` again.
+    """
+    table = scv(f)
+    _store_variance_sums(f, table)
+    return table
+
+
+def _store_variance_sums(f: TabulatedFunction, table: TabulatedFunction) -> dict[str, float]:
+    sums = {"E_scv": expectation(table), "sup_scv": float(table.values.max())}
+    for key, value in sums.items():
+        memo_scalar(f, key, lambda: value)
+    return sums
+
+
 def _variance_sum(f: TabulatedFunction, key: str) -> float:
     """``E_scv`` (``E[scv(f)]``) or ``sup_scv`` (``sup_x scv(f)(x)``), stored per function.
 
     The first call for ``f`` builds the table ``scv(f)`` once and stores both.
     """
-
-    def compute() -> float:
-        table = scv(f)
-        both = {"E_scv": expectation(table), "sup_scv": float(table.values.max())}
-        for name, value in both.items():
-            if name != key:
-                memo_scalar(f, name, lambda: value)
-        return both[key]
-
-    return memo_scalar(f, key, compute)
+    return memo_scalar(f, key, lambda: _store_variance_sums(f, scv(f))[key])
 
 
 def _variance(f: TabulatedFunction) -> float:

@@ -26,7 +26,6 @@ from .functionals import (
     gibbs_expectation,
     herbst_log_mgf,
     interaction,
-    interaction_report,
     log_mgf,
     weighted_interaction,
 )
@@ -343,13 +342,10 @@ def _exact_checks(
     inject_bug: bool,
 ) -> None:
     space = f.space
-    scv_table = scv(f)
-    e_scv = expectation(scv_table)
-    sup_scv = float(scv_table.values.max())
-    sigma2 = variance(f)
-    report = interaction_report(f)
-    j, j_mu, crude = report.j, report.j_mu, report.crude
-    b = bnd.per_coordinate_range_bound(f)
+    scv_table = bnd.scv_table(f)
+    ing = bnd.bound_ingredients(f)
+    e_scv, sup_scv, sigma2 = ing["E_scv"], ing["sup_scv"], ing["sigma2"]
+    j, j_mu, crude = ing["j"], ing["j_mu"], ing["crude"]
 
     if inject_bug:
         acc["efron_stein"].add(e_scv - sigma2, seed)
@@ -437,12 +433,10 @@ def _exact_checks(
         float((d_scv.values - j_mu * j_mu * scv_table.values).max()), seed
     )
 
-    bd_term = bnd.bounded_difference_variance_term(f)
     acc["variance_term_ordering"].add(
-        max(e_scv - sup_scv, sup_scv - bd_term), seed
+        max(e_scv - sup_scv, sup_scv - ing["bd_term"]), seed
     )
 
-    ing = {"E_scv": e_scv, "sigma2": sigma2, "b": b, "j": j, "j_mu": j_mu}
     curve = tail_curve(f, ing, tail_points)
     if curve:
         for column, name in enumerate(
@@ -499,6 +493,8 @@ def _entropy_checks(
     space = f.space
     scale = bnd.per_coordinate_range_bound(f)
     rescaled = f * (1.0 / scale) if scale > 1e-12 else None
+    scv_rescaled = scv(rescaled) if rescaled is not None else None
+    d_f = self_bounding_operator(f)
     log_e_g = log_mgf(g, 1.0) + expectation(g)
     for beta in BETA_GRID:
         state = gibbs(f, beta)
@@ -516,10 +512,9 @@ def _entropy_checks(
             s_r = entropy(rescaled, beta)
             tilted = gibbs(rescaled, beta)
             acc["bennett_entropy"].add(
-                s_r - bnd.psi(beta) * gibbs_expectation(tilted, scv(rescaled)), seed
+                s_r - bnd.psi(beta) * gibbs_expectation(tilted, scv_rescaled), seed
             )
 
-        d_f = self_bounding_operator(f)
         acc["entropy_upper_self_bound"].add(
             s_f - 0.5 * beta * beta * gibbs_expectation(state, d_f), seed
         )

@@ -5,9 +5,13 @@ on the space are stored as dense tables in row-major enumeration order (last
 axis fastest), which gives every operator random access by configuration.
 
 Everything here is exact: expectations and variances are finite sums, and the
-global reductions go through exactly rounded (Shewchuk) summation so that
+global reductions go through exactly rounded summation (``fsum``) so that
 inequality checks downstream can run at 1e-10 tolerances without budgeting
-for accumulation error.
+for accumulation error.  ``fsum`` returns ``math.fsum``'s bits on every
+input.  A float64 array of 1024 terms or more is summed in numpy, as exact
+integers per binary exponent rounded once, in chunks of 2^16 terms; a
+shorter or non-float64 input, or one with a non-finite term or a risk of
+overflow, goes to ``math.fsum`` as a list of Python floats.
 
 All types are immutable after construction and all operations are pure, so
 evaluation over disjoint configuration ranges may run in parallel as long as
@@ -37,11 +41,89 @@ class CapacityError(Exception):
     """An exact enumeration would exceed the configured configuration cap."""
 
 
+#: Below this many terms ``math.fsum`` on a list is as fast as the kernel.
+_FSUM_KERNEL_MIN = 1024
+
+#: Terms per ``np.bincount`` pass of the kernel.  A half mantissa is an
+#: integer below 2^27, so every partial sum of one pass stays below 2^43 and
+#: is exact in float64; the int64 bin totals over all passes stay exact up
+#: to 2^36 terms.
+_FSUM_CHUNK = 1 << 16
+
+#: The low half of a mantissa has this many bits; the high half has 27.
+_FSUM_LOW_BITS = 26
+
+#: ``np.frexp`` gives finite nonzero doubles exponents -1073..1024; adding
+#: the offset makes them bin indices 0..2097.
+_FSUM_EXP_OFFSET = 1073
+_FSUM_BINS = 2098
+
+#: The kernel runs only while ``size * max|term|`` is below this.  Then no
+#: running sum of ``math.fsum`` can overflow (its partials and their sums
+#: stay below twice the sum of the absolute values, 2^1001), so both paths
+#: return the rounded exact sum and neither raises.
+_FSUM_SAFE = 2.0**1000
+
+
 def fsum(values: Iterable[float] | np.ndarray) -> float:
-    """Exactly rounded sum of the given terms (Shewchuk summation)."""
+    """Exactly rounded sum of the given terms: ``math.fsum``'s bits on every input.
+
+    A float64 array of at least ``_FSUM_KERNEL_MIN`` finite terms with
+    ``size * max|term| < 2^1000`` goes to ``_exact_sum``, which holds
+    ``O(_FSUM_CHUNK)`` numpy temporaries.  Anything else, including every
+    input on which ``math.fsum`` returns ``nan`` or ``inf`` or raises
+    ``OverflowError`` or ``ValueError``, and every exact zero, goes to
+    ``math.fsum`` itself (on a list of Python floats for an array, about 32
+    bytes per term).  Both paths round the exact sum once, to nearest with
+    ties to even, so they give the same bits.
+    """
     if isinstance(values, (np.ndarray, np.generic)):
-        return math.fsum(np.asarray(values).ravel().tolist())
+        flat = np.asarray(values).ravel()
+        if flat.dtype == np.float64 and flat.size >= _FSUM_KERNEL_MIN:
+            limit = _FSUM_SAFE / flat.size
+            # False for a nan or an infinite term as well.
+            if -limit < flat.min() and flat.max() < limit:
+                total = _exact_sum(flat)
+                if total is not None:
+                    return total
+        return math.fsum(flat.tolist())
     return math.fsum(values)
+
+
+def _exact_sum(flat: np.ndarray) -> float | None:
+    """The sum of finite float64 terms, rounded once; ``None`` if it is exactly 0.
+
+    Each term is ``M * 2^(e - 53)`` with ``M`` an integer below 2^53
+    (``np.frexp``), cut as ``M = hi * 2^26 + lo``.  ``np.bincount`` adds the
+    halves per exponent in float64, exactly (see ``_FSUM_CHUNK``), and the
+    bin sums of all chunks add up in int64.  The bins then combine into one
+    Python int ``S`` with the exact sum ``S * 2^p``, and ``float(S << p)`` or
+    ``S / 2^-p`` rounds it once, to nearest with ties to even (Python's int
+    to float conversion and int true division both round correctly).  An
+    exact zero comes back as ``None`` so that the sign of the zero is the
+    one ``math.fsum`` gives.
+    """
+    bins = np.zeros(_FSUM_BINS + _FSUM_LOW_BITS, dtype=np.int64)
+    for start in range(0, flat.size, _FSUM_CHUNK):
+        mantissa, exponent = np.frexp(flat[start : start + _FSUM_CHUNK])
+        exponent += _FSUM_EXP_OFFSET
+        mantissa *= 2.0 ** (53 - _FSUM_LOW_BITS)
+        hi = np.trunc(mantissa)
+        mantissa -= hi
+        mantissa *= 2.0**_FSUM_LOW_BITS
+        bins[_FSUM_LOW_BITS:] += np.bincount(exponent, hi, _FSUM_BINS).astype(np.int64)
+        bins[:_FSUM_BINS] += np.bincount(exponent, mantissa, _FSUM_BINS).astype(np.int64)
+    used = np.flatnonzero(bins)
+    if used.size == 0:
+        return None
+    low = int(used[0])
+    total = 0
+    for k, v in zip(used.tolist(), bins[used].tolist()):
+        total += v << (k - low)
+    if total == 0:
+        return None
+    power = low - _FSUM_EXP_OFFSET - 53
+    return float(total << power) if power >= 0 else total / (1 << -power)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy
 from .rng import substream
-from .space import CapacityError, FiniteAxis, _integer
+from .space import CapacityError, FiniteAxis, _integer, fsum
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
 #: multiset) products in ``u_at_counts``.
@@ -177,7 +177,7 @@ def sigma1_squared(problem: UStatProblem, cap: int = 1_000_000) -> float:
     rest = multisets(problem.m - 1, problem.base_axis.size, cap)
     w = problem.base_axis.weights
     terms = multiset_probabilities(rest, w)[:, None] * g[neighbours(rest)]
-    cond_mean = [math.fsum(column) for column in terms.T.tolist()]
+    cond_mean = [fsum(column) for column in terms.T]
     mean = math.fsum(wy * h for wy, h in zip(w, cond_mean))
     return math.fsum(wy * (h - mean) ** 2 for wy, h in zip(w, cond_mean))
 
@@ -325,4 +325,4 @@ def sample_u_values(
 def exact_u_mean(problem: UStatProblem, cap: int = 1_000_000) -> float:
     """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-multiset."""
     kappas, g = _kernel_table(problem, cap)
-    return math.fsum((multiset_probabilities(kappas, problem.base_axis.weights) * g).tolist())
+    return fsum(multiset_probabilities(kappas, problem.base_axis.weights) * g)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import table, uniform_space
+from interaction_bounds import bounds, harness
 from interaction_bounds.functionals import interaction
 from interaction_bounds.harness import (
     CHECKS,
@@ -124,6 +125,28 @@ class TestPropertySuite:
         by_name = {c.name: c for c in report.checks}
         assert by_name["efron_stein"].instances == 6
         assert by_name["herbst_identity"].instances == 2 * 4  # beta grid
+
+    def test_tables_built_once_per_function(self, monkeypatch):
+        # scv(f) and variance(f) are shared between the exact checks and the
+        # bounds; scv(rescaled) and the self-bounding operator of f do not
+        # depend on beta.
+        built = {"scv": [], "variance": [], "self_bounding_operator": []}
+        for module in (harness, bounds):
+            for name, calls in built.items():
+                if hasattr(module, name):
+
+                    def counting(g, *args, _build=getattr(module, name), _calls=calls):
+                        _calls.append(g)
+                        return _build(g, *args)
+
+                    monkeypatch.setattr(module, name, counting)
+        report = run_property_suite(
+            RandomInstanceSpec(seed=2024), count=2, entropy_count=2, scalar_count=1
+        )
+        assert report.passed, report.format_table()
+        for name, calls in built.items():
+            assert calls, name
+            assert len({id(g) for g in calls}) == len(calls), name
 
     def test_sparse_values_also_pass(self):
         report = run_property_suite(

@@ -6,9 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
+from interaction_bounds import space as space_module
 from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
 from interaction_bounds.space import (
     CapacityError,
@@ -183,6 +185,86 @@ class TestExpectationVariance:
         g = TabulatedFunction(relabeled_space, f.values[perm, :])
         assert expectation(g) == expectation(f)
         assert variance(g) == variance(f)
+
+
+def _fsum_input(kind: str, size: int, seed: int) -> np.ndarray:
+    """``size`` float64 terms of one kind, in an order drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    special = {
+        "ties": [1.0, 2.0**-53],
+        "ties_three": [1.0, 2.0**-53, 2.0**-106],
+        "ties_below": [1.0, 2.0**-53, -(2.0**-106)],
+        "inf": [math.inf, 1.0],
+        "inf_minus_inf": [math.inf, -math.inf],
+        "nan": [math.nan, 1.0],
+        "overflow": [1e308, 1e308, -1e308],
+        "near_overflow": [1.7e308, -1.7e308, 1e-300],
+    }
+    if kind in special:
+        head = np.array(special[kind])
+        if seed % 2:
+            head = -head
+        tail = np.zeros(size - head.size)
+        if kind.startswith("ties"):
+            # Padding that cancels exactly keeps the tie in place.
+            half = rng.uniform(-1.0, 1.0, tail.size // 2)
+            tail[: 2 * half.size] = np.concatenate([half, -half])
+        return np.concatenate([head, tail])
+    if kind == "cancel":
+        half = rng.standard_normal(size // 2) * np.exp2(rng.integers(-60, 60, size // 2))
+        terms = np.concatenate([half, -half, np.zeros(size % 2)])
+        return rng.permutation(terms)
+    if kind == "subnormal":
+        return rng.integers(-(1 << 40), 1 << 40, size) * 5e-324
+    if kind == "negative_zero":
+        return np.full(size, -0.0)
+    if kind == "spread":
+        return rng.uniform(-1.0, 1.0, size) * np.exp2(rng.integers(-1000, 1000, size))
+    if kind == "spread_safe":
+        # Below 2^1000 / size, so the numpy kernel takes it.
+        return rng.uniform(-1.0, 1.0, size) * np.exp2(rng.integers(-1074, 980, size))
+    return rng.uniform(0.0, 1.0, size) * rng.uniform(0.0, 1.0, size)
+
+
+_FSUM_KINDS = (
+    "ties", "ties_three", "ties_below", "inf", "inf_minus_inf", "nan", "overflow",
+    "near_overflow", "cancel", "subnormal", "negative_zero", "spread", "spread_safe",
+    "products",
+)
+
+
+class TestFsum:
+    @given(
+        st.sampled_from(_FSUM_KINDS),
+        st.sampled_from([1023, 1024, 65_535, 65_536, 65_537, 2 * 65_536 + 1]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("ties", 65_537, 0)
+    @example("cancel", 65_537, 1)
+    @example("subnormal", 2 * 65_536 + 1, 2)
+    @example("spread_safe", 65_536, 3)
+    @example("overflow", 1024, 4)
+    def test_equals_math_fsum_bit_for_bit(self, kind, size, seed):
+        terms = _fsum_input(kind, size, seed)
+        try:
+            want = math.fsum(terms.tolist())
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                fsum(terms)
+            return
+        # hex() tells the two zeros apart and prints every nan alike.
+        assert fsum(terms).hex() == want.hex()
+        if math.isfinite(want) and want != 0.0 and kind != "spread":
+            assert space_module._exact_sum(terms).hex() == want.hex()
+
+    @pytest.mark.parametrize("kind", ["products", "spread_safe", "subnormal", "ties"])
+    def test_any_shape_and_layout(self, kind):
+        terms = _fsum_input(kind, 6 * 4096, 3)
+        want = math.fsum(terms.tolist())
+        grid = terms.reshape(6, 4096)
+        for view in (grid, grid.T, np.asfortranarray(grid), grid[:, ::-1]):
+            assert fsum(view).hex() == math.fsum(view.ravel().tolist()).hex()
+        assert fsum(grid).hex() == want.hex()
 
 
 class TestTailProbabilities:

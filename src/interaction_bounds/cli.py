@@ -519,7 +519,7 @@ _SCHEMA = {
         "c": _Field(_real, 1.0, *_between(0, math.inf)),
         "t_points": _Field(_integer, 10, *_at_least(1)),
         "mc_samples": _Field(_integer, 100_000, *_at_least(1)),
-        "replications": _Field(_integer, 200, *_at_least(1)),
+        "replications": _Field(_integer, 200, *_at_least(2)),
         "grid": _Field(_integer, 3, *_at_least(1)),
         "h": _Field(_real, 1e-4, *_between(0, 0.25)),
         "lambda_sweep": _Field(_list_of(_real), tuple(np.arange(1, 10) / 10.0), *_between(0, 1)),

@@ -536,8 +536,8 @@ def empirical_scv(
     distinct replaced sample is solved once, all in one ``sample_gaps`` call.
     Returns (mean, stderr).
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    if replications < 2:
+        raise ValueError("need at least two replications")
     size, probs = population.size, population.probs
     bases, swaps = [], []
     for r in range(replications):
@@ -556,8 +556,6 @@ def empirical_scv(
             total += 0.5 * (fa - fb) ** 2
         values.append(total)
     mean = math.fsum(values) / replications
-    if replications == 1:
-        return mean, math.inf
     var = math.fsum((v - mean) ** 2 for v in values) / (replications - 1)
     return mean, math.sqrt(var / replications)
 

@@ -30,6 +30,19 @@ def assert_one_config_error(capsys):
     return err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--count", "2"], ["ustat"], ["rls"], ["bounds-table"], ["normal-limit-demo"]]
+)
+def test_json_output_is_strict_json(argv, capsys):
+    # NaN and the infinities are not JSON; a strict parser rejects them.
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["schema"] == 1
+
+
 class TestVerifyCommand:
     def test_passes_and_writes_schema_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -142,7 +155,7 @@ class TestConfigHandling:
         ("bounds-table", {"t_points": -3}, {}, "t_points must be >= 1"),
         ("rls", {"t_points": -2}, {}, "t_points must be >= 1"),
         ("rls", {"mc_samples": 0}, {}, "mc_samples must be >= 1"),
-        ("rls", {"replications": 0}, {}, "replications must be >= 1"),
+        ("rls", {"replications": 1}, {}, "replications must be >= 2"),
         ("rls", {"grid": 0}, {}, "grid must be >= 1"),
         ("rls", {"h": 1}, {}, "h must be in (0, 0.25)"),
         ("rls", {"c": 0}, {}, "c must be in (0, inf)"),
@@ -179,6 +192,10 @@ class TestConfigHandling:
         ("rls", {"path": {"population": [{"x": [0.9], "y": math.nan, "p": 1.0}]}}, {}, "must be finite"),
         ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8, "p": math.nan}]}}, {}, "must be finite"),
         ("rls", {}, {"cap": 3}, "9 sample multisets exceed the cap of 3"),
+        ("verify", {"epsilon": 2}, {"count": 1}, "epsilon must be in [0, 1], got 2.0"),
+        ("verify", {"epsilon": -0.5}, {"count": 1}, "epsilon must be in [0, 1], got -0.5"),
+        ("bounds-table", {"values": "sum_plus_perturbation", "epsilon": 1e160}, {"count": 1},
+         "epsilon must be in [0, 1], got 1e+160"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 

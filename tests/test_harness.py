@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import table, uniform_space
-from interaction_bounds import bounds, harness
+from interaction_bounds import bounds, functionals, harness
 from interaction_bounds.functionals import interaction
 from interaction_bounds.harness import (
     CHECKS,
@@ -76,6 +76,8 @@ class TestGenerateInstance:
             RandomInstanceSpec(weights="zipf")
         with pytest.raises(ValueError):
             RandomInstanceSpec(epsilon=-1.0)
+        with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\]"):
+            RandomInstanceSpec(epsilon=1.5)
 
 
 class TestExactTail:
@@ -147,6 +149,24 @@ class TestPropertySuite:
         for name, calls in built.items():
             assert calls, name
             assert len({id(g) for g in calls}) == len(calls), name
+
+    def test_one_gibbs_state_per_rescaled_function_and_beta(self, monkeypatch):
+        # The bennett_entropy check reads the entropy of the rescaled f and a
+        # tilted expectation from one Gibbs state.
+        states = []
+        for module in (harness, functionals):
+            def counting(g, beta, *args, _build=module.gibbs):
+                states.append((g, beta))
+                return _build(g, beta, *args)
+
+            monkeypatch.setattr(module, "gibbs", counting)
+        spec = RandomInstanceSpec(seed=5)
+        _, f = generate_instance(spec)
+        g = TabulatedFunction(f.space, np.linspace(-1.0, 1.0, f.space.size))
+        acc = {name: harness._Accumulator(name, tol) for name, tol in CHECKS}
+        harness._entropy_checks(acc, spec.seed, f, g)
+        rescaled = [beta for h, beta in states if h is not f]
+        assert sorted(rescaled) == sorted(harness.BETA_GRID)
 
     def test_sparse_values_also_pass(self):
         report = run_property_suite(

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .operators import _center, _constant_along, _contract, _keep_axis
+from .operators import _constant_along, _contract, _keep_axis
 from .space import (
     DEFAULT_CAP,
     CapacityError,
@@ -81,26 +81,32 @@ class InteractionReport:
 
     ``_interaction_tables`` gives ``j`` and ``crude`` from one sweep over the
     unordered axis pairs, on one contiguous copy of the table per pair.
-    ``_weighted_objective_tables`` gives ``j_mu`` with each axis centred once,
-    in a sweep over ``l``, the points ``z`` of axis ``l`` and ``k != l``, with
-    three table-sized temporaries besides the ``n`` centred tables.  Both
-    return the bits of the direct reductions (``tests/oracles.py``): maxima
-    and minima are exact, and every sum and BLAS product is the same
-    operation, in the same order, as there.
+    ``_weighted_objective_tables`` gives ``j_mu`` in a sweep over the axes
+    ``l``, the points ``z`` of axis ``l`` and ``k != l``, in one of two loop
+    orders per ``l``, so that at most ``min(n - 1, s_l) + 3`` tables are live
+    for an axis ``l`` of ``s_l`` points.  Both return the bits of the direct
+    reductions (``tests/oracles.py``): maxima and minima are exact, and every
+    sum and BLAS product is the same operation, in the same order, as there.
 
     ``approximate`` is a class constant, always false: every number in the
-    report is exact.
+    report is exact.  ``scale``, the largest ``|f|``, is not stored: the
+    chain ``j_mu <= j <= crude`` is checked to ``_CHAIN_TOL * max(1,
+    scale)``, because centring rounds relative to ``|f|`` and axis weights
+    sum to one only within ``WEIGHT_SUM_TOL``, so an additive ``f`` can
+    read a ``j_mu`` of order ``1e-13 * |f|`` above its ``j`` of zero.
     """
 
     j: float
     j_mu: float
     crude: float
+    scale: InitVar[float] = 1.0
     approximate: ClassVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scale: float) -> None:
         if min(self.j, self.j_mu, self.crude) < 0.0:
             raise ValueError("interaction values must be nonnegative")
-        if self.j_mu > self.j + _CHAIN_TOL or self.j > self.crude + _CHAIN_TOL:
+        tol = _CHAIN_TOL * max(1.0, scale)
+        if self.j_mu > self.j + tol or self.j > self.crude + tol:
             raise ValueError(
                 f"interaction chain violated: {self.j_mu} <= {self.j} <= {self.crude}"
             )
@@ -162,54 +168,218 @@ def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> flo
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
     """Table of ``sum_l max_z sum_{k != l} cond_variance(f - f@z, k)``.
 
-    Each axis ``k`` is centred once, ``c_k = f - E_k f`` (see
-    ``InteractionReport``), and stored contiguously in the layout of
-    ``_blas_layout``.  The loops then run over ``l``, the points ``z`` of
-    axis ``l`` and ``k != l``: ``(c_k - c_k@z)^2`` is one contiguous subtract
-    into a table-sized buffer and an in-place square, its conditional mean
-    over ``k`` one matrix-vector product, and the products add up in ``k``
-    order in one table-sized accumulator, whose running ``np.maximum`` over
-    ``z`` goes into the total.  Besides the ``n`` centred tables the
-    temporaries hold three tables and one conditional-mean row.
+    Each centred table ``c_k = f - E_k f`` (see ``InteractionReport``) lies
+    contiguously in the layout of ``_blas_layout``, where ``(c_k - c_k@z)^2``
+    is one contiguous subtract into the table-sized buffer ``sq`` and an
+    in-place square, and its conditional mean over ``k`` one matrix-vector
+    product (``_Sweep``).  The conditional means add up in ``k`` order, one
+    sum per point ``z`` of axis ``l``, and the exact maximum over ``z`` of
+    those sums goes into the total.  Per axis ``l`` the sweep holds the
+    smaller of two sets of tables:
 
-    Why the bits hold: the subtract, the square and the sum in ``k`` order
-    are the same floating-point operations in every loop order, and the
-    maximum is exact.  Each matrix-vector product gets the matrix that
-    ``_contract`` would hand BLAS for that one table, never a row of a larger
-    stacked matrix, which BLAS may round differently.
+    * ``s_l < n - 1``: the ``s_l`` sums, with ``k`` outside and ``z``
+      inside, each ``c_k`` centred into one reused buffer
+      (``_sweep_axes_outer``);
+    * otherwise the centred tables, with ``z`` outside and ``k`` inside.
+      With ``n = 2`` the one ``c_k`` is held and the maximum taken straight
+      from its conditional means.  With more axes the sum for ``z`` and the
+      running maximum take two tables, so only the ``n - 2`` tables of all
+      but the last ``k`` are held, and the last one is centred again for
+      every ``z``, into ``sq``, from its mean (``size / s_k`` values).  Held
+      tables carry over to the next axis ``l``, so going from ``l`` to
+      ``l + 1`` centres one table, into the buffer of the one let go.
+
+    The sums, the running maximum and the buffer for ``c_k`` are also kept
+    from one axis ``l`` to the next (``_resize``).
+
+    With ``sq`` and the total, at most ``min(n - 1, s_l) + 3`` tables are
+    live, besides conditional-mean rows of ``size / s_k`` values, where
+    holding every ``c_k`` through the whole sweep takes ``n + 4``.  The price
+    is time: an axis with ``s_l < n - 1`` centres the ``n - 1`` tables
+    ``c_k``, ``k != l``, again, and one with ``n > 2`` and ``s_l >= n - 1``
+    recentres one table for each ``z``.
+
+    Why the bits hold: a centred table is ``_center``'s elementwise subtract
+    of the mean that ``_contract`` computes, by the same matrix-vector
+    product on the same matrix (``_Sweep.mean``).  The subtract, the square
+    and the sum in ``k`` order are the same floating-point operations in
+    either loop order, and the maximum is exact.  A sum starts from its
+    first term where the direct form adds that term to zero: a conditional
+    mean of squares with nonnegative weights is never ``-0.0``, so
+    ``0 + cv`` is ``cv``.  Each matrix-vector product gets the matrix that
+    ``_contract`` would hand BLAS for that one table, never a row of a
+    larger stacked matrix, which BLAS may round differently.
     """
     space = f.space
-    shape, n = space.shape, space.n
-    buf, cv_buf = np.empty(space.size), np.empty(space.size // min(shape))
-    sweeps = []
-    for k, axis in enumerate(space.axes):
-        w = axis.weight_array()
-        order = _blas_layout(shape, k)
-        c = np.ascontiguousarray(_center(f.values, w, k).transpose(order))
-        sq = buf.reshape(c.shape)
-        # ``_blas_layout`` makes this reshape a view of ``buf``, not a copy.
-        matrix = sq.transpose(*(order.index(a) for a in range(n) if a != k), order.index(k))
-        matrix = matrix.reshape(-1, shape[k])
-        cv = cv_buf[: space.size // shape[k]]
-        sweeps.append((order, c, sq, matrix, w, cv, _keep_axis(cv, shape, k)))
+    shape, n, size = space.shape, space.n, space.size
     total = np.zeros(shape)
-    inner, best = np.empty(shape), np.empty(shape)
-    for l in range(n):
-        for z in range(shape[l]):
-            inner.fill(0.0)
-            for k, (order, c, sq, matrix, w, cv, cv_table) in enumerate(sweeps):
-                if k == l:
-                    continue
-                np.subtract(c, c[(slice(None),) * order.index(l) + (slice(z, z + 1),)], out=sq)
-                sq *= sq
-                np.matmul(matrix, w, out=cv)
-                inner += cv_table
-            if z == 0:
-                best[...] = inner
-            else:
-                np.maximum(best, inner, out=best)
-        total += best
+    if n == 1:
+        return total  # no axis k != l
+    buf, cv_buf = np.empty(shape), np.empty(size // min(shape))
+    sweeps = [_Sweep(f, k, buf, cv_buf) for k in range(n)]
+    pool: list[np.ndarray] = []
+    held: dict[int, np.ndarray] = {}
+    last, mean = None, None
+    for l, s_l in enumerate(shape):
+        others = [k for k in range(n) if k != l]
+        if s_l < n - 1:
+            held.clear()
+            last = mean = None
+            _resize(pool, s_l + 1, shape)
+            total += _sweep_axes_outer([sweeps[k] for k in others], l, pool)
+            continue
+        _resize(pool, 2 if n > 2 and s_l > 1 else 1, shape)
+        recentred = None
+        if n > 2:
+            if last != others[-1]:
+                mean = None  # let the old mean go before making the new one
+                last = others[-1]
+                mean = sweeps[last].mean(np.empty(size // shape[last]))
+            others.pop()
+            recentred = (sweeps[last], mean)
+        spare = [held.pop(k) for k in list(held) if k not in others]
+        for k in others:
+            if k not in held:
+                held[k] = sweeps[k].centre(spare.pop() if spare else np.empty(shape))
+        pairs = [(sweeps[k], held[k]) for k in others]
+        total += _sweep_points_outer(pairs, recentred, l, s_l, pool)
     return total
+
+
+def _resize(pool: list[np.ndarray], count: int, shape: tuple[int, ...]) -> None:
+    """Keep ``count`` table buffers in ``pool``, dropping or adding ones.
+
+    The sums and the maximum of one axis ``l`` reuse the buffers of the one
+    before.  Fresh tables for every axis cost a 4^8 call about 5,700 more
+    page faults and a fifth of its time.
+    """
+    del pool[count:]
+    pool.extend(np.empty(shape) for _ in range(count - len(pool)))
+
+
+class _Sweep:
+    """Buffers and views to contract axis ``k`` of ``f`` in ``_blas_layout``.
+
+    ``sq`` and ``cv`` are views of the buffers that every axis shares: the
+    squared differences in this axis's layout, and their conditional mean
+    over ``k``, which ``cv_table`` shows with a length-one axis ``k`` in
+    table order.  ``values`` is ``f`` in the layout, and ``pos[a]`` the
+    place of table axis ``a`` there.  ``copied`` tells whether the layout
+    differs from the table order, where ``_contract`` copies ``f``.
+    """
+
+    __slots__ = ("k", "pos", "values", "w", "sq", "matrix", "copied", "cv", "cv_table")
+
+    def __init__(self, f: TabulatedFunction, k: int, buf: np.ndarray, cv_buf: np.ndarray):
+        shape, n = f.space.shape, f.space.n
+        order = _blas_layout(shape, k)
+        self.k, self.pos = k, tuple(order.index(a) for a in range(n))
+        self.copied = order[k] != k
+        self.values = f.values.transpose(order) if self.copied else f.values
+        self.w = f.space.axes[k].weight_array()
+        self.sq = buf.reshape(self.values.shape) if self.copied else buf
+        self.matrix = self._matrix(self.sq)
+        self.cv = cv_buf[: f.space.size // shape[k]]
+        self.cv_table = _keep_axis(self.cv, shape, k)
+
+    def _matrix(self, table: np.ndarray) -> np.ndarray:
+        """``_contract``'s matrix for ``table`` in this axis's layout, as a view.
+
+        ``_blas_layout`` makes the reshape a view, not a copy.
+        """
+        rows = [self.pos[a] for a in range(len(self.pos)) if a != self.k]
+        return table.transpose(*rows, self.pos[self.k]).reshape(-1, self.w.shape[0])
+
+    def mean(self, out: np.ndarray) -> np.ndarray:
+        """``_contract(f.values, w, k)`` into ``out``, bit for bit, shown in the layout.
+
+        Where the layout is not the table order, ``f`` is first copied into
+        ``sq``, as ``_contract``'s reshape copies it.
+        """
+        if self.copied:
+            np.copyto(self.sq, self.values)
+            np.dot(self.matrix, self.w, out=out)
+        else:
+            np.dot(self._matrix(self.values), self.w, out=out)
+        return _keep_axis(out, self.sq.shape, self.pos[self.k])
+
+    def centre(self, out: np.ndarray) -> np.ndarray:
+        """``c_k = f - E_k f`` into the buffer ``out``, in the layout."""
+        c = out if out.shape == self.sq.shape else out.reshape(self.sq.shape)
+        mean = self.mean(self.cv)
+        np.subtract(self.sq if self.copied else self.values, mean, out=c)
+        return c
+
+    def cond_variance(self, c: np.ndarray, l: int, z: int) -> np.ndarray:
+        """``cond_variance(c - c@z, k)`` as ``cv_table``, for a point ``z`` of axis ``l``."""
+        np.subtract(c, c[(slice(None),) * self.pos[l] + (slice(z, z + 1),)], out=self.sq)
+        return self.squared_mean()
+
+    def squared_mean(self) -> np.ndarray:
+        """``E_k[sq^2]`` as ``cv_table``, with ``sq`` squared in place."""
+        sq = self.sq
+        np.multiply(sq, sq, out=sq)
+        np.dot(self.matrix, self.w, out=self.cv)
+        return self.cv_table
+
+
+def _sweep_axes_outer(others: list[_Sweep], l: int, pool: list[np.ndarray]) -> np.ndarray:
+    """``max_z sum_{k != l}`` with ``k`` outside: ``pool`` holds the sums, then a ``c_k`` buffer."""
+    *sums, c_buf = pool
+    for i, sweep in enumerate(others):
+        c = sweep.centre(c_buf)
+        for z, acc in enumerate(sums):
+            cv = sweep.cond_variance(c, l, z)
+            if i:
+                acc += cv
+            else:
+                np.copyto(acc, cv)
+    best = sums[0]
+    for acc in sums[1:]:
+        np.maximum(best, acc, out=best)
+    return best
+
+
+def _sweep_points_outer(
+    pairs: list[tuple[_Sweep, np.ndarray]],
+    recentred: tuple[_Sweep, np.ndarray] | None,
+    l: int,
+    s_l: int,
+    pool: list[np.ndarray],
+) -> np.ndarray:
+    """``max_z sum_{k != l}`` with ``z`` outside, over held ``(sweep, c_k)`` pairs.
+
+    ``pool`` holds the running maximum, then the sum for ``z`` if one is
+    needed.  ``recentred`` is the last axis's sweep and mean, or ``None``
+    when the pairs cover every ``k != l``.  For each ``z`` its row ``c_k@z``
+    goes into a buffer of ``size / s_l`` values and ``c_k`` into ``sq``,
+    which the row is then subtracted from: a subtract in place of a slice of
+    ``sq`` itself would make numpy copy a whole table.
+    """
+    best, inner = pool[0], pool[1] if len(pool) > 1 else None
+    if recentred is not None:
+        last, mean = recentred
+        cut = (slice(None),) * last.pos[l]
+        row = np.empty(last.values[cut + (slice(0, 1),)].shape)
+    for z in range(s_l):
+        acc = inner if z else best
+        for i, (sweep, c) in enumerate(pairs):
+            cv = sweep.cond_variance(c, l, z)
+            if i:
+                acc += cv
+            elif acc is None:
+                acc = cv  # the one axis k != l: its term is the sum
+            else:
+                np.copyto(acc, cv)
+        if recentred is not None:
+            at = cut + (slice(z, z + 1),)
+            np.subtract(last.values[at], mean[at], out=row)
+            np.subtract(last.values, mean, out=last.sq)
+            np.subtract(last.sq, row, out=last.sq)
+            acc += last.squared_mean()
+        if z:
+            np.maximum(best, acc, out=best)
+    return best
 
 
 def _blas_layout(shape: tuple[int, ...], k: int) -> list[int]:
@@ -249,6 +419,7 @@ def interaction_report(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> Interact
         j=math.sqrt(max(float(total.max()), 0.0)),
         j_mu=weighted_interaction(f, cap),
         crude=f.space.n * max_abs,
+        scale=max(-f.min(), f.max()),
     )
 
 

@@ -11,7 +11,9 @@ for accumulation error.  ``fsum`` returns ``math.fsum``'s bits on every
 input.  A float64 array of 1024 terms or more is summed in numpy, as exact
 integers per binary exponent rounded once, in chunks of 2^16 terms; a
 shorter or non-float64 input, or one with a non-finite term or a risk of
-overflow, goes to ``math.fsum`` as a list of Python floats.
+overflow, goes to ``math.fsum`` as a list of Python floats.  ``expectation``
+and ``variance`` form their terms one such chunk at a time, with the same
+bits as ``fsum`` of the whole table of terms.
 
 All types are immutable after construction and all operations are pure, so
 evaluation over disjoint configuration ranges may run in parallel as long as
@@ -90,22 +92,55 @@ def fsum(values: Iterable[float] | np.ndarray) -> float:
     return math.fsum(values)
 
 
+def _fsum_blocks(size: int, terms: Callable[[int, int], np.ndarray]) -> float:
+    """``fsum`` of ``size`` float64 terms, of which ``terms(start, stop)`` forms a block.
+
+    ``fsum`` of the whole array, bit for bit, but the kernel asks for its
+    blocks of ``_FSUM_CHUNK`` terms one at a time, so a caller that computes
+    its terms there holds one block of them, not the whole array.  The
+    bounds on the terms are checked block by block, and where they fail, or
+    the sum is exactly 0, this asks for all the terms at once and goes to
+    ``math.fsum``, as ``fsum`` does.
+    """
+    if size >= _FSUM_KERNEL_MIN:
+        blocks = (terms(i, min(i + _FSUM_CHUNK, size)) for i in range(0, size, _FSUM_CHUNK))
+        total = _exact_blocks(blocks, _FSUM_SAFE / size)
+        if total is not None:
+            return total
+    return math.fsum(terms(0, size).tolist())
+
+
 def _exact_sum(flat: np.ndarray) -> float | None:
     """The sum of finite float64 terms, rounded once; ``None`` if it is exactly 0.
 
-    Each term is ``M * 2^(e - 53)`` with ``M`` an integer below 2^53
-    (``np.frexp``), cut as ``M = hi * 2^26 + lo``.  ``np.bincount`` adds the
-    halves per exponent in float64, exactly (see ``_FSUM_CHUNK``), and the
-    bin sums of all chunks add up in int64.  The bins then combine into one
-    Python int ``S`` with the exact sum ``S * 2^p``, and ``float(S << p)`` or
-    ``S / 2^-p`` rounds it once, to nearest with ties to even (Python's int
-    to float conversion and int true division both round correctly).  An
-    exact zero comes back as ``None`` so that the sign of the zero is the
-    one ``math.fsum`` gives.
+    ``_exact_blocks`` over consecutive blocks of ``_FSUM_CHUNK`` terms.
+    """
+    return _exact_blocks(
+        (flat[i : i + _FSUM_CHUNK] for i in range(0, flat.size, _FSUM_CHUNK)), math.inf
+    )
+
+
+def _exact_blocks(blocks: Iterable[np.ndarray], limit: float) -> float | None:
+    """The sum of the terms in ``blocks``, rounded once, or ``None``.
+
+    ``None`` comes back as soon as a block holds a term that is not finite
+    or not below ``limit`` in absolute value, and when the sum is exactly 0,
+    so that the sign of the zero is the one ``math.fsum`` gives.  Each term
+    is ``M * 2^(e - 53)`` with ``M`` an integer below 2^53 (``np.frexp``),
+    cut as ``M = hi * 2^26 + lo``.  ``np.bincount`` adds the halves per
+    exponent in float64, exactly for blocks of at most ``_FSUM_CHUNK``
+    terms, and the bin sums of all blocks add up in int64.  The bins then
+    combine into one Python int ``S`` with the exact sum ``S * 2^p``, and
+    ``float(S << p)`` or ``S / 2^-p`` rounds it once, to nearest with ties to
+    even (Python's int to float conversion and int true division both round
+    correctly).
     """
     bins = np.zeros(_FSUM_BINS + _FSUM_LOW_BITS, dtype=np.int64)
-    for start in range(0, flat.size, _FSUM_CHUNK):
-        mantissa, exponent = np.frexp(flat[start : start + _FSUM_CHUNK])
+    for block in blocks:
+        # False for a nan or an infinite term as well.
+        if not (-limit < block.min() and block.max() < limit):
+            return None
+        mantissa, exponent = np.frexp(block)
         exponent += _FSUM_EXP_OFFSET
         mantissa *= 2.0 ** (53 - _FSUM_LOW_BITS)
         hi = np.trunc(mantissa)
@@ -283,21 +318,6 @@ class TabulatedFunction:
     def constant(cls, space: FiniteProductSpace, value: float) -> "TabulatedFunction":
         return cls(space, np.full(space.shape, float(value)))
 
-    @classmethod
-    def from_callable(
-        cls,
-        space: FiniteProductSpace,
-        fn: Callable[[Configuration], float],
-        cap: int = DEFAULT_CAP,
-    ) -> "TabulatedFunction":
-        space.check_capacity(cap)
-        flat = np.fromiter(
-            (fn(c) for c in np.ndindex(space.shape)),
-            dtype=np.float64,
-            count=space.size,
-        )
-        return cls(space, flat)
-
     def __call__(self, config: Configuration) -> float:
         return float(self.values[tuple(config)])
 
@@ -373,17 +393,30 @@ def measure_of(space: FiniteProductSpace, config: Sequence[int]) -> float:
 
 
 def expectation(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
-    """Exact mean of ``f`` under the product measure."""
-    w = f.space.weight_table(cap)
-    return fsum(w * f.values)
+    """Exact mean of ``f`` under the product measure: ``fsum(w * f)``, bit for bit.
+
+    The products are formed one ``fsum`` block at a time (``_fsum_blocks``).
+    """
+    w, v = f.space.weight_table(cap).ravel(), f.values.ravel()
+    return _fsum_blocks(v.size, lambda start, stop: w[start:stop] * v[start:stop])
 
 
 def variance(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
-    """Exact variance of ``f``; zero iff ``f`` is a.s. constant."""
-    w = f.space.weight_table(cap)
-    mu = fsum(w * f.values)
-    d = f.values - mu
-    return fsum(w * d * d)
+    """Exact variance of ``f``; zero iff ``f`` is a.s. constant.
+
+    ``fsum(w * d * d)`` with ``d = f - E f``, bit for bit, with the terms
+    formed one ``fsum`` block at a time (``_fsum_blocks``).
+    """
+    w, v = f.space.weight_table(cap).ravel(), f.values.ravel()
+    mu = _fsum_blocks(v.size, lambda start, stop: w[start:stop] * v[start:stop])
+
+    def terms(start: int, stop: int) -> np.ndarray:
+        d = v[start:stop] - mu
+        wd = w[start:stop] * d
+        wd *= d
+        return wd
+
+    return _fsum_blocks(v.size, terms)
 
 
 def tail_probabilities(

@@ -27,7 +27,9 @@ def uniform_space(*sizes: int) -> FiniteProductSpace:
 
 
 def table(space: FiniteProductSpace, fn) -> TabulatedFunction:
-    return TabulatedFunction.from_callable(space, fn)
+    """The function ``fn(configuration)`` tabulated over ``space``, in row-major order."""
+    flat = np.fromiter((fn(c) for c in np.ndindex(space.shape)), dtype=np.float64, count=space.size)
+    return TabulatedFunction(space, flat)
 
 
 def coordinate_sum(space: FiniteProductSpace) -> TabulatedFunction:

@@ -13,7 +13,10 @@ sample multisets.  The per-problem RLS paths at the end (one ``cho_factor``
 solve per sample, per replaced point and per lattice offset) are the loops
 that the library's stacked solves must reproduce bit for bit.
 ``scv_envelope_terms`` is the one exception to independence: it composes
-library paths, to check an inequality of the paper rather than a path.
+library paths, to check an inequality of the paper rather than a path.  The
+``*_table_formula`` references form every term of a mean or variance as one
+table and sum it with ``math.fsum``, the form the blocked library sums must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +67,19 @@ def variance(f):
     return math.fsum(
         weight(f.space, c) * (value(f, c) - mu) ** 2 for c in configs(f.space)
     )
+
+
+def expectation_table_formula(f):
+    """``space.expectation`` as one table of terms: ``fsum(w * f)``, by ``math.fsum``."""
+    w = f.space.weight_table()
+    return math.fsum((w * f.values).ravel().tolist())
+
+
+def variance_table_formula(f):
+    """``space.variance`` as one table of terms: ``fsum(w * d * d)``, ``d = f - E f``."""
+    w = f.space.weight_table()
+    d = f.values - expectation_table_formula(f)
+    return math.fsum((w * d * d).ravel().tolist())
 
 
 def substituted(f, k, y, config):

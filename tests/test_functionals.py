@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
     uniform_space,
 )
 from interaction_bounds import functionals
-from interaction_bounds.bounds import bias_second_difference_bound
+from interaction_bounds.bounds import bias_second_difference_bound, bound_ingredients
 from interaction_bounds.functionals import (
     GibbsState,
     InteractionReport,
@@ -129,17 +130,29 @@ class TestInteraction:
     @example(seeded_table((1, 4, 1, 2), False, 2))
     @example(seeded_table((1, 1), True, 3))
     @example(seeded_table((9, 3, 8), True, 4))
+    @example(seeded_table((4, 4, 4, 4), True, 5))
+    @example(seeded_table((2, 4, 1, 4, 3), False, 6))
     def test_batched_objective_is_per_z_loop_bit_for_bit(self, f):
         want = oracles.weighted_objective_tables_per_z(f)
         assert np.array_equal(_weighted_objective_tables(f), want)
 
     @pytest.mark.parametrize(
-        "shape", [(4,) * 5, (3,) * 6, (2,) * 9, (1, 3, 1, 4, 2, 1, 3, 1)], ids=str
+        "shape",
+        [
+            (4,) * 5, (3,) * 6, (2,) * 9, (1, 3, 1, 4, 2, 1, 3, 1),
+            (4,) * 6, (3,) * 8, (2,) * 14, (4,) * 7, (4,) * 8,
+            (64, 2, 2), (300, 3), (9, 3, 8),
+        ],
+        ids=str,
     )
     @pytest.mark.parametrize("dirichlet", [False, True], ids=["uniform", "dirichlet"])
     def test_pair_kernels_bit_for_bit_on_deep_shapes(self, shape, dirichlet):
         # Five to nine axes: every axis takes the copied layout of the j_mu
         # sweep at least once, with length-one axes first, inside and last.
+        # The dense benchmark's ladder (4^6 to 4^8) loops over the axes k
+        # outside the points z on every axis l.  The last three loop over z
+        # outside: (300, 3) holds its one centred table, and the three-axis
+        # shapes hold one and centre the other again for each z.
         f = seeded_table(shape, dirichlet, seed=len(shape))
         table, max_abs = _interaction_tables(f)
         want_table, want_max_abs = oracles.interaction_tables_triu(f)
@@ -147,6 +160,29 @@ class TestInteraction:
         assert max_abs == want_max_abs
         want = oracles.weighted_objective_tables_per_z(f)
         assert np.array_equal(_weighted_objective_tables(f), want)
+
+    @pytest.mark.parametrize(
+        "shape, tables", [((4,) * 8, 7.5), ((2,) * 14, 6.5), ((64, 2, 2), 11.3), ((300, 3), 8.3)],
+        ids=str,
+    )
+    def test_objective_traced_peak_in_tables(self, shape, tables):
+        # At most min(n - 1, s_l) + 3 table-sized buffers: 7 at 4^8 and 5 at
+        # 2^14, where all n centred tables and four more took 12.4 and 19.2.
+        # The two long-axis shapes must not peak above that sweep either.
+        f = seeded_table(shape, True, seed=1)
+        _weighted_objective_tables(f)  # weight arrays are cached on the first call
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _weighted_objective_tables(f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / f.values.nbytes <= tables
 
     def test_single_axis_is_zero(self):
         f = random_table((4,), seed=12)
@@ -166,6 +202,26 @@ class TestInteractionReport:
     def test_chain_validated(self):
         with pytest.raises(ValueError):
             InteractionReport(j=1.0, j_mu=2.0, crude=3.0)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_chain_tolerance_scales_with_the_table(self, scale):
+        # Additive, so j = crude = 0; the first axis's weights sum to 1 + 1e-13,
+        # within WEIGHT_SUM_TOL, and leave a j_mu of about 2e-13 * scale.
+        space = FiniteProductSpace(
+            axes=(FiniteAxis(weights=(0.5, 0.5000000000001)), FiniteAxis(weights=(0.5, 0.5)))
+        )
+        f = TabulatedFunction(space, np.array([[0.0, scale], [0.0, scale]]))
+        report = interaction_report(f)
+        assert report.j == report.crude == 0.0
+        assert 0.0 < report.j_mu < 1e-12 * scale
+        assert bound_ingredients(f)["j_mu"] == report.j_mu
+
+    def test_chain_tolerance_is_relative_to_scale(self):
+        InteractionReport(j=1.0, j_mu=1.0 + 5e-5, crude=3.0, scale=1e6)
+        with pytest.raises(ValueError, match="chain violated"):
+            InteractionReport(j=1.0, j_mu=1.0 + 2e-4, crude=3.0, scale=1e6)
+        with pytest.raises(ValueError, match="chain violated"):
+            InteractionReport(j=1.0, j_mu=1.0 + 2e-10, crude=3.0, scale=0.5)
 
     def test_cap_exceeded_raises(self):
         f = random_table((3, 3, 2), seed=100)

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 from interaction_bounds import space as space_module
-from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
+from conftest import (
+    coordinate_product,
+    coordinate_sum,
+    seeded_table,
+    table,
+    tabulated_strategy,
+    uniform_space,
+)
 from interaction_bounds.space import (
     CapacityError,
     FiniteAxis,
@@ -185,6 +192,41 @@ class TestExpectationVariance:
         g = TabulatedFunction(relabeled_space, f.values[perm, :])
         assert expectation(g) == expectation(f)
         assert variance(g) == variance(f)
+
+
+class TestBlockedMoments:
+    """``expectation`` and ``variance`` form their terms one ``fsum`` block at a time."""
+
+    @pytest.mark.parametrize(
+        "shape", [(4,) * 6, (3,) * 8, (2,) * 14, (4,) * 7, (4,) * 8, (4,) * 9], ids=str
+    )
+    @pytest.mark.parametrize("dirichlet", [False, True], ids=["uniform", "dirichlet"])
+    def test_dense_ladder_bit_for_bit(self, shape, dirichlet):
+        f = seeded_table(shape, dirichlet, seed=len(shape))
+        assert expectation(f).hex() == oracles.expectation_table_formula(f).hex()
+        assert variance(f).hex() == oracles.variance_table_formula(f).hex()
+
+    @pytest.mark.parametrize(
+        "case", ["short", "zero_mean", "constant", "huge", "huge_in_last_block"]
+    )
+    def test_math_fsum_fallbacks_bit_for_bit(self, case):
+        rng = np.random.default_rng(7)
+        shape = (4,) * 9 if case == "huge_in_last_block" else (4,) * 5
+        values = rng.uniform(-1.0, 1.0, shape)
+        if case == "short":
+            values = values[:2, :2, :2, :2, :2]  # 32 terms, below the kernel's 1024
+        elif case == "zero_mean":
+            values[2:] = -values[:2]  # uniform weights: the mean is exactly 0
+        elif case == "constant":
+            values[...] = 0.3  # the variance is exactly 0
+        elif case == "huge":
+            values *= 1e305  # terms above 2^1000 / size; the squares overflow
+        else:
+            values.flat[-1] = 1e305  # only the last of four blocks is out of bounds
+        f = TabulatedFunction(uniform_space(*values.shape), values)
+        with np.errstate(over="ignore"):
+            assert expectation(f).hex() == oracles.expectation_table_formula(f).hex()
+            assert variance(f).hex() == oracles.variance_table_formula(f).hex()
 
 
 def _fsum_input(kind: str, size: int, seed: int) -> np.ndarray:

@@ -16,8 +16,9 @@ range), and ``RunConfig`` checks a config against it before dispatch.
 
 Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
-digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation or
-solver failure, 2 configuration error, including an enumeration over
+digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation,
+solver failure or a ``verify`` worker that ended without a result (for
+example killed by a signal), 2 configuration error, including an enumeration over
 ``--cap``, a run that exhausts memory within ``--cap`` and an ``--out`` path
 that cannot be written; each error is one line on stderr.
 """
@@ -41,7 +42,13 @@ from . import bounds as bnd
 from . import rls as rlsmod
 from . import ustat as usmod
 from .exchangeable import bound_ingredients, multiset_probabilities, multisets
-from .harness import RandomInstanceSpec, generate_instance, run_property_suite, tail_curve
+from .harness import (
+    RandomInstanceSpec,
+    WorkerError,
+    generate_instance,
+    run_property_suite,
+    tail_curve,
+)
 from .rng import derive_seed, substream
 from .space import DEFAULT_CAP, CapacityError, FiniteAxis, _integer, tail_probabilities
 
@@ -588,6 +595,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except rlsmod.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,13 +8,30 @@ check can be replayed from the witness seed recorded in the report.
 randomized instances and reports, per check, the number of instances, the
 worst observed violation, the tolerance it was judged against, and the
 witness seed of the first failure.  Failures are data, not exceptions.
+
+The suite's instances run on every CPU in the process's affinity mask.  A
+job is one exact instance with its pure-sum instance, or one entropy
+instance.  One forked worker per CPU takes the next job off a shared pipe
+whenever it is free and sends back, pickled over a pipe of its own, the
+``(check, violation, seed)`` events of each job it ran.  The parent replays
+every job's events into the accumulators in job order, so the report is the
+serial loop's byte for byte, with the same first witness seed and the same
+error if a job raises.  Where ``os.fork`` or ``os.sched_getaffinity`` is
+missing, or one CPU is available, the jobs run in-process through the same
+function.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -292,10 +309,19 @@ def run_property_suite(
     The exact (non-entropy) checks run on ``count`` instances drawn from
     ``spec`` plus ``count`` auxiliary pure-sum instances for the equality
     cases; the entropy checks run on ``entropy_count`` instances (default
-    ``count // 4``) over ``BETA_GRID``; the scalar lemmas run once on their
-    grids plus ``scalar_count`` random triples.  ``count == 0`` produces an
-    empty report.  ``inject_bug`` negates the Efron-Stein check, as a
-    self-test that failures surface with a witness seed.
+    ``max(1, count // 4)``) over ``BETA_GRID``; the scalar lemmas run once on
+    their grids plus ``scalar_count`` random triples.  ``count == 0``
+    produces an empty report.  ``inject_bug`` negates the Efron-Stein check,
+    as a self-test that failures surface with a witness seed.
+
+    The instance pairs and entropy instances run in forked workers, one per
+    CPU and at most one per job (see the module docstring); the parent
+    replays their results in instance order and then runs the scalar lemmas,
+    so the report, and an error raised by an instance, do not depend on the
+    number of CPUs or on which worker ran what.  A worker that ends without
+    a result, for example killed by a signal, raises ``WorkerError`` once
+    every worker is reaped.  Each worker holds its own copy of what its
+    instances build.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -303,28 +329,11 @@ def run_property_suite(
         return SuiteReport(checks=(), count=0, seed=spec.seed)
     if entropy_count is None:
         entropy_count = max(1, count // 4)
+    jobs = [(1, i) for i in range(count)] + [(3, i) for i in range(entropy_count)]
     acc = {name: _Accumulator(name, tol) for name, tol in CHECKS}
-
-    for i in range(count):
-        inst_seed = derive_seed(spec.seed, 1, i)
-        _, f = generate_instance(dataclasses.replace(spec, seed=inst_seed))
-        rng = substream(inst_seed, 0x05)
-        _exact_checks(acc, inst_seed, f, rng, tail_points, inject_bug)
-
-        sum_seed = derive_seed(spec.seed, 2, i)
-        sum_spec = dataclasses.replace(
-            spec, values="sum_plus_perturbation", epsilon=0.0, seed=sum_seed
-        )
-        _, f_sum = generate_instance(sum_spec)
-        _sum_checks(acc, sum_seed, f_sum, tail_points)
-
-    for i in range(entropy_count):
-        ent_seed = derive_seed(spec.seed, 3, i)
-        _, f = generate_instance(dataclasses.replace(spec, seed=ent_seed))
-        g_rng = substream(ent_seed, 0x06)
-        g = TabulatedFunction(f.space, g_rng.uniform(-1.0, 1.0, size=f.space.size))
-        _entropy_checks(acc, ent_seed, f, g)
-
+    for events in _run_jobs(spec, jobs, tail_points, inject_bug):
+        for name, violation, seed in events:
+            acc[name].add(violation, seed)
     _scalar_checks(acc, spec.seed, scalar_count)
 
     return SuiteReport(
@@ -332,6 +341,204 @@ def run_property_suite(
         count=count,
         seed=spec.seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# Jobs and workers
+# ---------------------------------------------------------------------------
+
+
+#: One ``add`` of a job: check name, violation, instance seed.
+_Event = tuple[str, float, int]
+
+
+class WorkerError(RuntimeError):
+    """A suite worker ended without sending its results back."""
+
+
+class _Recorder:
+    """An accumulator's stand-in inside a job: logs each ``add`` for replay."""
+
+    def __init__(self, name: str, events: list[_Event]) -> None:
+        self.name = name
+        self.events = events
+
+    def add(self, violation: float, seed: int) -> None:
+        self.events.append((self.name, violation, seed))
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask; 1 where no worker can be forked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_jobs(
+    spec: RandomInstanceSpec,
+    jobs: list[tuple[int, int]],
+    tail_points: int,
+    inject_bug: bool,
+) -> list[list[_Event]]:
+    """The events of each job, in job order, with the jobs shared by workers.
+
+    One worker per CPU, at most one per job, takes the next job whenever it
+    is free, so a worker slowed by other load takes fewer.  A job draws only
+    from its own substreams, so where it runs does not change its events.
+    Jobs are taken in order, so every job before the earliest that raised
+    has run, and that error is raised, as the serial loop raises it; a job
+    lost with a worker that ended without a result raises ``WorkerError``,
+    as does that worker if no job was lost.
+    """
+    workers = min(_cpu_count(), len(jobs))
+    run = functools.partial(
+        _run_chunk, spec, jobs, tail_points=tail_points, inject_bug=inject_bug
+    )
+    if workers > 1:
+        results = _fork_map(run, workers, len(jobs))
+    else:
+        results = [run(range(len(jobs)))]
+    outcomes: dict[int, list[_Event] | Exception] = {}
+    lost = None
+    for result in results:
+        if isinstance(result, WorkerError):
+            lost = result
+        else:
+            outcomes.update(result)
+    logs = []
+    for position in range(len(jobs)):
+        events = outcomes.get(position, lost)
+        if isinstance(events, Exception):
+            raise events
+        logs.append(events)
+    if lost is not None:
+        raise lost
+    return logs
+
+
+def _run_chunk(
+    spec: RandomInstanceSpec,
+    jobs: list[tuple[int, int]],
+    positions: Iterable[int],
+    tail_points: int,
+    inject_bug: bool,
+) -> dict[int, list[_Event] | Exception]:
+    """Run ``jobs[p]`` for each ``p`` of ``positions`` in turn: the events of
+    each, up to the first that raises, whose error it holds instead."""
+    outcomes: dict[int, list[_Event] | Exception] = {}
+    for position in positions:
+        stream, i = jobs[position]
+        events: list[_Event] = []
+        acc = {name: _Recorder(name, events) for name, _ in CHECKS}
+        try:
+            if stream == 1:
+                _pair_job(acc, spec, i, tail_points, inject_bug)
+            else:
+                _entropy_job(acc, spec, i)
+        except Exception as exc:
+            outcomes[position] = exc
+            break
+        outcomes[position] = events
+    return outcomes
+
+
+def _fork_map(run, workers: int, count: int) -> list:
+    """``run(positions)`` in each of ``workers`` forked workers, which share
+    the positions ``0 .. count - 1``: each takes the next from a pipe
+    whenever it asks for one.
+
+    A worker never prints: it pickles its result into a pipe of its own and
+    leaves by ``os._exit``, so no atexit handler or buffered output runs
+    twice.  One that ends without a result gives a ``WorkerError`` in its
+    place.  Every worker is reaped before this returns or raises; an
+    exception here, ``KeyboardInterrupt`` too, kills the workers still
+    running first.
+    """
+    import signal  # here, not at the top: its enums cost every command ~0.1 MB
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    queue_read, queue_write = os.pipe()
+    queue_in, queue_out = open(queue_read, "rb", 0), open(queue_write, "wb", 0)
+    pending: dict[int, int] = {}  # pid -> read end of its result pipe
+    results: list = []
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    queue_out.close()
+                    for inherited in (read, *pending.values()):
+                        os.close(inherited)
+                    # The parent writes each position in one 4-byte write, which
+                    # a pipe keeps whole, so each 4-byte read takes one position.
+                    positions = (
+                        int.from_bytes(record, "little")
+                        for record in iter(lambda: queue_in.read(4), b"")
+                    )
+                    with open(write, "wb") as pipe:
+                        pickle.dump(run(positions), pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            pending[pid] = read
+        queue_in.close()
+        with contextlib.suppress(BrokenPipeError):  # every worker has ended
+            for position in range(count):
+                queue_out.write(position.to_bytes(4, "little"))
+        queue_out.close()
+        for pid, read in list(pending.items()):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            os.close(read)
+            if code == 0:
+                results.append(pickle.loads(data))
+            else:
+                how = signal.Signals(-code).name if code < 0 else f"exit status {code}"
+                results.append(
+                    WorkerError(f"a suite worker ended by {how} without a result")
+                )
+        return results
+    finally:
+        queue_in.close()
+        queue_out.close()
+        for pid, read in pending.items():
+            with contextlib.suppress(OSError):
+                os.close(read)
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _pair_job(
+    acc: dict, spec: RandomInstanceSpec, i: int, tail_points: int, inject_bug: bool
+) -> None:
+    """Exact checks on instance ``i`` and sum checks on pure-sum instance ``i``."""
+    inst_seed = derive_seed(spec.seed, 1, i)
+    _, f = generate_instance(dataclasses.replace(spec, seed=inst_seed))
+    rng = substream(inst_seed, 0x05)
+    _exact_checks(acc, inst_seed, f, rng, tail_points, inject_bug)
+
+    sum_seed = derive_seed(spec.seed, 2, i)
+    sum_spec = dataclasses.replace(
+        spec, values="sum_plus_perturbation", epsilon=0.0, seed=sum_seed
+    )
+    _, f_sum = generate_instance(sum_spec)
+    _sum_checks(acc, sum_seed, f_sum, tail_points)
+
+
+def _entropy_job(acc: dict, spec: RandomInstanceSpec, i: int) -> None:
+    """Entropy checks on entropy instance ``i`` and its auxiliary table."""
+    ent_seed = derive_seed(spec.seed, 3, i)
+    _, f = generate_instance(dataclasses.replace(spec, seed=ent_seed))
+    g_rng = substream(ent_seed, 0x06)
+    g = TabulatedFunction(f.space, g_rng.uniform(-1.0, 1.0, size=f.space.size))
+    _entropy_checks(acc, ent_seed, f, g)
 
 
 def _exact_checks(

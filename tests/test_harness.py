@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from interaction_bounds.harness import (
     generate_instance,
     run_property_suite,
 )
+from interaction_bounds.cli import main
 from interaction_bounds.rng import derive_seed, substream
 from interaction_bounds.space import CapacityError, TabulatedFunction, expectation
 
@@ -133,6 +137,8 @@ class TestPropertySuite:
         # bounds; scv(rescaled) and the self-bounding operator of f do not
         # depend on beta.
         built = {"scv": [], "variance": [], "self_bounding_operator": []}
+        # The counters live in this process, so the builds must run here too.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         for module in (harness, bounds):
             for name, calls in built.items():
                 if hasattr(module, name):
@@ -225,3 +231,158 @@ class TestPropertySuite:
         text = report.format_table()
         for name, _ in CHECKS:
             assert name in text
+
+
+class TestWorkers:
+    """The number of forked workers changes neither the report nor the errors."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (RandomInstanceSpec(seed=11), dict(count=12, scalar_count=5)),
+            (
+                RandomInstanceSpec(seed=12, values="sparse", weights="dirichlet"),
+                dict(count=9, entropy_count=4, scalar_count=3),
+            ),
+            (RandomInstanceSpec(seed=13), dict(count=7, scalar_count=3, inject_bug=True)),
+            (RandomInstanceSpec(seed=14), dict(count=1, entropy_count=1, scalar_count=3)),
+            (RandomInstanceSpec(seed=15), dict(count=2, entropy_count=0, scalar_count=3)),
+            (RandomInstanceSpec(seed=16), dict(count=0)),
+        ],
+        ids=[
+            "defaults", "sparse-dirichlet", "inject-bug", "fewer-jobs", "no-entropy", "empty"
+        ],
+    )
+    def test_report_does_not_depend_on_cpus(self, monkeypatch, spec, kwargs):
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_cpu_count", lambda cpus=cpus: cpus)
+            reports.append(run_property_suite(spec, **kwargs))
+        serial = reports[0]
+        for report in reports[1:]:
+            assert report == serial
+            assert report.to_json() == serial.to_json()
+            assert report.format_table() == serial.format_table()
+        if kwargs.get("inject_bug"):
+            witness = {c.name: c.witness_seed for c in serial.checks}["efron_stein"]
+            assert witness == derive_seed(spec.seed, 1, 0)
+
+    def test_events_replay_in_serial_order(self, monkeypatch):
+        streams = []
+        real = harness._Accumulator.add
+
+        def recording(acc, violation, seed):
+            streams[-1].append((acc.name, violation, seed))
+            real(acc, violation, seed)
+
+        monkeypatch.setattr(harness._Accumulator, "add", recording)
+        for cpus in (1, 3):
+            monkeypatch.setattr(harness, "_cpu_count", lambda cpus=cpus: cpus)
+            streams.append([])
+            run_property_suite(RandomInstanceSpec(seed=17), count=5, scalar_count=2)
+        assert streams[1] == streams[0]
+        seeds = [seed for name, _, seed in streams[0] if name == "efron_stein"]
+        assert seeds == [derive_seed(17, 1, i) for i in range(5)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("inject_bug", [False, True])
+    def test_cli_bytes_do_not_depend_on_cpus(
+        self, monkeypatch, tmp_path, capsys, fmt, inject_bug
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            '{"command": "verify", "params": {"inject_bug": %s}}' % str(inject_bug).lower()
+        )
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_cpu_count", lambda cpus=cpus: cpus)
+            out = tmp_path / f"out-{cpus}.{fmt}"
+            argv = ["--config", str(config), "--count", "6", "--seed", "3",
+                    "--format", fmt, "--out", str(out)]
+            code = main(argv)
+            runs.append((code, capsys.readouterr(), out.read_bytes()))
+        assert runs[0][0] == (1 if inject_bug else 0)
+        assert runs[1] == runs[0]
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        chunks = []
+        real = harness._run_chunk
+
+        def recording(spec, jobs, positions, **kwargs):
+            positions = list(positions)
+            chunks.append([jobs[p] for p in positions])
+            return real(spec, jobs, positions, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_chunk", recording)
+        run_property_suite(
+            RandomInstanceSpec(seed=4), count=3, entropy_count=2, scalar_count=1
+        )
+        assert chunks == [[(1, 0), (1, 1), (1, 2), (3, 0), (3, 1)]]
+
+    def test_earliest_instance_error_wins(self, monkeypatch, capsys):
+        # Jobs (1, 0) .. (1, 4), (3, 0): pairs 2 and 4 and the entropy
+        # instance fail.  The serial loop stops at pair 2, so every worker
+        # count must raise pair 2's error, whichever worker took which job.
+        spec = RandomInstanceSpec(seed=21)
+        over = {derive_seed(spec.seed, 1, 4), derive_seed(spec.seed, 1, 2),
+                derive_seed(spec.seed, 3, 0)}
+        real = harness.generate_instance
+
+        def capped(s):
+            if s.seed in over:
+                raise CapacityError(f"instance {s.seed} has too many configurations")
+            return real(s)
+
+        monkeypatch.setattr(harness, "generate_instance", capped)
+        expected = f"instance {derive_seed(spec.seed, 1, 2)} has too many configurations"
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_cpu_count", lambda cpus=cpus: cpus)
+            with pytest.raises(CapacityError) as caught:
+                run_property_suite(spec, count=5, scalar_count=1)
+            assert str(caught.value) == expected
+
+        over = {derive_seed(spec.seed, 3, 0)}  # only the last job
+        expected_last = f"instance {derive_seed(spec.seed, 3, 0)} has too many configurations"
+        assert main(["verify", "--seed", "21", "--count", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {expected_last}\n"
+
+    def test_killed_worker_is_one_failure_line(self, monkeypatch, capsys):
+        def killed(spec, jobs, positions, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(harness, "_run_chunk", killed)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        assert main(["verify", "--count", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = "worker failure: a suite worker ended by SIGKILL without a result\n"
+        assert captured.err == expected
+
+    def test_interrupt_in_parent_kills_running_workers(self, monkeypatch):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        def chunk(spec, jobs, positions, **kwargs):
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_run_chunk", chunk)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_property_suite(RandomInstanceSpec(seed=1), count=2, scalar_count=1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30

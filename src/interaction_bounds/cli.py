@@ -68,10 +68,12 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.command not in _SCHEMA:
+        if not isinstance(self.command, str) or self.command not in _SCHEMA:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"'out' must be a path string, got {self.out!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
         if self.count is None:
@@ -121,7 +123,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         format=args.format if args.format is not None else doc.get("format", "csv"),
         count=args.count if args.count is not None else doc.get("count"),
         cap=args.cap if args.cap is not None else doc.get("cap", DEFAULT_CAP),
-        params=doc.get("params", {}) or {},
+        params={} if doc.get("params") is None else doc["params"],
     )
 
 

@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .functionals import _largest_second_differences
 from .space import DEFAULT_CAP, CapacityError, fsum
 
 
@@ -151,10 +152,11 @@ def bound_ingredients(
     mean in ``bounds.bound_ingredients`` on the dense table over the ``s^n``
     configurations.  ``E_scv`` and ``b`` vary one draw ``y`` over every
     ``(n-1)``-multiset of the rest, at most ``cap`` of them; ``crude`` varies
-    two draws over every ``(n-2)``-multiset.  For ``j_mu``, the coordinates
-    holding point ``a`` in a sample ``c`` contribute alike, so its objective
-    is ``sum_a c_a max_z sum_b (c_b - [a = b]) T(c - a - b, a, z)`` with
-    ``T(q, a, z) = Var_y[f(q + a + y) - f(q + z + y)]``.
+    two draws over every ``(n-2)``-multiset, through the dense tables'
+    ``functionals._largest_second_differences``.  For ``j_mu``, the
+    coordinates holding point ``a`` in a sample ``c`` contribute alike, so
+    its objective is ``sum_a c_a max_z sum_b (c_b - [a = b]) T(c - a - b, a,
+    z)`` with ``T(q, a, z) = Var_y[f(q + a + y) - f(q + z + y)]``.
     """
     p = np.asarray(probs, dtype=np.float64)
     s = len(p)
@@ -175,18 +177,8 @@ def bound_ingredients(
 
     low = multisets(n - 2, s, cap)
     pair_rows = neighbours(low)
-    # pair[q, y, z]: f at (n-2)-multiset q plus points y and z.
-    pair = vals[pair_rows]
-    crude = 0.0
-    for y in range(s):
-        for y2 in range(s):
-            second = (
-                pair[:, y, :, None]
-                - pair[:, y2, :, None]
-                - pair[:, y, None, :]
-                + pair[:, y2, None, :]
-            )
-            crude = max(crude, float(np.abs(second).max()))
+    # [y, z, q]: f at (n-2)-multiset q plus points y and z, C-contiguous.
+    crude = float(_largest_second_differences(np.take(vals.T, pair_rows.T, axis=1)).max())
 
     # top[q, a, b]: row of q plus a and b among the n-multisets.
     top = up[pair_rows]

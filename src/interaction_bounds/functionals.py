@@ -80,7 +80,8 @@ class InteractionReport:
     with substitution on ``l``.
 
     ``_interaction_tables`` gives ``j`` and ``crude`` from one sweep over the
-    unordered axis pairs, on one contiguous copy of the table per pair.
+    unordered axis pairs, on one contiguous copy of the table per pair, by
+    the stencil ``exchangeable.bound_ingredients`` shares for ``crude``.
     ``_weighted_objective_tables`` gives ``j_mu`` in a sweep over the axes
     ``l``, the points ``z`` of axis ``l`` and ``k != l``, in one of two loop
     orders per ``l``, so that at most ``min(n - 1, s_l) + 3`` tables are live
@@ -119,16 +120,9 @@ def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
     max over point tuples of (second difference)^2`` together with the global
     maximum absolute second difference.  Visits each unordered pair once and
     reduces it through the range form in ``InteractionReport``.  Per pair the
-    table is copied once with axes ``k, l`` first, as ``fkl[y, z, rest]``.
-    For each ``y`` the differences ``d = fkl[y] - fkl[y']`` over all
-    ``y' > y`` are one contiguous subtract, and their ranges over ``z`` are
-    maxima and minima over the middle axis of ``d``, whose rows ``rest`` are
-    contiguous.  The largest range over ``y' > y`` then enters a running
-    maximum over ``y``.  The temporaries hold one table copy plus
-    ``(s_k - 1) * size / s_k`` values.  Maxima, minima and the one
-    subtraction per range are exact, so the result does not depend on the
-    grouping of the pairs: it equals a reduction over all ``y < y'`` at once
-    bit for bit.
+    table is copied once with axes ``k, l`` first, as ``fkl[y, z, rest]``,
+    and ``_largest_second_differences`` reduces the copy; the temporaries
+    hold it plus ``(s_k - 1) * size / s_k`` values.
     """
     space = f.space
     total = np.zeros(space.shape)
@@ -136,21 +130,30 @@ def _interaction_tables(f: TabulatedFunction) -> tuple[np.ndarray, float]:
     for k in range(space.n):
         for l in range(k + 1, space.n):
             s_k, s_l = space.shape[k], space.shape[l]
-            if s_k == 1 or s_l == 1:
-                continue  # every second difference on the pair is zero
             others = [a for a in range(space.n) if a not in (k, l)]
             fkl = np.ascontiguousarray(f.values.transpose(k, l, *others))
-            fkl = fkl.reshape(s_k, s_l, -1)
-            spread = None
-            for y in range(s_k - 1):
-                d = fkl[y] - fkl[y + 1 :]
-                rows = (d.max(axis=1) - d.min(axis=1)).max(axis=0)
-                spread = rows if spread is None else np.maximum(spread, rows, out=spread)
+            spread = _largest_second_differences(fkl.reshape(s_k, s_l, -1))
             max_abs = max(max_abs, float(spread.max()))
             total += 2.0 * (spread * spread).reshape(
                 tuple(1 if a in (k, l) else s for a, s in enumerate(space.shape))
             )
     return total, max_abs
+
+
+def _largest_second_differences(fkl: np.ndarray) -> np.ndarray:
+    """Largest absolute mixed second difference of ``fkl[y, z, rest]`` per ``rest``.
+
+    The range form of ``InteractionReport``, from zero: for each ``y`` one
+    contiguous subtract ``d = fkl[y] - fkl[y + 1 :]`` of the C-contiguous
+    input, and the maxima and minima of ``d`` over ``z``.  These and the one
+    subtraction per range are exact, so the result equals a reduction over
+    all ``y < y'`` at once bit for bit.
+    """
+    spread = np.zeros(fkl.shape[2])
+    for y in range(len(fkl) - 1):
+        d = fkl[y] - fkl[y + 1 :]
+        np.maximum(spread, (d.max(axis=1) - d.min(axis=1)).max(axis=0), out=spread)
+    return spread
 
 
 def interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:

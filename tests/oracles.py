@@ -534,11 +534,9 @@ def rls_measured_ingredients(population, n, lam):
     crude = 0.0
     for rest in itertools.product(range(size), repeat=n - 2):
         for y, y2, z, z2 in itertools.product(range(size), repeat=4):
-            second = (
-                gap((y, z, *rest))
-                - gap((y2, z, *rest))
-                - gap((y, z2, *rest))
-                + gap((y2, z2, *rest))
+            # the arithmetic of operators.second_difference
+            second = (gap((y, z, *rest)) - gap((y2, z, *rest))) - (
+                gap((y, z2, *rest)) - gap((y2, z2, *rest))
             )
             crude = max(crude, abs(second))
     terms = []

@@ -130,6 +130,12 @@ class TestConfigHandling:
         assert main(["--config", str(config)]) == 2
         assert "params" in assert_one_config_error(capsys)
 
+    def test_null_params_mean_the_defaults(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "normal-limit-demo", "params": None}))
+        assert main(["--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_params_of_wrong_type(self, tmp_path, capsys):
         for command, params in (
             ("verify", {"tail_points": "abc"}),
@@ -196,6 +202,15 @@ class TestConfigHandling:
         ("verify", {"epsilon": -0.5}, {"count": 1}, "epsilon must be in [0, 1], got -0.5"),
         ("bounds-table", {"values": "sum_plus_perturbation", "epsilon": 1e160}, {"count": 1},
          "epsilon must be in [0, 1], got 1e+160"),
+        ("verify", {}, {"command": ["verify"]}, "unknown command ['verify']"),
+        ("verify", {}, {"command": {}}, "unknown command {}"),
+        ("normal-limit-demo", {}, {"out": True}, "'out' must be a path string, got True"),
+        ("normal-limit-demo", {}, {"out": 7}, "'out' must be a path string, got 7"),
+        # only an absent or null params block means {}
+        ("verify", {}, {"params": []}, "'params' must be an object"),
+        ("verify", {}, {"params": False}, "'params' must be an object"),
+        ("verify", {}, {"params": 0}, "'params' must be an object"),
+        ("verify", {}, {"params": ""}, "'params' must be an object"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 

@@ -141,6 +141,8 @@ def test_bound_ingredients_match_the_dense_table(s, n, seed, scale):
     dense = bounds.bound_ingredients(spread(values, n, weights))
     got = bound_ingredients(values, n, weights)
     assert set(got) == {"E_scv", "b", "crude", "j_mu"}
+    # crude: the one second-difference stencil on the same floats
+    assert got.pop("crude") == dense["crude"]
     floor = 1e-12 * float(np.abs(values).max())
     for key, value in got.items():
         assert value == pytest.approx(dense[key], rel=1e-12, abs=floor), key

@@ -41,7 +41,7 @@ import numpy as np
 from . import bounds as bnd
 from . import rls as rlsmod
 from . import ustat as usmod
-from .exchangeable import bound_ingredients, multiset_probabilities, multisets
+from .exchangeable import bound_ingredients, mc_tails, multiset_probabilities, multisets, rank
 from .harness import (
     RandomInstanceSpec,
     WorkerError,
@@ -72,7 +72,7 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
-        if self.out is not None and not isinstance(self.out, str):
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"'out' must be a path string, got {self.out!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
@@ -249,17 +249,15 @@ def _ustat_tails(problem, t_values, cap, mc_samples, seed):
         return [(p, 0.0) for p in tail_probabilities(deviations, probs, t_values)], "exact", ""
     except CapacityError:
         pass
-    try:
-        deviations = np.abs(usmod.sample_u_values(problem, mc_samples, seed=seed) - center)
+    try:  # the whole sample counts against the budget, before the first draw
+        usmod.check_kernel_terms(problem, mc_samples)
     except CapacityError:
         return [("", "")] * len(t_values), "skipped", "tail skipped; Monte Carlo budget exceeded"
-    return _mc_tails(deviations, t_values), "mc", "exact tails over cap; fell back to Monte Carlo"
-
-
-def _mc_tails(deviations: np.ndarray, t_values: Sequence[float]) -> list[tuple[float, float]]:
-    """Monte Carlo ``Pr{deviation > t}`` and its standard error, for each ``t``."""
-    tails = [float(np.mean(deviations > t)) for t in t_values]
-    return [(p, math.sqrt(p * (1.0 - p) / len(deviations))) for p in tails]
+    tails = mc_tails(
+        substream(seed, 0x0E), problem.base_axis.weights, problem.n, mc_samples,
+        lambda counts: np.abs(usmod.u_at_counts(problem, counts) - center), t_values,
+    )
+    return tails, "mc", "exact tails over cap; fell back to Monte Carlo"
 
 
 def cmd_rls(config: RunConfig) -> int:
@@ -301,11 +299,14 @@ def cmd_rls(config: RunConfig) -> int:
         rows.append(["scv", key, lam, "", measured[key], "", "", ""])
 
     mean_gap = rlsmod.exact_gap_mean(table)
-    values = rlsmod.mc_gap_values(table, p["mc_samples"], derive_seed(config.seed, 0xA3))
     tmax = float(table.gaps.max()) - mean_gap
     if tmax > 0.0:
         t_values = np.linspace(0.0, tmax, p["t_points"] + 1)[1:].tolist()
-        for t, (tail, stderr) in zip(t_values, _mc_tails(values - mean_gap, t_values)):
+        tails = mc_tails(
+            substream(derive_seed(config.seed, 0xA3), 0xF0), population.probs, n,
+            p["mc_samples"], lambda counts: table.gaps[rank(counts)] - mean_gap, t_values,
+        )
+        for t, (tail, stderr) in zip(t_values, tails):
             bound_c = rlsmod.gap_tail_bound(scv_mean, n, lam, p["c"], t)
             bound_measured = bnd.main_bound(
                 measured["e_scv"], measured["b"], measured["crude_j"], t

@@ -10,6 +10,7 @@ each point occurs: ``C(n + s - 1, s - 1)`` sample multisets in place of
 values on the multisets alone: every coordinate carries the same law, so a
 term of one coordinate depends only on the multiset of the other ``n - 1``
 draws, and a term of a coordinate pair on that of the other ``n - 2``.
+``mc_tails`` estimates tails from seeded samples, one block at a time.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .functionals import _largest_second_differences
 from .space import DEFAULT_CAP, CapacityError, fsum
+
+#: Samples drawn, evaluated and counted at a time by ``mc_tails``.
+MC_BLOCK = 8192
 
 
 def multisets(n: int, s: int, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -120,6 +124,29 @@ def occupancy(samples: np.ndarray, s: int) -> np.ndarray:
     for i in range(s):
         counts[..., i] = np.count_nonzero(samples == i, axis=-1)
     return counts
+
+
+def mc_tails(
+    rng: np.random.Generator, probs: Sequence[float], n: int, samples: int,
+    deviation: Callable[[np.ndarray], np.ndarray], t_values: Sequence[float],
+) -> list[tuple[float, float]]:
+    """Monte Carlo ``Pr{deviation > t}`` and its standard error, for each ``t``.
+
+    ``rng.choice`` draws ``samples`` samples of ``n`` points of ``probs``,
+    ``MC_BLOCK`` rows at a time, and ``deviation`` maps a block's
+    ``occupancy`` rows to one finite value each.  Memory is one block, time
+    linear in ``samples``; the draws are those of one ``rng.choice`` call and
+    each tail is the exact hit count over ``samples``, so the result is bit
+    for bit ``np.mean(d > t)`` over the whole sample.
+    """
+    s, t = len(probs), np.asarray(t_values, dtype=np.float64)
+    hits = np.zeros(len(t), dtype=np.int64)
+    for start in range(0, samples, MC_BLOCK):
+        rows = min(MC_BLOCK, samples - start)
+        d = np.sort(deviation(occupancy(rng.choice(s, size=(rows, n), p=probs), s)))
+        hits += rows - np.searchsorted(d, t, side="right")
+    tails = [h / samples for h in hits.tolist()]
+    return [(p, math.sqrt(p * (1.0 - p) / samples)) for p in tails]
 
 
 def rank(counts: np.ndarray) -> np.ndarray:

@@ -565,14 +565,6 @@ def exact_gap_mean(table: GapTable) -> float:
     return fsum(table.probs * table.gaps)
 
 
-def mc_gap_values(table: GapTable, n_samples: int, seed: int) -> np.ndarray:
-    """Seeded i.i.d. gap values for Monte Carlo tails, looked up by multiset."""
-    population = table.population
-    rng = substream(seed, 0xF0)
-    idx = rng.choice(population.size, size=(n_samples, table.n), p=population.probs)
-    return table.value(idx)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange:
 # {"dim": d, "lambda": l, "n": n, "population": [{"x": [...], "y": ..., "p": ...}]}

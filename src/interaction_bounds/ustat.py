@@ -32,8 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import multiset_probabilities, multisets, neighbours, occupancy
-from .rng import substream
+from .exchangeable import multiset_probabilities, multisets, neighbours
 from .space import CapacityError, FiniteAxis, _integer, fsum
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
@@ -268,6 +267,13 @@ def crossover(m: int, sigma1sq: float, n: int) -> CrossoverResult:
     return CrossoverResult(t_star, (n - m) * t_star, True)
 
 
+def check_kernel_terms(problem: UStatProblem, rows: int, eval_cap: int = DEFAULT_EVAL_CAP) -> None:
+    """CapacityError if ``u_at_counts`` on ``rows`` count rows passes ``eval_cap`` terms."""
+    terms = rows * math.comb(problem.m + problem.base_axis.size - 1, problem.m)
+    if terms > eval_cap:
+        raise CapacityError(f"{terms} kernel terms exceed the cap of {eval_cap}")
+
+
 def u_at_counts(
     problem: UStatProblem, counts: np.ndarray, eval_cap: int = DEFAULT_EVAL_CAP
 ) -> np.ndarray:
@@ -288,9 +294,7 @@ def u_at_counts(
         raise ValueError(f"count rows must sum to the sample size {n}")
     kappas, values = _kernel_table(problem, eval_cap)
     kappas = kappas.tolist()
-    terms = len(counts) * len(kappas)
-    if terms > eval_cap:
-        raise CapacityError(f"{terms} kernel terms exceed the cap of {eval_cap}")
+    check_kernel_terms(problem, len(counts), eval_cap)
     # Kernel values as integers over one power of two, so the sums are exact.
     ratios = [value.as_integer_ratio() for value in values.tolist()]
     scale = max(den for _, den in ratios)
@@ -307,19 +311,6 @@ def u_at_counts(
         except OverflowError:  # C(n, m) is beyond the float range
             out[r] = total / (scale * ncm)
     return out
-
-
-def sample_u_values(
-    problem: UStatProblem,
-    n_samples: int,
-    seed: int = 0,
-    eval_cap: int = DEFAULT_EVAL_CAP,
-) -> np.ndarray:
-    """Seeded i.i.d. draws of the U-statistic (for Monte Carlo tails)."""
-    rng = substream(seed, 0x0E)
-    w = np.asarray(problem.base_axis.weights)
-    idx = rng.choice(len(w), size=(n_samples, problem.n), p=w)
-    return u_at_counts(problem, occupancy(idx, len(w)), eval_cap)
 
 
 def exact_u_mean(problem: UStatProblem, cap: int = 1_000_000) -> float:

@@ -12,6 +12,10 @@ references enumerate every sample configuration, where the library works on
 sample multisets.  The per-problem RLS paths at the end (one ``cho_factor``
 solve per sample, per replaced point and per lattice offset) are the loops
 that the library's stacked solves must reproduce bit for bit.
+``sample_u_values`` and ``mc_gap_values`` draw a whole Monte Carlo sample in
+one ``rng.choice`` call, and ``mc_tails_of`` counts its tails with one
+``np.mean`` per ``t``: the one-shot form that the blocked
+``exchangeable.mc_tails`` must reproduce bit for bit.
 ``scv_envelope_terms`` is the one exception to independence: it composes
 library paths, to check an inequality of the paper rather than a path.  The
 ``*_table_formula`` references form every term of a mean or variance as one
@@ -28,7 +32,7 @@ import numpy as np
 
 from scipy.linalg import cho_factor, cho_solve
 
-from interaction_bounds.exchangeable import bound_ingredients, multisets
+from interaction_bounds.exchangeable import bound_ingredients, multisets, occupancy
 from interaction_bounds.rls import (
     DerivativeCheckReport,
     RlsProblem,
@@ -43,7 +47,7 @@ from interaction_bounds.space import (
     FiniteProductSpace,
     TabulatedFunction,
 )
-from interaction_bounds.ustat import sigma1_squared, u_at_counts
+from interaction_bounds.ustat import DEFAULT_EVAL_CAP, sigma1_squared, u_at_counts
 
 
 def configs(space):
@@ -714,3 +718,25 @@ def rls_derivative_bound_check(
         gram_mixed_ok=max_gram_mixed <= 1e-6,
         step_warning=step_warning,
     )
+
+
+def sample_u_values(problem, n_samples, seed=0, eval_cap=DEFAULT_EVAL_CAP):
+    """Seeded i.i.d. draws of the U-statistic, all in one ``rng.choice`` call."""
+    rng = substream(seed, 0x0E)
+    w = np.asarray(problem.base_axis.weights)
+    idx = rng.choice(len(w), size=(n_samples, problem.n), p=w)
+    return u_at_counts(problem, occupancy(idx, len(w)), eval_cap)
+
+
+def mc_gap_values(table, n_samples, seed):
+    """Seeded i.i.d. gap values, all drawn in one ``rng.choice`` call, looked up by multiset."""
+    population = table.population
+    rng = substream(seed, 0xF0)
+    idx = rng.choice(population.size, size=(n_samples, table.n), p=population.probs)
+    return table.value(idx)
+
+
+def mc_tails_of(deviations, t_values):
+    """``Pr{deviation > t}`` of the sample and its standard error, one ``np.mean`` per ``t``."""
+    tails = [float(np.mean(deviations > t)) for t in t_values]
+    return [(p, math.sqrt(p * (1.0 - p) / len(deviations))) for p in tails]

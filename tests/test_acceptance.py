@@ -46,7 +46,6 @@ from interaction_bounds.rls import (
     derivative_bound_check,
     empirical_risk,
     exact_gap_mean,
-    mc_gap_values,
     measured_ingredients,
     solve,
 )
@@ -308,7 +307,7 @@ def test_criterion_6_regularized_least_squares():
         tmax = max(table.gaps - mean_gap)
         if tmax <= 0.0 or meas["b"] <= 0.0:
             continue
-        values = mc_gap_values(table, 100_000, seed=SEED + rep_i)
+        values = oracles.mc_gap_values(table, 100_000, seed=SEED + rep_i)
         for t in np.linspace(0.0, tmax, 11)[1:]:
             p_hat = float(np.mean(values - mean_gap > t))
             stderr = math.sqrt(p_hat * (1.0 - p_hat) / len(values))

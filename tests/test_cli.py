@@ -11,12 +11,17 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import interaction_bounds
+import oracles
 
-from interaction_bounds import exchangeable, rls
+from interaction_bounds import cli, exchangeable, rls
 from interaction_bounds.cli import main
+from interaction_bounds.rng import derive_seed
+from interaction_bounds.space import FiniteAxis
+from interaction_bounds.ustat import UStatProblem, exact_u_mean, product_kernel
 
 
 def read(path):
@@ -151,7 +156,8 @@ class TestConfigHandling:
             assert f"bad {command} params" in assert_one_config_error(capsys)
 
     # (command, params, top-level fields, text the error must contain).  A dict
-    # under "path" holds the fields an rls problem document changes from PROBLEM.
+    # under "path" holds the fields an rls problem document changes from PROBLEM;
+    # a top-level field named like "--out" is passed as that flag instead.
     BAD_INPUTS = [
         ("verify", {"tail_points": -5}, {}, "tail_points must be >= 1"),
         ("verify", {"scalar_count": -1}, {}, "scalar_count must be >= 0"),
@@ -211,6 +217,9 @@ class TestConfigHandling:
         ("verify", {}, {"params": False}, "'params' must be an object"),
         ("verify", {}, {"params": 0}, "'params' must be an object"),
         ("verify", {}, {"params": ""}, "'params' must be an object"),
+        # an empty out, from the config and from the flag
+        ("normal-limit-demo", {}, {"out": ""}, "'out' must be a path string, got ''"),
+        ("normal-limit-demo", {}, {"--out": ""}, "'out' must be a path string, got ''"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 
@@ -221,9 +230,11 @@ class TestConfigHandling:
             path = tmp_path / "problem.json"
             path.write_text(json.dumps({**self.PROBLEM, **params["path"]}))
             params = {"path": str(path)}
+        flags = [arg for key, value in top.items() if key.startswith("--") for arg in (key, value)]
+        top = {key: value for key, value in top.items() if not key.startswith("--")}
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"command": command, "params": params, **top}))
-        assert main(["--config", str(config)]) == 2
+        assert main(["--config", str(config), *flags]) == 2
         err = assert_one_config_error(capsys)
         assert text in err, err
         if problem:
@@ -337,6 +348,24 @@ def test_extreme_config_exits_cleanly(doc, argv, tmp_path):
         assert lines == [], done.stderr
 
 
+def test_monte_carlo_sample_beyond_one_draw_runs_in_blocks(tmp_path):
+    # 4.5 million samples of the default problem (n = 8): one rng.choice call
+    # holds 288 MB of uniforms and 288 MB of indices at once, more than the
+    # 512 MiB of address space here; blocks of 8,192 samples fit.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"command": "rls", "params": {"mc_samples": 4_500_000}}))
+    src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+    limit = 512 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "interaction_bounds.cli", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout.count("bound_curve,tail,") == 10
+
+
 class TestUstatCommand:
     def test_small_exact_run(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -381,6 +410,46 @@ class TestUstatCommand:
         assert main(["--config", str(config), "--out", str(out)]) == 0
         body = read(out)
         assert "fell back to Monte Carlo" in body
+
+    def test_mc_fallback_tails_are_the_one_shot_tails(self, tmp_path, capsys):
+        samples = exchangeable.MC_BLOCK + 1
+        params = {"m_values": [2], "n_values": [40], "t_values": [0.05, 0.1, 0.2, 0.5],
+                  "mc_samples": samples}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "ustat", "seed": 2, "params": params}))
+        assert main(["--config", str(config), "--cap", "10", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {row["tail_kind"] for row in rows} == {"mc"}
+        problem = UStatProblem(product_kernel(2), 40, FiniteAxis.uniform(2), (-1.0, 1.0))
+        values = oracles.sample_u_values(problem, samples, seed=2)
+        want = oracles.mc_tails_of(np.abs(values - exact_u_mean(problem)), params["t_values"])
+        assert [(row["tail"], row["tail_stderr"]) for row in rows] == want
+
+    def test_mc_budget_counts_the_whole_sample_before_drawing(self, tmp_path, monkeypatch):
+        # 142,858 samples times 70 kernel multisets exceed the 10^7 term budget,
+        # though every block of 8,192 samples would fit it
+        def no_draws(*args):
+            raise AssertionError("drew samples over the Monte Carlo budget")
+
+        monkeypatch.setattr(cli, "mc_tails", no_draws)
+        params = {"kernel": "mean", "m_values": [4], "n_values": [5], "t_values": [0.1, 0.5],
+                  "base_points": [-1, -0.5, 0, 0.5, 1], "mc_samples": 142_858}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "ustat", "params": params, "cap": 100}))
+        out = tmp_path / "u.csv"
+        assert main(["--config", str(config), "--out", str(out)]) == 0
+        # the parent's rows, byte for byte
+        crossover = ["0.0098839133215641202"] * 2
+        note = "tail skipped; Monte Carlo budget exceeded"
+        want = [
+            ["4", "5", "0.10000000000000001", "0.031250000000000014", "1.9993487816848123",
+             "3.9998636181854788", "skipped", "", "", *crossover, note],
+            ["4", "5", "0.5", "0.031250000000000014", "1.9867227751915006",
+             "3.9993177652735463", "skipped", "", "", *crossover, note],
+        ]
+        lines = read(out).splitlines()
+        assert lines[0] == "#schema=1" and len(lines) == 4
+        assert [line.split(",") for line in lines[2:]] == want
 
     def test_large_samples_get_exact_tails(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -511,6 +580,20 @@ class TestRlsCommand:
         assert doc["schema"] == 1
         sections = {row["section"] for row in doc["rows"]}
         assert {"summary", "derivative_check", "scv", "bound_curve"} <= sections
+
+    def test_bound_curve_tails_are_the_one_shot_tails(self, tmp_path, capsys):
+        samples = 3 * exchangeable.MC_BLOCK + 1
+        params = {"mc_samples": samples, "replications": 2, "lambda_sweep": []}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "rls", "seed": 3, "params": params}))
+        assert main(["--config", str(config), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        rows = [row for row in rows if row["section"] == "bound_curve"]
+        table = rls.GapTable(*rls.rls_config_from_json(cli._DEMO_RLS))
+        mean = rls.exact_gap_mean(table)
+        values = oracles.mc_gap_values(table, samples, derive_seed(3, 0xA3))
+        want = oracles.mc_tails_of(values - mean, [row["t"] for row in rows])
+        assert len(rows) == 10 and [(row["value"], row["stderr"]) for row in rows] == want
 
     def test_cap_reaches_measured_ingredients(self, monkeypatch):
         caps = []

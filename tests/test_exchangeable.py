@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import oracles
 from interaction_bounds import bounds
 from interaction_bounds.exchangeable import (
+    MC_BLOCK,
     bound_ingredients,
+    mc_tails,
     multiset_probabilities,
     multisets,
     neighbours,
@@ -19,6 +21,7 @@ from interaction_bounds.exchangeable import (
     rank,
 )
 from interaction_bounds.rls import GapTable, Population
+from interaction_bounds.rng import substream
 from interaction_bounds.space import (
     CapacityError,
     FiniteAxis,
@@ -56,6 +59,26 @@ def test_occupancy_of_samples():
     want = [[[list(row).count(i) for i in range(4)] for row in block] for block in samples]
     assert occupancy(samples, 4).tolist() == want
     assert occupancy(samples[0, 0], 4).tolist() == want[0][0]
+
+
+@pytest.mark.parametrize("samples", [100, 2 * MC_BLOCK, 2 * MC_BLOCK + 1])
+def test_monte_carlo_blocks_draw_the_one_shot_samples(samples):
+    probs = (0.2, 0.5, 0.3)
+    blocks = []
+
+    def record(counts):
+        blocks.append(counts.copy())
+        return np.zeros(len(counts))
+
+    assert mc_tails(substream(5, 0xF0), probs, 7, samples, record, [-1.0, 0.0]) == [
+        (1.0, 0.0),
+        (0.0, 0.0),
+    ]
+    assert [len(b) for b in blocks] == [MC_BLOCK] * (samples // MC_BLOCK) + (
+        [samples % MC_BLOCK] if samples % MC_BLOCK else []
+    )
+    draws = substream(5, 0xF0).choice(3, size=(samples, 7), p=probs)
+    assert np.array_equal(np.concatenate(blocks), occupancy(draws, 3))
 
 
 def test_probabilities_aggregate_configuration_weights():

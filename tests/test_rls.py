@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from interaction_bounds.bounds import main_bound
+from interaction_bounds.exchangeable import MC_BLOCK, mc_tails, rank
 from interaction_bounds.rls import (
     GapTable,
     Population,
@@ -19,7 +21,6 @@ from interaction_bounds.rls import (
     empirical_scv,
     exact_gap_mean,
     gap_tail_bound,
-    mc_gap_values,
     measured_ingredients,
     population_sampler,
     rls_config_from_json,
@@ -348,7 +349,7 @@ class TestGapDistribution:
         n, lam = 6, 0.4
         table = GapTable(TWO_ATOM, n, lam)
         mean = exact_gap_mean(table)
-        values = mc_gap_values(table, 40_000, seed=4)
+        values = oracles.mc_gap_values(table, 40_000, seed=4)
         assert np.mean(values) == pytest.approx(mean, abs=5e-4)
         t_values = (0.002, 0.005, 0.01)
         exact_tails = tail_probabilities(table.gaps - mean, table.probs, t_values)
@@ -356,6 +357,40 @@ class TestGapDistribution:
             mc = float(np.mean(values - mean > t))
             stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
             assert abs(mc - exact) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("samples", [300, MC_BLOCK, 3 * MC_BLOCK + 1])
+    def test_blocked_tails_are_the_one_shot_tails(self, samples):
+        n, lam = 5, 0.3
+        table = GapTable(PLANE_ATOM, n, lam)
+        mean = exact_gap_mean(table)
+        deviations = table.gaps - mean
+        # a grid, every deviation itself (never exceeded), and both ends
+        t_values = [*np.linspace(0.0, deviations.max(), 7).tolist(), *deviations.tolist(), -1.0]
+        got = mc_tails(
+            substream(6, 0xF0), PLANE_ATOM.probs, n, samples,
+            lambda counts: table.gaps[rank(counts)] - mean, t_values,
+        )
+        values = oracles.mc_gap_values(table, samples, seed=6)
+        assert got == oracles.mc_tails_of(values - mean, t_values)
+
+    def test_tail_memory_is_a_few_blocks(self):
+        # 10^6 samples of n = 7 in one rng.choice call would hold 56 MB of
+        # uniforms and 56 MB of indices; blocks of 8,192 rows hold 0.46 MB each.
+        n, samples = 7, 10**6
+        table = GapTable(PLANE_ATOM, n, 0.5)
+        mean = exact_gap_mean(table)
+        t_values = np.linspace(0.0, float(table.gaps.max()) - mean, 11)[1:].tolist()
+        tracemalloc.start()
+        try:
+            tails = mc_tails(
+                substream(1, 0xF0), PLANE_ATOM.probs, n, samples,
+                lambda counts: table.gaps[rank(counts)] - mean, t_values,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert tails[0][0] > 0.0 and tails[-1] == (0.0, 0.0)
 
     def test_measured_ingredients_give_valid_main_bound(self):
         n, lam = 5, 0.35
@@ -383,7 +418,7 @@ class TestMultisetEngine:
 
     def test_mc_values_are_gaps_of_the_drawn_samples(self):
         n, lam = 5, 0.3
-        got = mc_gap_values(GapTable(PLANE_ATOM, n, lam), 300, seed=6)
+        got = oracles.mc_gap_values(GapTable(PLANE_ATOM, n, lam), 300, seed=6)
         draws = np.sort(
             substream(6, 0xF0).choice(3, size=(300, n), p=PLANE_ATOM.probs), axis=1
         )

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from interaction_bounds.functionals import interaction
-from interaction_bounds.exchangeable import multisets, occupancy, rank
+from interaction_bounds.exchangeable import MC_BLOCK, mc_tails, multisets, occupancy, rank
 from interaction_bounds.operators import cond_expectation
 from interaction_bounds.rng import substream
 from interaction_bounds.space import CapacityError, FiniteAxis, expectation, tail_probabilities
@@ -17,12 +17,12 @@ from interaction_bounds.ustat import (
     Kernel,
     UStatProblem,
     arcones_bound,
+    check_kernel_terms,
     crossover,
     exact_u_mean,
     kernel_from_json,
     mean_kernel,
     product_kernel,
-    sample_u_values,
     sigma1_squared,
     sign_agreement_kernel,
     tabulated_kernel,
@@ -310,8 +310,8 @@ class TestSampling:
 
     def test_sampled_values_deterministic(self):
         p = problem(product_kernel(2), 6)
-        a = sample_u_values(p, 50, seed=9)
-        b = sample_u_values(p, 50, seed=9)
+        a = oracles.sample_u_values(p, 50, seed=9)
+        b = oracles.sample_u_values(p, 50, seed=9)
         assert np.array_equal(a, b)
 
     def test_sampled_tail_agrees_with_exact(self):
@@ -319,12 +319,35 @@ class TestSampling:
         u = oracles.tabulate_u(p)
         center = expectation(u)
         w = u.space.weight_table()
-        values = sample_u_values(p, 4000, seed=10)
+        values = oracles.sample_u_values(p, 4000, seed=10)
         t = 0.25
         exact = tail_probabilities(np.abs(u.values - center), w, [t])[0]
         mc = float(np.mean(np.abs(values - center) > t))
         stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
         assert abs(mc - exact) <= 4 * stderr
+
+    @pytest.mark.parametrize("samples", [50, MC_BLOCK + 1])
+    def test_blocked_tails_are_the_one_shot_tails(self, samples):
+        p = problem(_tabulated_quadratic(WEIGHTED_POINTS), 9, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        center = exact_u_mean(p)
+        t_values = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 2.0]
+        got = mc_tails(
+            substream(3, 0x0E), WEIGHTED_AXIS.weights, p.n, samples,
+            lambda counts: np.abs(u_at_counts(p, counts) - center), t_values,
+        )
+        values = oracles.sample_u_values(p, samples, seed=3)
+        assert got == oracles.mc_tails_of(np.abs(values - center), t_values)
+        assert got[-1] == (0.0, 0.0)
+
+    def test_kernel_terms_of_a_whole_sample(self):
+        # 70 multisets of 4 of 5 points: u_at_counts' cap text, before any row is formed
+        p = problem(mean_kernel(4), 5, FiniteAxis.uniform(5), (-1.0, -0.5, 0.0, 0.5, 1.0))
+        check_kernel_terms(p, 142_857)
+        text = "^10000060 kernel terms exceed the cap of 10000000$"
+        with pytest.raises(CapacityError, match=text):
+            check_kernel_terms(p, 142_858)
+        with pytest.raises(CapacityError, match="^210 kernel terms exceed the cap of 209$"):
+            u_at_counts(p, multisets(5, 5)[:3], eval_cap=209)
 
 
 def _tabulated_quadratic(points):
@@ -355,7 +378,7 @@ class TestCountsEvaluator:
     @pytest.mark.parametrize("kernel,n", COUNT_CASES)
     def test_samples_match_evaluate_u(self, kernel, n):
         p = problem(kernel, n, WEIGHTED_AXIS, WEIGHTED_POINTS)
-        got = sample_u_values(p, 200, seed=12)
+        got = oracles.sample_u_values(p, 200, seed=12)
         draws = substream(12, 0x0E).choice(3, size=(200, n), p=WEIGHTED_AXIS.weights)
         pts = np.asarray(WEIGHTED_POINTS)
         want = [oracles.u_value(kernel.fn, kernel.m, pts[row]) for row in draws]
@@ -380,7 +403,7 @@ class TestCountsEvaluator:
         with pytest.raises(ValueError, match="outside"):
             u_at_counts(problem(wild, 4), multisets(4, 2))
         with pytest.raises(ValueError, match="outside"):
-            sample_u_values(problem(wild, 4), 10, seed=1)
+            oracles.sample_u_values(problem(wild, 4), 10, seed=1)
         with pytest.raises(ValueError, match="outside"):
             sigma1_squared(problem(wild, 4))
 

@@ -240,15 +240,18 @@ def cmd_ustat(config: RunConfig) -> int:
 
 
 def _ustat_tails(problem, t_values, cap, mc_samples, seed):
-    """Two-sided ``(tail, stderr)`` per ``t``: exact within the cap, Monte Carlo above it."""
+    """Two-sided ``(tail, stderr)`` per ``t``, kind and note: exact within the caps, else Monte Carlo.
+
+    The note of a Monte Carlo cell names the limit that refused the exact tails.
+    """
     center = usmod.exact_u_mean(problem)
     try:
         counts = multisets(problem.n, problem.base_axis.size, cap)
         deviations = np.abs(usmod.u_at_counts(problem, counts) - center)
         probs = multiset_probabilities(counts, problem.base_axis.weights)
         return [(p, 0.0) for p in tail_probabilities(deviations, probs, t_values)], "exact", ""
-    except CapacityError:
-        pass
+    except CapacityError as exc:
+        note = f"exact tails: {exc}; fell back to Monte Carlo"
     try:  # the whole sample counts against the budget, before the first draw
         usmod.check_kernel_terms(problem, mc_samples)
     except CapacityError:
@@ -257,7 +260,7 @@ def _ustat_tails(problem, t_values, cap, mc_samples, seed):
         substream(seed, 0x0E), problem.base_axis.weights, problem.n, mc_samples,
         lambda counts: np.abs(usmod.u_at_counts(problem, counts) - center), t_values,
     )
-    return tails, "mc", "exact tails over cap; fell back to Monte Carlo"
+    return tails, "mc", note
 
 
 def cmd_rls(config: RunConfig) -> int:

@@ -83,11 +83,11 @@ class InteractionReport:
     unordered axis pairs, on one contiguous copy of the table per pair, by
     the stencil ``exchangeable.bound_ingredients`` shares for ``crude``.
     ``_weighted_objective_tables`` gives ``j_mu`` in a sweep over the axes
-    ``l``, the points ``z`` of axis ``l`` and ``k != l``, in one of two loop
-    orders per ``l``, so that at most ``min(n - 1, s_l) + 3`` tables are live
-    for an axis ``l`` of ``s_l`` points.  Both return the bits of the direct
-    reductions (``tests/oracles.py``): maxima and minima are exact, and every
-    sum and BLAS product is the same operation, in the same order, as there.
+    ``l``, blocks of the points ``z`` of axis ``l``, and ``k != l``, so that
+    at most ``min(n - 1, s_l) + 3`` tables are live for an axis ``l`` of
+    ``s_l`` points.  Both return the bits of the direct reductions
+    (``tests/oracles.py``): maxima and minima are exact, and every sum and
+    BLAS product is the same operation, in the same order, as there.
 
     ``approximate`` is a class constant, always false: every number in the
     report is exact.  ``scale``, the largest ``|f|``, is not stored: the
@@ -171,45 +171,36 @@ def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> flo
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
     """Table of ``sum_l max_z sum_{k != l} cond_variance(f - f@z, k)``.
 
-    Each centred table ``c_k = f - E_k f`` (see ``InteractionReport``) lies
-    contiguously in the layout of ``_blas_layout``, where ``(c_k - c_k@z)^2``
-    is one contiguous subtract into the table-sized buffer ``sq`` and an
-    in-place square, and its conditional mean over ``k`` one matrix-vector
-    product (``_Sweep``).  The conditional means add up in ``k`` order, one
-    sum per point ``z`` of axis ``l``, and the exact maximum over ``z`` of
-    those sums goes into the total.  Per axis ``l`` the sweep holds the
-    smaller of two sets of tables:
-
-    * ``s_l < n - 1``: the ``s_l`` sums, with ``k`` outside and ``z``
-      inside, each ``c_k`` centred into one reused buffer
-      (``_sweep_axes_outer``);
-    * otherwise the centred tables, with ``z`` outside and ``k`` inside.
-      With ``n = 2`` the one ``c_k`` is held and the maximum taken straight
-      from its conditional means.  With more axes the sum for ``z`` and the
-      running maximum take two tables, so only the ``n - 2`` tables of all
-      but the last ``k`` are held, and the last one is centred again for
-      every ``z``, into ``sq``, from its mean (``size / s_k`` values).  Held
-      tables carry over to the next axis ``l``, so going from ``l`` to
-      ``l + 1`` centres one table, into the buffer of the one let go.
-
-    The sums, the running maximum and the buffer for ``c_k`` are also kept
-    from one axis ``l`` to the next (``_resize``).
+    For each axis ``l`` the points ``z`` go in blocks.  Per block each other
+    axis ``k`` is centred once, into one reused buffer, as ``c_k = f - E_k
+    f`` (see ``InteractionReport``) in the layout of ``_blas_layout``, where
+    ``(c_k - c_k@z)^2`` is one contiguous subtract into the table-sized
+    buffer ``sq`` and an in-place square, and its conditional mean over
+    ``k`` one matrix-vector product (``_Sweep``).  The conditional means add
+    up in ``k`` order, one sum per point of the block, and the exact maximum
+    of those sums goes into a running maximum over ``z``.  The first block
+    holds ``min(s_l, n - 1)`` points, and its first sum is the running
+    maximum; each later block holds one point fewer.  With ``n = 2`` the one
+    term is the sum, so the one centred table serves every ``z`` and each
+    term goes straight into the maximum.  The sums, the maximum and the
+    buffer for ``c_k`` are kept from one axis ``l`` to the next
+    (``_resize``).
 
     With ``sq`` and the total, at most ``min(n - 1, s_l) + 3`` tables are
-    live, besides conditional-mean rows of ``size / s_k`` values, where
-    holding every ``c_k`` through the whole sweep takes ``n + 4``.  The price
-    is time: an axis with ``s_l < n - 1`` centres the ``n - 1`` tables
-    ``c_k``, ``k != l``, again, and one with ``n > 2`` and ``s_l >= n - 1``
-    recentres one table for each ``z``.
+    live for an axis ``l`` of ``s_l`` points, besides conditional-mean rows
+    of ``size / s_k`` values, where holding every ``c_k`` through the whole
+    sweep takes ``n + 4``.  The price is time on long axes: each block
+    centres the ``n - 1`` tables ``c_k``, ``k != l``, again, so an axis of
+    ``s_l >= n`` points centres each about ``s_l / (n - 2)`` times.
 
     Why the bits hold: a centred table is ``_center``'s elementwise subtract
     of the mean that ``_contract`` computes, by the same matrix-vector
-    product on the same matrix (``_Sweep.mean``).  The subtract, the square
-    and the sum in ``k`` order are the same floating-point operations in
-    either loop order, and the maximum is exact.  A sum starts from its
+    product on the same matrix (``_Sweep.centre``).  The subtract, the square
+    and the sum in ``k`` order are the same floating-point operations as the
+    direct form's, and the maximum is exact.  A sum starts from its
     first term where the direct form adds that term to zero: a conditional
-    mean of squares with nonnegative weights is never ``-0.0``, so
-    ``0 + cv`` is ``cv``.  Each matrix-vector product gets the matrix that
+    mean of squares with nonnegative weights is never ``-0.0``, so ``0 +
+    cv`` is ``cv``.  Each matrix-vector product gets the matrix that
     ``_contract`` would hand BLAS for that one table, never a row of a
     larger stacked matrix, which BLAS may round differently.
     """
@@ -221,31 +212,34 @@ def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
     buf, cv_buf = np.empty(shape), np.empty(size // min(shape))
     sweeps = [_Sweep(f, k, buf, cv_buf) for k in range(n)]
     pool: list[np.ndarray] = []
-    held: dict[int, np.ndarray] = {}
-    last, mean = None, None
     for l, s_l in enumerate(shape):
-        others = [k for k in range(n) if k != l]
-        if s_l < n - 1:
-            held.clear()
-            last = mean = None
-            _resize(pool, s_l + 1, shape)
-            total += _sweep_axes_outer([sweeps[k] for k in others], l, pool)
-            continue
-        _resize(pool, 2 if n > 2 and s_l > 1 else 1, shape)
-        recentred = None
-        if n > 2:
-            if last != others[-1]:
-                mean = None  # let the old mean go before making the new one
-                last = others[-1]
-                mean = sweeps[last].mean(np.empty(size // shape[last]))
-            others.pop()
-            recentred = (sweeps[last], mean)
-        spare = [held.pop(k) for k in list(held) if k not in others]
-        for k in others:
-            if k not in held:
-                held[k] = sweeps[k].centre(spare.pop() if spare else np.empty(shape))
-        pairs = [(sweeps[k], held[k]) for k in others]
-        total += _sweep_points_outer(pairs, recentred, l, s_l, pool)
+        others = [sweeps[k] for k in range(n) if k != l]
+        _resize(pool, min(s_l, n - 1) + 1, shape)
+        c_buf, best, *spare = pool
+        if n == 2:  # the one term is the sum
+            (sweep,) = others
+            c = sweep.centre(c_buf)
+            np.copyto(best, sweep.cond_variance(c, l, 0))
+            for z in range(1, s_l):
+                np.maximum(best, sweep.cond_variance(c, l, z), out=best)
+        else:
+            z = 0
+            while z < s_l:
+                block = spare if z else [best, *spare]
+                points = range(z, min(z + len(block), s_l))
+                for i, sweep in enumerate(others):
+                    c = sweep.centre(c_buf)
+                    for point, acc in zip(points, block):
+                        cv = sweep.cond_variance(c, l, point)
+                        if i:
+                            acc += cv
+                        else:
+                            np.copyto(acc, cv)
+                for acc in block[: len(points)]:
+                    if acc is not best:
+                        np.maximum(best, acc, out=best)
+                z = points.stop
+        total += best
     return total
 
 
@@ -293,96 +287,29 @@ class _Sweep:
         rows = [self.pos[a] for a in range(len(self.pos)) if a != self.k]
         return table.transpose(*rows, self.pos[self.k]).reshape(-1, self.w.shape[0])
 
-    def mean(self, out: np.ndarray) -> np.ndarray:
-        """``_contract(f.values, w, k)`` into ``out``, bit for bit, shown in the layout.
-
-        Where the layout is not the table order, ``f`` is first copied into
-        ``sq``, as ``_contract``'s reshape copies it.
-        """
-        if self.copied:
-            np.copyto(self.sq, self.values)
-            np.dot(self.matrix, self.w, out=out)
-        else:
-            np.dot(self._matrix(self.values), self.w, out=out)
-        return _keep_axis(out, self.sq.shape, self.pos[self.k])
-
     def centre(self, out: np.ndarray) -> np.ndarray:
-        """``c_k = f - E_k f`` into the buffer ``out``, in the layout."""
-        c = out if out.shape == self.sq.shape else out.reshape(self.sq.shape)
-        mean = self.mean(self.cv)
-        np.subtract(self.sq if self.copied else self.values, mean, out=c)
+        """``c_k = f - E_k f`` into the buffer ``out``, in the layout, bit for bit.
+
+        The mean is ``_contract(f.values, w, k)``: where the layout is not the
+        table order, ``f`` is first copied into ``sq``, as ``_contract``'s
+        reshape copies it.
+        """
+        values = self.values
+        if self.copied:
+            np.copyto(self.sq, values)
+            values = self.sq
+        np.dot(self._matrix(values), self.w, out=self.cv)
+        c = out.reshape(values.shape)
+        np.subtract(values, _keep_axis(self.cv, values.shape, self.pos[self.k]), out=c)
         return c
 
     def cond_variance(self, c: np.ndarray, l: int, z: int) -> np.ndarray:
         """``cond_variance(c - c@z, k)`` as ``cv_table``, for a point ``z`` of axis ``l``."""
-        np.subtract(c, c[(slice(None),) * self.pos[l] + (slice(z, z + 1),)], out=self.sq)
-        return self.squared_mean()
-
-    def squared_mean(self) -> np.ndarray:
-        """``E_k[sq^2]`` as ``cv_table``, with ``sq`` squared in place."""
         sq = self.sq
+        np.subtract(c, c[(slice(None),) * self.pos[l] + (slice(z, z + 1),)], out=sq)
         np.multiply(sq, sq, out=sq)
         np.dot(self.matrix, self.w, out=self.cv)
         return self.cv_table
-
-
-def _sweep_axes_outer(others: list[_Sweep], l: int, pool: list[np.ndarray]) -> np.ndarray:
-    """``max_z sum_{k != l}`` with ``k`` outside: ``pool`` holds the sums, then a ``c_k`` buffer."""
-    *sums, c_buf = pool
-    for i, sweep in enumerate(others):
-        c = sweep.centre(c_buf)
-        for z, acc in enumerate(sums):
-            cv = sweep.cond_variance(c, l, z)
-            if i:
-                acc += cv
-            else:
-                np.copyto(acc, cv)
-    best = sums[0]
-    for acc in sums[1:]:
-        np.maximum(best, acc, out=best)
-    return best
-
-
-def _sweep_points_outer(
-    pairs: list[tuple[_Sweep, np.ndarray]],
-    recentred: tuple[_Sweep, np.ndarray] | None,
-    l: int,
-    s_l: int,
-    pool: list[np.ndarray],
-) -> np.ndarray:
-    """``max_z sum_{k != l}`` with ``z`` outside, over held ``(sweep, c_k)`` pairs.
-
-    ``pool`` holds the running maximum, then the sum for ``z`` if one is
-    needed.  ``recentred`` is the last axis's sweep and mean, or ``None``
-    when the pairs cover every ``k != l``.  For each ``z`` its row ``c_k@z``
-    goes into a buffer of ``size / s_l`` values and ``c_k`` into ``sq``,
-    which the row is then subtracted from: a subtract in place of a slice of
-    ``sq`` itself would make numpy copy a whole table.
-    """
-    best, inner = pool[0], pool[1] if len(pool) > 1 else None
-    if recentred is not None:
-        last, mean = recentred
-        cut = (slice(None),) * last.pos[l]
-        row = np.empty(last.values[cut + (slice(0, 1),)].shape)
-    for z in range(s_l):
-        acc = inner if z else best
-        for i, (sweep, c) in enumerate(pairs):
-            cv = sweep.cond_variance(c, l, z)
-            if i:
-                acc += cv
-            elif acc is None:
-                acc = cv  # the one axis k != l: its term is the sum
-            else:
-                np.copyto(acc, cv)
-        if recentred is not None:
-            at = cut + (slice(z, z + 1),)
-            np.subtract(last.values[at], mean[at], out=row)
-            np.subtract(last.values, mean, out=last.sq)
-            np.subtract(last.sq, row, out=last.sq)
-            acc += last.squared_mean()
-        if z:
-            np.maximum(best, acc, out=best)
-    return best
 
 
 def _blas_layout(shape: tuple[int, ...], k: int) -> list[int]:

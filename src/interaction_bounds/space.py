@@ -71,7 +71,8 @@ def fsum(values: Iterable[float] | np.ndarray) -> float:
     """Exactly rounded sum of the given terms: ``math.fsum``'s bits on every input.
 
     A float64 array of at least ``_FSUM_KERNEL_MIN`` finite terms with
-    ``size * max|term| < 2^1000`` goes to ``_exact_sum``, which holds
+    ``size * max|term| < 2^1000`` goes to the kernel, ``_exact_blocks`` over
+    its blocks of ``_FSUM_CHUNK`` terms (``_fsum_blocks``), which holds
     ``O(_FSUM_CHUNK)`` numpy temporaries.  Anything else, including every
     input on which ``math.fsum`` returns ``nan`` or ``inf`` or raises
     ``OverflowError`` or ``ValueError``, and every exact zero, goes to
@@ -81,13 +82,8 @@ def fsum(values: Iterable[float] | np.ndarray) -> float:
     """
     if isinstance(values, (np.ndarray, np.generic)):
         flat = np.asarray(values).ravel()
-        if flat.dtype == np.float64 and flat.size >= _FSUM_KERNEL_MIN:
-            limit = _FSUM_SAFE / flat.size
-            # False for a nan or an infinite term as well.
-            if -limit < flat.min() and flat.max() < limit:
-                total = _exact_sum(flat)
-                if total is not None:
-                    return total
+        if flat.dtype == np.float64:
+            return _fsum_blocks(flat.size, lambda start, stop: flat[start:stop])
         return math.fsum(flat.tolist())
     return math.fsum(values)
 
@@ -95,12 +91,12 @@ def fsum(values: Iterable[float] | np.ndarray) -> float:
 def _fsum_blocks(size: int, terms: Callable[[int, int], np.ndarray]) -> float:
     """``fsum`` of ``size`` float64 terms, of which ``terms(start, stop)`` forms a block.
 
-    ``fsum`` of the whole array, bit for bit, but the kernel asks for its
-    blocks of ``_FSUM_CHUNK`` terms one at a time, so a caller that computes
-    its terms there holds one block of them, not the whole array.  The
-    bounds on the terms are checked block by block, and where they fail, or
-    the sum is exactly 0, this asks for all the terms at once and goes to
-    ``math.fsum``, as ``fsum`` does.
+    The kernel asks for its blocks of ``_FSUM_CHUNK`` terms one at a time,
+    so a caller that computes its terms there holds one block of them, not
+    the whole array; ``fsum`` hands it slices of an array.  The bounds on
+    the terms are checked block by block, and where they fail, or there are
+    fewer than ``_FSUM_KERNEL_MIN`` terms, or the sum is exactly 0, this asks
+    for all the terms at once and goes to ``math.fsum``.
     """
     if size >= _FSUM_KERNEL_MIN:
         blocks = (terms(i, min(i + _FSUM_CHUNK, size)) for i in range(0, size, _FSUM_CHUNK))
@@ -108,16 +104,6 @@ def _fsum_blocks(size: int, terms: Callable[[int, int], np.ndarray]) -> float:
         if total is not None:
             return total
     return math.fsum(terms(0, size).tolist())
-
-
-def _exact_sum(flat: np.ndarray) -> float | None:
-    """The sum of finite float64 terms, rounded once; ``None`` if it is exactly 0.
-
-    ``_exact_blocks`` over consecutive blocks of ``_FSUM_CHUNK`` terms.
-    """
-    return _exact_blocks(
-        (flat[i : i + _FSUM_CHUNK] for i in range(0, flat.size, _FSUM_CHUNK)), math.inf
-    )
 
 
 def _exact_blocks(blocks: Iterable[np.ndarray], limit: float) -> float | None:

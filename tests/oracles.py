@@ -443,6 +443,21 @@ def conditional_mean_variance_sum(f):
     return total
 
 
+def first_asymmetric_kernel_entry(table):
+    """``ustat.tabulated_kernel``'s symmetry check as a loop over permutations.
+
+    The first index tuple of ``table`` in row-major order that some
+    permutation of it maps to an entry more than 1e-12 away, or ``None``:
+    ``m!`` lookups per entry, where the library compares orbit extremes.
+    """
+    for idx in np.ndindex(table.shape):
+        v = table[idx]
+        for perm in itertools.permutations(idx):
+            if abs(table[perm] - v) > 1e-12:
+                return idx
+    return None
+
+
 def u_value(kernel_fn, m, sample):
     combos = list(itertools.combinations(sample, m))
     return math.fsum(kernel_fn(c) for c in combos) / len(combos)

@@ -366,6 +366,33 @@ def test_monte_carlo_sample_beyond_one_draw_runs_in_blocks(tmp_path):
     assert done.stdout.count("bound_curve,tail,") == 10
 
 
+def test_order_twelve_kernel_file_is_checked_in_seconds(tmp_path):
+    # 4,096 entries on two points: comparing each index tuple with its 12!
+    # permutations would take days.  The value depends only on how many of
+    # the twelve indices are 1, so the table is symmetric until entry 5,
+    # (0, ..., 0, 1, 0, 1), moves; the first entry of its orbit is reported.
+    table = (np.indices((2,) * 12).sum(axis=0).ravel() / 12.0 - 0.5).tolist()
+    kernel_path, config = tmp_path / "kernel.json", tmp_path / "cfg.json"
+    params = {"kernel_path": str(kernel_path), "m_values": [12], "n_values": [13, 20]}
+    config.write_text(json.dumps({"command": "ustat", "params": params}))
+    src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+    for status in (0, 2):
+        table[5] += 1e-9 * status / 2
+        kernel_path.write_text(json.dumps({"points": [-1.0, 1.0], "table": table, "m": 12}))
+        done = subprocess.run(
+            [sys.executable, "-m", "interaction_bounds.cli", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == status, done.stderr
+        if status:
+            assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
+            first = (0,) * 10 + (1, 1)
+            assert done.stderr.rstrip().endswith(f"kernel table not symmetric at {first}")
+        else:
+            rows = done.stdout.splitlines()[2:]
+            assert done.stderr == "" and rows and all(",exact," in row for row in rows)
+
+
 class TestUstatCommand:
     def test_small_exact_run(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -410,6 +437,29 @@ class TestUstatCommand:
         assert main(["--config", str(config), "--out", str(out)]) == 0
         body = read(out)
         assert "fell back to Monte Carlo" in body
+
+    @pytest.mark.parametrize(
+        "params, cap, limit",
+        [
+            ({"kernel": "mean", "m_values": [4], "n_values": [50],
+              "base_points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+             1_000_000_000, "22137570 kernel terms exceed the cap of 10000000"),
+            ({"m_values": [2], "n_values": [40]}, 40, "41 sample multisets exceed the cap of 40"),
+        ],
+        ids=["kernel-term-budget", "cap"],
+    )
+    def test_mc_fallback_note_names_the_limit(self, params, cap, limit, tmp_path, capsys):
+        # --cap cannot lift the kernel-term budget, so the note must say which
+        # limit refused the exact tails.
+        config = tmp_path / "cfg.json"
+        params = {**params, "t_values": [0.1, 0.5], "mc_samples": 200}
+        config.write_text(json.dumps({"command": "ustat", "params": params}))
+        assert main(["--config", str(config), "--cap", str(cap), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {row["tail_kind"] for row in rows} == {"mc"}
+        assert {row["note"] for row in rows} == {
+            f"exact tails: {limit}; fell back to Monte Carlo"
+        }
 
     def test_mc_fallback_tails_are_the_one_shot_tails(self, tmp_path, capsys):
         samples = exchangeable.MC_BLOCK + 1

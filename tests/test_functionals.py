@@ -132,6 +132,11 @@ class TestInteraction:
     @example(seeded_table((9, 3, 8), True, 4))
     @example(seeded_table((4, 4, 4, 4), True, 5))
     @example(seeded_table((2, 4, 1, 4, 3), False, 6))
+    @example(seeded_table((3, 2, 2, 2), True, 7))
+    @example(seeded_table((4, 2, 2, 2), False, 8))
+    @example(seeded_table((7, 3, 3, 3), True, 9))
+    @example(seeded_table((9, 2, 2, 2, 2), False, 10))
+    @example(seeded_table((40, 8, 8, 8), True, 11))
     def test_batched_objective_is_per_z_loop_bit_for_bit(self, f):
         want = oracles.weighted_objective_tables_per_z(f)
         assert np.array_equal(_weighted_objective_tables(f), want)
@@ -142,6 +147,7 @@ class TestInteraction:
             (4,) * 5, (3,) * 6, (2,) * 9, (1, 3, 1, 4, 2, 1, 3, 1),
             (4,) * 6, (3,) * 8, (2,) * 14, (4,) * 7, (4,) * 8,
             (64, 2, 2), (300, 3), (9, 3, 8),
+            (3, 2, 2, 2), (4, 2, 2, 2), (7, 3, 3, 3), (9, 2, 2, 2, 2), (40, 8, 8, 8),
         ],
         ids=str,
     )
@@ -149,10 +155,13 @@ class TestInteraction:
     def test_pair_kernels_bit_for_bit_on_deep_shapes(self, shape, dirichlet):
         # Five to nine axes: every axis takes the copied layout of the j_mu
         # sweep at least once, with length-one axes first, inside and last.
-        # The dense benchmark's ladder (4^6 to 4^8) loops over the axes k
-        # outside the points z on every axis l.  The last three loop over z
-        # outside: (300, 3) holds its one centred table, and the three-axis
-        # shapes hold one and centre the other again for each z.
+        # The j_mu sweep takes the points z of axis l in blocks, the first of
+        # min(s_l, n - 1) points and each later one of one point fewer.  The
+        # dense benchmark's ladder (4^6 to 4^8) fits every axis in one block;
+        # (300, 3) holds its one centred table for all 300 points.  Axis 0
+        # of the last five fills one block exactly (s_l = n - 1), leaves one
+        # point for a second block (s_l = n), spans three full blocks, and
+        # twice spans several blocks with a partial last one.
         f = seeded_table(shape, dirichlet, seed=len(shape))
         table, max_abs = _interaction_tables(f)
         want_table, want_max_abs = oracles.interaction_tables_triu(f)
@@ -162,13 +171,17 @@ class TestInteraction:
         assert np.array_equal(_weighted_objective_tables(f), want)
 
     @pytest.mark.parametrize(
-        "shape, tables", [((4,) * 8, 7.5), ((2,) * 14, 6.5), ((64, 2, 2), 11.3), ((300, 3), 8.3)],
+        "shape, tables",
+        [((4,) * 8, 7.5), ((2,) * 14, 6.5), ((64, 2, 2), 11.3), ((300, 3), 8.3),
+         ((40, 8, 8, 8), 7.0)],
         ids=str,
     )
     def test_objective_traced_peak_in_tables(self, shape, tables):
         # At most min(n - 1, s_l) + 3 table-sized buffers: 7 at 4^8 and 5 at
         # 2^14, where all n centred tables and four more took 12.4 and 19.2.
-        # The two long-axis shapes must not peak above that sweep either.
+        # A long axis goes in blocks of points, each holding its sums and one
+        # centred table, so the long-axis shapes keep that bound too, besides
+        # rows of size / s_k values and, on small tables, fixed costs.
         f = seeded_table(shape, True, seed=1)
         _weighted_objective_tables(f)  # weight arrays are cached on the first call
         tracing = tracemalloc.is_tracing()

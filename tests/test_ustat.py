@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from interaction_bounds.functionals import interaction
@@ -71,6 +73,28 @@ class TestKernels:
     def test_tabulated_kernel_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             tabulated_kernel([-1.0, 1.0], [0.0, 0.5, -0.5, 0.0], m=2)
+
+    @given(st.integers(1, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_symmetry_check_is_the_permutation_loop(self, s, m, seed):
+        # A symmetric table with a few entries moved by amounts on both sides
+        # of the 1e-12 tolerance.
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-0.5, 0.5, (s,) * m)
+        table = np.empty_like(base)
+        for idx in np.ndindex(table.shape):
+            table[idx] = base[tuple(sorted(idx))]
+        steps = np.array([0.5, 1.0, 1.5, 2.0, 1000.0]) * 1e-12
+        for _ in range(int(rng.integers(0, 4))):
+            at = tuple(rng.integers(0, s, m))
+            table[at] += float(rng.choice(steps)) * float(rng.choice([-1.0, 1.0]))
+        points = np.arange(s) / s
+        want = oracles.first_asymmetric_kernel_entry(table)
+        if want is None:
+            tabulated_kernel(points, table.ravel().tolist(), m)
+        else:
+            with pytest.raises(ValueError) as err:
+                tabulated_kernel(points, table.ravel().tolist(), m)
+            assert str(err.value) == f"kernel table not symmetric at {want}"
 
     def test_tabulated_kernel_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range|\\[-1, 1\\]"):

@@ -216,7 +216,14 @@ def bias_second_difference_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -
     centred part ``g_kl = f - E_k f - E_l f + E_kl f``, and with independent
     replacements its four terms are uncorrelated with equal mean square, so
     its expected square is ``4 E[g_kl^2]``.  The bound is therefore
-    ``2 sum_{k<l} E[g_kl^2]``, one table-sized temporary per pair.
+    ``2 sum_{k<l} E[g_kl^2]``.  Per pair ``g_kl`` is squared in place and
+    contracted with the pair weights by ``np.tensordot``, which copies it with
+    the axes ``k, l`` last unless a view of that shape exists (the two
+    leading or the two trailing axes): one table-sized temporary per pair,
+    two where ``tensordot`` copies.  Writing ``g_kl`` straight into that
+    layout would save the copy, but where ``tensordot`` takes the view of
+    the leading pair, BLAS sums its column-strided matrix in another order,
+    so the bits would move.
     """
     space = f.space
     space.check_capacity(cap)
@@ -226,8 +233,9 @@ def bias_second_difference_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -
         centered = _center(f.values, weights[k], k)
         for l in range(k + 1, space.n):
             g = _center(centered, weights[l], l)
+            np.multiply(g, g, out=g)
             pair_w = np.multiply.outer(weights[k], weights[l])
-            reduced = np.tensordot(g * g, pair_w, axes=([k, l], [0, 1]))
+            reduced = np.tensordot(g, pair_w, axes=([k, l], [0, 1]))
             rest = [w for j, w in enumerate(weights) if j not in (k, l)]
             terms.append(fsum(reduced * reduce(np.multiply.outer, rest, np.ones(()))))
     return 2.0 * fsum(terms)

@@ -41,7 +41,7 @@ import numpy as np
 from . import bounds as bnd
 from . import rls as rlsmod
 from . import ustat as usmod
-from .exchangeable import bound_ingredients, mc_tails, multiset_probabilities, multisets, rank
+from .exchangeable import MultisetTable, mc_tails, rank
 from .harness import (
     RandomInstanceSpec,
     WorkerError,
@@ -211,19 +211,21 @@ def cmd_ustat(config: RunConfig) -> int:
         "tail_kind", "tail", "tail_stderr", "crossover_t", "crossover_product",
         "note",
     ]
-    rows: list[list[Any]] = []
-    for m in p["m_values"]:
-        kernel = p["kernel"](m)
-        for n in p["n_values"]:
+    # The rows of each m, in n order.  Sample sizes go outside, so that one
+    # multiset table at a time is live, built on first use and shared by every m.
+    by_m: list[list[list[Any]]] = [[] for _ in p["m_values"]]
+    for n in p["n_values"]:
+        table = functools.cache(functools.partial(MultisetTable, axis.weights, n, config.cap))
+        for rows, m in zip(by_m, p["m_values"]):
             if n <= m:
                 continue
             problem = usmod.UStatProblem(
-                kernel=kernel, n=n, base_axis=axis, base_points=points
+                kernel=p["kernel"](m), n=n, base_axis=axis, base_points=points
             )
             s1 = usmod.sigma1_squared(problem)
             cross = usmod.crossover(m, s1, n)
             tails, kind, note = _ustat_tails(
-                problem, t_values, config.cap, p["mc_samples"], config.seed
+                problem, t_values, table, p["mc_samples"], config.seed
             )
             for t, (tail, stderr) in zip(t_values, tails):
                 rows.append([
@@ -235,21 +237,21 @@ def cmd_ustat(config: RunConfig) -> int:
                     cross.product if cross.found else "",
                     note,
                 ])
-    _emit_table(config, header, rows)
+    _emit_table(config, header, [row for rows in by_m for row in rows])
     return 0
 
 
-def _ustat_tails(problem, t_values, cap, mc_samples, seed):
+def _ustat_tails(problem, t_values, multiset_table, mc_samples, seed):
     """Two-sided ``(tail, stderr)`` per ``t``, kind and note: exact within the caps, else Monte Carlo.
 
-    The note of a Monte Carlo cell names the limit that refused the exact tails.
+    ``multiset_table()`` gives the ``MultisetTable`` of the sample size.  The
+    note of a Monte Carlo cell names the limit that refused the exact tails.
     """
     center = usmod.exact_u_mean(problem)
     try:
-        counts = multisets(problem.n, problem.base_axis.size, cap)
-        deviations = np.abs(usmod.u_at_counts(problem, counts) - center)
-        probs = multiset_probabilities(counts, problem.base_axis.weights)
-        return [(p, 0.0) for p in tail_probabilities(deviations, probs, t_values)], "exact", ""
+        table = multiset_table()
+        deviations = np.abs(usmod.u_at_counts(problem, table.counts) - center)
+        return [(p, 0.0) for p in tail_probabilities(deviations, table.probs, t_values)], "exact", ""
     except CapacityError as exc:
         note = f"exact tails: {exc}; fell back to Monte Carlo"
     try:  # the whole sample counts against the budget, before the first draw
@@ -294,10 +296,12 @@ def cmd_rls(config: RunConfig) -> int:
         population, n, lam, p["replications"], seed=derive_seed(config.seed, 0xA2)
     )
     rows.append(["scv", "empirical_scv", lam, "", scv_mean, scv_err, "", ""])
-    # One gap table per distinct lambda, shared by every section below.
-    gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, n, cap=config.cap))
-    table = gap_table(lam)
-    measured = rlsmod.measured_ingredients(table, config.cap)
+    # One multiset table, and one gap table and its ingredients per distinct
+    # lambda, shared by every section below.
+    multiset_table = MultisetTable(population.probs, n, config.cap)
+    gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, multiset_table))
+    measured_at = functools.cache(lambda at: rlsmod.measured_ingredients(gap_table(at)))
+    table, measured = gap_table(lam), measured_at(lam)
     for key in ("e_scv", "b", "crude_j"):
         rows.append(["scv", key, lam, "", measured[key], "", "", ""])
 
@@ -317,7 +321,7 @@ def cmd_rls(config: RunConfig) -> int:
             rows.append(["bound_curve", "tail", lam, t, tail, stderr, bound_c, bound_measured])
 
     for lam_s in p["lambda_sweep"]:
-        m_s = rlsmod.measured_ingredients(gap_table(lam_s), config.cap)
+        m_s = measured_at(lam_s)
         for key in ("crude_j", "b", "e_scv"):
             rows.append(["lambda_sweep", key, lam_s, "", m_s[key], "", "", ""])
 
@@ -359,8 +363,8 @@ def cmd_normal_limit_demo(config: RunConfig) -> int:
     rows: list[list[Any]] = []
     for n in p["n_values"]:
         problem = usmod.UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        f_n = usmod.u_at_counts(problem, multisets(n, axis.size, config.cap)) * n
-        ing = bound_ingredients(f_n, n, axis.weights, config.cap)
+        table = MultisetTable(axis.weights, n, config.cap)
+        ing = table.ingredients(usmod.u_at_counts(problem, table.counts) * n)
         sigma2_n = ing["E_scv"] / n
         b, j_mu = ing["b"], ing["j_mu"]
         linear = (2.0 * b / 3.0 + j_mu) / math.sqrt(n)
@@ -470,8 +474,12 @@ def _instance_spec(p: dict, seed: int) -> None:
 
 
 def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
-    """Replace the kernel fields by ``p["kernel"]`` (order to kernel) and ``p["base"]``."""
-    p["kernel"] = getattr(usmod, _KERNELS[p["kernel"]])
+    """Replace the kernel fields by ``p["kernel"]`` (order to kernel) and ``p["base"]``.
+
+    ``p["kernel"]`` gives one kernel object per order, so the kernel values
+    checked here are the ones the command reuses.
+    """
+    p["kernel"] = functools.cache(getattr(usmod, _KERNELS[p["kernel"]]))
     if path := p.pop("kernel_path", None):
         kernel = _read_json(path, "kernel", usmod.kernel_from_json)
         if any(m != kernel.m for m in orders):
@@ -495,6 +503,14 @@ def _normal_limit_params(p: dict, seed: int) -> None:
 def _rls_params(p: dict, seed: int) -> None:
     path, parse = p.pop("path"), rlsmod.rls_config_from_json
     p["problem"] = _read_json(path, "rls problem", parse) if path else parse(_DEMO_RLS)
+    # The tail curve draws mc_samples samples of n points: refuse the whole
+    # sample before the first draw, against the budget of ustat's fallback.
+    samples, n, budget = p["mc_samples"], p["problem"][1], usmod.DEFAULT_EVAL_CAP
+    if samples * n > budget:
+        raise ValueError(
+            f"mc_samples {samples} times n {n} is {samples * n} sample points, "
+            f"over the Monte Carlo budget of {budget}"
+        )
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,21 @@ each point occurs: ``C(n + s - 1, s - 1)`` sample multisets in place of
 ``s^n`` configurations.  A value computed once per multiset is looked up by
 ``rank`` for any sample, configuration, or sample with one more draw.
 
-``bound_ingredients`` gives the exact inputs of the main tail bound from the
-values on the multisets alone: every coordinate carries the same law, so a
-term of one coordinate depends only on the multiset of the other ``n - 1``
-draws, and a term of a coordinate pair on that of the other ``n - 2``.
-``mc_tails`` estimates tails from seeded samples, one block at a time.
+``MultisetTable`` holds the ``n``-multisets of one sample law with their
+probabilities, and the ``(n-1)``- and ``(n-2)``-levels with their neighbour
+ranks, each enumerated once for every symmetric function of that law (a
+U-statistic at each sample size, the gap at each regularization).  Its
+``ingredients`` gives the exact inputs of the main tail bound from the values
+on the multisets alone: every coordinate carries the same law, so a term of
+one coordinate depends only on the multiset of the other ``n - 1`` draws, and
+a term of a coordinate pair on that of the other ``n - 2``.  ``mc_tails``
+estimates tails from seeded samples, one block at a time, where the
+multisets exceed the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -169,59 +175,82 @@ def neighbours(counts: np.ndarray) -> np.ndarray:
     return rank(counts[:, None, :] + np.eye(counts.shape[-1], dtype=np.intp))
 
 
-def bound_ingredients(
-    values: np.ndarray, n: int, probs: Sequence[float], cap: int = DEFAULT_CAP
-) -> dict[str, float]:
-    """Exact ``E_scv``, ``b``, ``crude`` and ``j_mu`` of a symmetric function.
+class MultisetTable:
+    """The ``n``-multisets of ``s`` points and what the bound ingredients read of them.
 
-    ``values[r]`` is the function of ``n >= 2`` i.i.d. draws from the points
-    of ``probs`` on row ``r`` of ``multisets(n, s)``; the keys mean what they
-    mean in ``bounds.bound_ingredients`` on the dense table over the ``s^n``
-    configurations.  ``E_scv`` and ``b`` vary one draw ``y`` over every
-    ``(n-1)``-multiset of the rest, at most ``cap`` of them; ``crude`` varies
-    two draws over every ``(n-2)``-multiset, through the dense tables'
-    ``functionals._largest_second_differences``.  For ``j_mu``, the
-    coordinates holding point ``a`` in a sample ``c`` contribute alike, so
-    its objective is ``sum_a c_a max_z sum_b (c_b - [a = b]) T(c - a - b, a,
-    z)`` with ``T(q, a, z) = Var_y[f(q + a + y) - f(q + z + y)]``.
+    ``counts`` holds the count rows in ``multisets`` order, at most ``cap`` of
+    them, and ``probs`` their probabilities under i.i.d. draws from the point
+    probabilities ``weights``.  ``levels`` holds what the bound ingredients
+    read of the smaller samples.  Each part is enumerated once, on first use,
+    and kept, so every symmetric function of one sample law shares them.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    s = len(p)
-    if n < 2 or len(values) != math.comb(n + s - 1, s - 1):
-        raise ValueError(f"need one value per {n}-multiset of {s} points, n >= 2")
-    rest = multisets(n - 1, s, cap)
-    up = neighbours(rest)
-    # vals[r, y]: f at (n-1)-multiset r plus point y.
-    vals = np.asarray(values, dtype=np.float64)[up]
-    acc = np.zeros(len(rest))
-    for y in range(s):
-        for y2 in range(s):
-            d = vals[:, y] - vals[:, y2]
-            acc += p[y] * p[y2] * d * d
-    e_scv = n * fsum(multiset_probabilities(rest, p) * 0.5 * acc)
-    cond_mean = np.array([math.fsum(row) for row in (p * vals).tolist()])
-    centred = vals - cond_mean[:, None]
 
-    low = multisets(n - 2, s, cap)
-    pair_rows = neighbours(low)
-    # [y, z, q]: f at (n-2)-multiset q plus points y and z, C-contiguous.
-    crude = float(_largest_second_differences(np.take(vals.T, pair_rows.T, axis=1)).max())
+    def __init__(self, probs: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> None:
+        self.weights, self.n, self.cap = np.asarray(probs, dtype=np.float64), n, cap
+        self.counts = multisets(n, len(self.weights), cap)
 
-    # top[q, a, b]: row of q plus a and b among the n-multisets.
-    top = up[pair_rows]
-    cpair = centred[pair_rows]
-    counts = multisets(n, s, len(values))
-    objective = np.zeros(len(values))
-    for a in range(s):
-        diff = cpair[:, a, None, :] - cpair
-        t_az = (diff * diff) @ p
-        by_z = np.zeros((len(values), s))
-        for b in range(s):
-            by_z[top[:, a, b]] += (low[:, b, None] + 1) * t_az
-        objective += counts[:, a] * by_z.max(axis=1)
-    return {
-        "E_scv": e_scv,
-        "b": float(centred.max()),
-        "crude": n * crude,
-        "j_mu": 2.0 * math.sqrt(max(float(objective.max()), 0.0)),
-    }
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        return multiset_probabilities(self.counts, self.weights)
+
+    @functools.cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """``(rest_probs, up, low, pair_rows, top)`` of the smaller samples.
+
+        ``rest_probs`` and ``up = neighbours(rest)`` are the probabilities
+        and neighbour ranks of the ``(n-1)``-multisets ``rest``; ``low``
+        holds the ``(n-2)``-multisets and ``pair_rows = neighbours(low)``
+        their neighbours, and ``top[q, a, b]`` is the row of ``q`` plus ``a``
+        and ``b`` among the ``n``-multisets.
+        """
+        rest, low = (multisets(self.n - k, len(self.weights), self.cap) for k in (1, 2))
+        up, pair_rows = neighbours(rest), neighbours(low)
+        return multiset_probabilities(rest, self.weights), up, low, pair_rows, up[pair_rows]
+
+    def ingredients(self, values: np.ndarray) -> dict[str, float]:
+        """Exact ``E_scv``, ``b``, ``crude`` and ``j_mu`` of a symmetric function.
+
+        ``values[r]`` is the function of ``n >= 2`` i.i.d. draws on row ``r``
+        of ``counts``; the keys mean what they mean in
+        ``bounds.bound_ingredients`` on the dense table over the ``s^n``
+        configurations.  ``E_scv`` and ``b`` vary one draw ``y`` over every
+        ``(n-1)``-multiset of the rest; ``crude`` varies two draws over every
+        ``(n-2)``-multiset, through the dense tables'
+        ``functionals._largest_second_differences``.  For ``j_mu``, the
+        coordinates holding point ``a`` in a sample ``c`` contribute alike, so
+        its objective is ``sum_a c_a max_z sum_b (c_b - [a = b]) T(c - a - b,
+        a, z)`` with ``T(q, a, z) = Var_y[f(q + a + y) - f(q + z + y)]``.
+        """
+        p, n, s, counts = self.weights, self.n, len(self.weights), self.counts
+        if n < 2 or len(values) != len(counts):
+            raise ValueError(f"need one value per {n}-multiset of {s} points, n >= 2")
+        rest_probs, up, low, pair_rows, top = self.levels
+        # vals[r, y]: f at (n-1)-multiset r plus point y.
+        vals = np.asarray(values, dtype=np.float64)[up]
+        acc = np.zeros(len(vals))
+        for y in range(s):
+            for y2 in range(s):
+                d = vals[:, y] - vals[:, y2]
+                acc += p[y] * p[y2] * d * d
+        e_scv = n * fsum(rest_probs * 0.5 * acc)
+        cond_mean = np.array([math.fsum(row) for row in (p * vals).tolist()])
+        centred = vals - cond_mean[:, None]
+
+        # [y, z, q]: f at (n-2)-multiset q plus points y and z, C-contiguous.
+        crude = float(_largest_second_differences(np.take(vals.T, pair_rows.T, axis=1)).max())
+
+        cpair = centred[pair_rows]
+        objective = np.zeros(len(values))
+        for a in range(s):
+            diff = cpair[:, a, None, :] - cpair
+            t_az = (diff * diff) @ p
+            by_z = np.zeros((len(values), s))
+            for b in range(s):
+                by_z[top[:, a, b]] += (low[:, b, None] + 1) * t_az
+            objective += counts[:, a] * by_z.max(axis=1)
+        return {
+            "E_scv": e_scv,
+            "b": float(centred.max()),
+            "crude": n * crude,
+            "j_mu": 2.0 * math.sqrt(max(float(objective.max()), 0.0)),
+        }

@@ -340,13 +340,16 @@ def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
 def interaction_report(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> InteractionReport:
     """``interaction``, ``weighted_interaction`` and ``crude_interaction_bound`` of ``f``.
 
-    One pass over the axis pairs gives ``j`` and ``crude``.  Raises
+    One pass over the axis pairs gives ``j`` and ``crude``, and its summed
+    table is dropped before ``j_mu`` builds its own.  Raises
     ``CapacityError`` above ``cap`` configurations.
     """
     f.space.check_capacity(cap)
     total, max_abs = _interaction_tables(f)
+    j = math.sqrt(max(float(total.max()), 0.0))
+    del total
     return InteractionReport(
-        j=math.sqrt(max(float(total.max()), 0.0)),
+        j=j,
         j_mu=weighted_interaction(f, cap),
         crude=f.space.n * max_abs,
         scale=max(-f.min(), f.max()),

@@ -18,7 +18,8 @@ with ``B1 = B2 = 4/n`` bounding the path derivatives of ``G`` and ``g``.
 differences with a Richardson step-halving consistency flag.
 
 The generalization gap ``true risk - empirical risk`` for a finite population
-is exactly computable on every sample multiset (``GapTable``);
+is exactly computable on every sample multiset (``GapTable``), on one
+``exchangeable.MultisetTable`` that the gaps at every ``lam`` share;
 ``measured_ingredients`` gives the exact variance-sum, range, and interaction
 inputs for tail bounds on the centered gap from that table, and
 ``empirical_scv`` is the seeded Monte Carlo counterpart of the variance sum.
@@ -43,9 +44,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import bound_ingredients, multiset_probabilities, multisets, occupancy, rank
+from .exchangeable import MultisetTable, occupancy, rank
 from .rng import substream
-from .space import DEFAULT_CAP, _integer, fsum
+from .space import _integer, fsum
 
 _NORM_SLACK = 1e-12
 
@@ -466,43 +467,42 @@ class GapTable:
     """The generalization gap of every sample multiset of population atoms.
 
     Both risks are symmetric in the sample, so the gap depends only on its atom
-    counts (``exchangeable``): row ``r`` of ``counts`` is one ``n``-multiset,
-    ``probs[r]`` its probability and ``gaps[r]`` the gap of the sample holding
-    its atoms in index order.  More than ``cap`` multisets raise CapacityError.
+    counts (``exchangeable``): ``gaps[r]`` is the gap of the sample holding
+    the atoms of row ``r`` of ``table.counts`` in index order.  ``table`` is
+    the ``exchangeable.MultisetTable`` of the population's atom probabilities,
+    which the gaps at every ``lam`` share.
     """
 
-    def __init__(self, population: Population, n: int, lam: float, cap: int = DEFAULT_CAP) -> None:
-        if n < 2:
-            raise ValueError("need a sample of at least two points")
+    def __init__(self, population: Population, table: MultisetTable, lam: float) -> None:
+        if not np.array_equal(table.weights, population.probs):
+            raise ValueError("the multiset table is not of the population's atom probabilities")
         self.population = population
-        self.n = n
-        self.counts = multisets(n, population.size, cap)
-        self.probs = multiset_probabilities(self.counts, population.probs)
-        atoms = np.tile(np.arange(population.size), len(self.counts))
-        samples = np.repeat(atoms, self.counts.ravel()).reshape(-1, n)
+        self.table = table
+        atoms = np.tile(np.arange(population.size), len(table.counts))
+        samples = np.repeat(atoms, table.counts.ravel()).reshape(-1, table.n)
         self.gaps = sample_gaps(population, samples, lam)
 
     def value(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Gap of each sample given by atom indices along the last axis, in any order."""
         indices = np.asarray(indices)
-        if indices.shape[-1] != self.n:
-            raise ValueError(f"sample of length {indices.shape[-1]}, expected {self.n}")
+        if indices.shape[-1] != self.table.n:
+            raise ValueError(f"sample of length {indices.shape[-1]}, expected {self.table.n}")
         if indices.size and (indices.min() < 0 or indices.max() >= self.population.size):
             raise ValueError(f"atom indices must lie in [0, {self.population.size})")
         return self.gaps[rank(occupancy(indices, self.population.size))]
 
 
-def measured_ingredients(table: GapTable, cap: int = DEFAULT_CAP) -> dict[str, float]:
+def measured_ingredients(table: GapTable) -> dict[str, float]:
     """Exact tail-bound inputs for the gap on a finite population.
 
     Returns ``e_scv`` (expected variance sum), ``b`` (largest one-sided
     deviation of the gap from its per-coordinate conditional mean),
     ``crude_j`` (``n`` times the largest absolute mixed second difference)
     and ``j_mu`` (the weighted interaction functional), from
-    ``exchangeable.bound_ingredients`` on the table's gaps; ``cap`` bounds
-    the multisets of the other ``n - 1`` sample points.
+    ``MultisetTable.ingredients`` on the table's gaps, within the cap of
+    its multiset table.
     """
-    ing = bound_ingredients(table.gaps, table.n, table.population.probs, cap)
+    ing = table.table.ingredients(table.gaps)
     return {"e_scv": ing["E_scv"], "b": ing["b"], "crude_j": ing["crude"], "j_mu": ing["j_mu"]}
 
 
@@ -562,7 +562,7 @@ def empirical_scv(
 
 def exact_gap_mean(table: GapTable) -> float:
     """Exact ``E[gap]`` by multiset enumeration."""
-    return fsum(table.probs * table.gaps)
+    return fsum(table.table.probs * table.gaps)
 
 
 # ---------------------------------------------------------------------------

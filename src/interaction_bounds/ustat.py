@@ -14,6 +14,12 @@ mean.  ``crossover`` locates the deviation beyond which the first bound
 decays faster; the comparison is between the exponential rates, see its
 docstring.
 
+``u`` is evaluated on the count rows of the ``exchangeable.MultisetTable`` of
+the sample size, and ``sigma1^2`` and ``E[u]`` on the table of the
+``m``-multisets of base points and its ``(m-1)``-level.  The kernel values
+on that table are computed once per kernel and base, and the kernel keeps
+them, so every sample size shares them.
+
 The counting identity behind the first bound: the number of ordered pairs of
 ``m``-subsets of ``{1..n}`` that intersect equals
 ``C(n,m) * (C(n,m) - C(n-m,m))``, and the intersecting fraction
@@ -25,13 +31,14 @@ the fraction form is valid.  Acceptance criterion 5
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import multiset_probabilities, multisets, neighbours
+from .exchangeable import MultisetTable
 from .space import CapacityError, FiniteAxis, _integer, fsum
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
@@ -46,8 +53,8 @@ class Kernel:
     ``fn`` maps an ``m``-tuple of base-set points (floats) to a real.  The
     kernel table behind ``u_at_counts``, ``sigma1_squared`` and
     ``exact_u_mean`` reads it once per multiset of base points, in base order,
-    and rejects an out-of-range value; symmetry is assumed, and
-    ``tabulated_kernel`` checks it exhaustively.
+    once for each base it is asked on, and rejects an out-of-range value;
+    symmetry is assumed, and ``tabulated_kernel`` checks it exhaustively.
     """
 
     m: int
@@ -57,6 +64,8 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("kernel order must be at least 2")
+        # ``_kernel_level`` on each base (axis, points) it is asked on, kept.
+        object.__setattr__(self, "_tables", functools.cache(functools.partial(_kernel_level, self)))
 
 
 def product_kernel(m: int = 2) -> Kernel:
@@ -157,34 +166,44 @@ class UStatProblem:
         return self.kernel.m
 
 
-def _kernel_table(problem: UStatProblem, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``m``-multisets of base points (count rows) and the kernel at each.
+def _kernel_table(problem: UStatProblem, cap: int) -> tuple[MultisetTable, np.ndarray]:
+    """The table of ``m``-multisets of base points and the kernel at each.
 
-    ``g`` is evaluated once per multiset, at its points in base order, and
-    checked against ``[-1, 1]``.
+    Refuses more than ``cap`` multisets before any work.  ``g`` is evaluated
+    once per multiset, at its points in base order, and checked against
+    ``[-1, 1]``; the kernel keeps the table and values of each base, so the
+    cells of one kernel share them at every sample size.
     """
-    kappas = multisets(problem.m, problem.base_axis.size, cap)
+    if (size := math.comb(problem.m + problem.base_axis.size - 1, problem.m)) > cap:
+        raise CapacityError(f"{size} sample multisets exceed the cap of {cap}")
+    return problem.kernel._tables(problem.base_axis, problem.base_points)
+
+
+def _kernel_level(kernel: Kernel, axis: FiniteAxis, base: tuple[float, ...]):
+    """The ``m``-multiset table of ``axis`` and ``kernel`` at each multiset of ``base``."""
+    table = MultisetTable(axis.weights, kernel.m, math.inf)
     values = []
-    for kappa in kappas.tolist():
-        points = tuple(p for p, k in zip(problem.base_points, kappa) for _ in range(k))
-        value = float(problem.kernel.fn(points))
+    for kappa in table.counts.tolist():
+        points = tuple(p for p, k in zip(base, kappa) for _ in range(k))
+        value = float(kernel.fn(points))
         if not (-1.0 - 1e-12 <= value <= 1.0 + 1e-12):
             raise ValueError(f"kernel value {value} at {points} outside [-1, 1]")
         values.append(value)
-    return kappas, np.array(values)
+    return table, np.array(values)
 
 
 def sigma1_squared(problem: UStatProblem, cap: int = 1_000_000) -> float:
     """Variance of the one-argument conditional mean of the kernel, exactly.
 
     The conditional mean at ``y`` weights the kernel at ``y`` plus each
-    ``(m-1)``-multiset of base points by that multiset's probability; requires
-    the ``m``-multisets within the cap.  Always lies in ``[0, 1]``.
+    ``(m-1)``-multiset of base points by that multiset's probability, from
+    the levels of the kernel's ``m``-multiset table; requires the
+    ``m``-multisets within the cap.  Always lies in ``[0, 1]``.
     """
-    _, g = _kernel_table(problem, cap)
-    rest = multisets(problem.m - 1, problem.base_axis.size, cap)
+    table, g = _kernel_table(problem, cap)
+    rest_probs, up = table.levels[:2]
     w = problem.base_axis.weights
-    terms = multiset_probabilities(rest, w)[:, None] * g[neighbours(rest)]
+    terms = rest_probs[:, None] * g[up]
     cond_mean = [fsum(column) for column in terms.T]
     mean = math.fsum(wy * h for wy, h in zip(w, cond_mean))
     return math.fsum(wy * (h - mean) ** 2 for wy, h in zip(w, cond_mean))
@@ -301,8 +320,8 @@ def u_at_counts(
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=1) != n):
         raise ValueError(f"count rows must sum to the sample size {n}")
-    kappas, values = _kernel_table(problem, eval_cap)
-    kappas = kappas.tolist()
+    table, values = _kernel_table(problem, eval_cap)
+    kappas = table.counts.tolist()
     check_kernel_terms(problem, len(counts), eval_cap)
     # Kernel values as integers over one power of two, so the sums are exact.
     ratios = [value.as_integer_ratio() for value in values.tolist()]
@@ -324,5 +343,5 @@ def u_at_counts(
 
 def exact_u_mean(problem: UStatProblem, cap: int = 1_000_000) -> float:
     """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-multiset."""
-    kappas, g = _kernel_table(problem, cap)
-    return fsum(multiset_probabilities(kappas, problem.base_axis.weights) * g)
+    table, g = _kernel_table(problem, cap)
+    return fsum(table.probs * g)

@@ -25,6 +25,7 @@ reproduce bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -32,7 +33,8 @@ import numpy as np
 
 from scipy.linalg import cho_factor, cho_solve
 
-from interaction_bounds.exchangeable import bound_ingredients, multisets, occupancy
+from interaction_bounds.exchangeable import MultisetTable, occupancy
+from interaction_bounds.operators import _center
 from interaction_bounds.rls import (
     DerivativeCheckReport,
     RlsProblem,
@@ -46,6 +48,7 @@ from interaction_bounds.space import (
     CapacityError,
     FiniteProductSpace,
     TabulatedFunction,
+    fsum,
 )
 from interaction_bounds.ustat import DEFAULT_EVAL_CAP, sigma1_squared, u_at_counts
 
@@ -225,6 +228,28 @@ def stencil_bias_bound(f):
                 rest = np.multiply.outer(rest, w)
         total.append(math.fsum((reduced * rest).ravel().tolist()))
     return 0.25 * math.fsum(total)
+
+
+def bias_bound_tensordot(f):
+    """``bounds.bias_second_difference_bound`` with three table-sized arrays per pair.
+
+    The form before the one contiguous buffer: ``g = _center(_center(f, k), l)``,
+    its square ``g * g``, and the copy with ``k, l`` last that ``np.tensordot``
+    makes.  The buffer form runs the same subtractions, products and BLAS
+    call on the same layout, so the two agree bit for bit.
+    """
+    space = f.space
+    weights = [axis.weight_array() for axis in space.axes]
+    terms = []
+    for k in range(space.n):
+        centered = _center(f.values, weights[k], k)
+        for l in range(k + 1, space.n):
+            g = _center(centered, weights[l], l)
+            pair_w = np.multiply.outer(weights[k], weights[l])
+            reduced = np.tensordot(g * g, pair_w, axes=([k, l], [0, 1]))
+            rest = [w for j, w in enumerate(weights) if j not in (k, l)]
+            terms.append(fsum(reduced * functools.reduce(np.multiply.outer, rest, np.ones(()))))
+    return 2.0 * fsum(terms)
 
 
 def interaction_tables_triu(f):
@@ -504,9 +529,8 @@ def scv_envelope_terms(problem):
     actual upper bound; ``lhs <= safe_envelope`` always holds.
     """
     n, m = problem.n, problem.m
-    size, weights = problem.base_axis.size, problem.base_axis.weights
-    u = u_at_counts(problem, multisets(n, size))
-    lhs = bound_ingredients(u, n, weights)["E_scv"]
+    table = MultisetTable(problem.base_axis.weights, n)
+    lhs = table.ingredients(u_at_counts(problem, table.counts))["E_scv"]
     base = (m * m / n) * sigma1_squared(problem)
     half_term = m * m * (m - 1) ** 2 / (2.0 * n * (n - m))
     return {
@@ -747,7 +771,7 @@ def mc_gap_values(table, n_samples, seed):
     """Seeded i.i.d. gap values, all drawn in one ``rng.choice`` call, looked up by multiset."""
     population = table.population
     rng = substream(seed, 0xF0)
-    idx = rng.choice(population.size, size=(n_samples, table.n), p=population.probs)
+    idx = rng.choice(population.size, size=(n_samples, table.table.n), p=population.probs)
     return table.value(idx)
 
 

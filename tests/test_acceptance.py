@@ -36,6 +36,7 @@ from interaction_bounds.bounds import (
     psi_ratio_inequality,
 )
 from interaction_bounds.cli import main as cli_main
+from interaction_bounds.exchangeable import MultisetTable
 from interaction_bounds.functionals import interaction
 from interaction_bounds.harness import RandomInstanceSpec, run_property_suite
 from interaction_bounds.operators import cond_expectation
@@ -301,7 +302,7 @@ def test_criterion_6_regularized_least_squares():
         ys = tail_rng.uniform(-1.0, 1.0, size=2)
         p0 = float(tail_rng.uniform(0.2, 0.8))
         pop = Population(xs=xs, ys=ys, probs=[p0, 1.0 - p0])
-        table = GapTable(pop, n, lam)
+        table = GapTable(pop, MultisetTable(pop.probs, n), lam)
         meas = measured_ingredients(table)
         mean_gap = exact_gap_mean(table)
         tmax = max(table.gaps - mean_gap)

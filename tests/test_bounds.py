@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import oracles
-from conftest import coordinate_product, coordinate_sum, table, tabulated_strategy, uniform_space
+from conftest import (
+    coordinate_product,
+    coordinate_sum,
+    seeded_table,
+    seeded_tables,
+    table,
+    tabulated_strategy,
+    uniform_space,
+)
 from interaction_bounds import bounds
 from interaction_bounds.bounds import (
     BoundReport,
@@ -204,6 +212,20 @@ class TestBiasSecondDifferenceBound:
         assert bias_second_difference_bound(f) == pytest.approx(
             oracles.bias_second_difference_rhs(f), abs=1e-11
         )
+
+    @given(seeded_tables())
+    @example(seeded_table((1, 4, 1, 2), False, 2))
+    @example(seeded_table((3, 1, 2, 2, 1), True, 3))
+    def test_one_buffer_is_the_tensordot_form_bit_for_bit(self, f):
+        assert bias_second_difference_bound(f) == oracles.bias_bound_tensordot(f)
+
+    @pytest.mark.parametrize(
+        "shape", [(4,) * 6, (3,) * 8, (2,) * 14, (4,) * 7, (4,) * 8, (40, 8, 8, 8)], ids=str
+    )
+    @pytest.mark.parametrize("dirichlet", [False, True], ids=["uniform", "dirichlet"])
+    def test_one_buffer_on_the_dense_shapes(self, shape, dirichlet):
+        f = seeded_table(shape, dirichlet, seed=len(shape))
+        assert bias_second_difference_bound(f) == oracles.bias_bound_tensordot(f)
 
     @given(tabulated_strategy())
     def test_sandwich(self, f):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.machinery
 import importlib.util
 import json
@@ -18,6 +19,7 @@ import interaction_bounds
 import oracles
 
 from interaction_bounds import cli, exchangeable, rls
+from interaction_bounds import ustat as usmod
 from interaction_bounds.cli import main
 from interaction_bounds.rng import derive_seed
 from interaction_bounds.space import FiniteAxis
@@ -349,13 +351,15 @@ def test_extreme_config_exits_cleanly(doc, argv, tmp_path):
 
 
 def test_monte_carlo_sample_beyond_one_draw_runs_in_blocks(tmp_path):
-    # 4.5 million samples of the default problem (n = 8): one rng.choice call
-    # holds 288 MB of uniforms and 288 MB of indices at once, more than the
-    # 512 MiB of address space here; blocks of 8,192 samples fit.
+    # 1.25 million samples of the default problem (n = 8), the most that the
+    # Monte Carlo budget of 10^7 sample points allows: one rng.choice call
+    # holds 76 MB of uniforms and 76 MB of indices at once, more than the
+    # 272 MiB of address space here leave beside the interpreter (a one-shot
+    # draw fails below about 350 MiB); blocks of 8,192 samples fit.
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"command": "rls", "params": {"mc_samples": 4_500_000}}))
+    config.write_text(json.dumps({"command": "rls", "params": {"mc_samples": 1_250_000}}))
     src = str(Path(interaction_bounds.__file__).resolve().parents[1])
-    limit = 512 << 20
+    limit = 272 << 20
     done = subprocess.run(
         [sys.executable, "-m", "interaction_bounds.cli", "--config", str(config)],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
@@ -501,6 +505,34 @@ class TestUstatCommand:
         assert lines[0] == "#schema=1" and len(lines) == 4
         assert [line.split(",") for line in lines[2:]] == want
 
+    def test_one_multiset_table_per_sample_size(self, monkeypatch, capsys):
+        # the default run: m in (2, 3, 4) and n in (10, 50, 200), nine exact cells
+        sizes = []
+        real = exchangeable.multisets
+
+        def counting(n, s, *cap):
+            sizes.append(n)
+            return real(n, s, *cap)
+
+        for module in (exchangeable, cli):
+            monkeypatch.setattr(module, "multisets", counting, raising=False)
+        # and the kernel once per multiset of base points, for each m
+        evals = []
+        factory = usmod.product_kernel
+
+        def counted_kernel(m):
+            kernel = factory(m)
+            return dataclasses.replace(kernel, fn=lambda p: evals.append(m) or kernel.fn(p))
+
+        monkeypatch.setattr(usmod, "product_kernel", counted_kernel)
+        assert main(["ustat"]) == 0
+        assert sorted(n for n in sizes if n >= 10) == [10, 50, 200]
+        assert sorted(evals) == [2] * 3 + [3] * 4 + [4] * 5
+        # the rows stay in m order, each m in n order, five t values a cell
+        lines = capsys.readouterr().out.splitlines()[2:]
+        cells = [tuple(int(v) for v in line.split(",")[:2]) for line in lines[::5]]
+        assert cells == [(m, n) for m in (2, 3, 4) for n in (10, 50, 200)]
+
     def test_large_samples_get_exact_tails(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -639,23 +671,64 @@ class TestRlsCommand:
         assert main(["--config", str(config), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         rows = [row for row in rows if row["section"] == "bound_curve"]
-        table = rls.GapTable(*rls.rls_config_from_json(cli._DEMO_RLS))
+        population, n, lam = rls.rls_config_from_json(cli._DEMO_RLS)
+        table = rls.GapTable(population, exchangeable.MultisetTable(population.probs, n), lam)
         mean = rls.exact_gap_mean(table)
         values = oracles.mc_gap_values(table, samples, derive_seed(3, 0xA3))
         want = oracles.mc_tails_of(values - mean, [row["t"] for row in rows])
         assert len(rows) == 10 and [(row["value"], row["stderr"]) for row in rows] == want
 
     def test_cap_reaches_measured_ingredients(self, monkeypatch):
+        # --cap reaches the one multiset table, and the ingredients of every
+        # lambda read that table
         caps = []
         real = rls.measured_ingredients
 
-        def recording(table, *cap):
-            caps.append(cap)
-            return real(table, *cap)
+        def recording(table):
+            caps.append(table.table.cap)
+            return real(table)
 
         monkeypatch.setattr(rls, "measured_ingredients", recording)
         assert main(["rls", "--cap", "50"]) == 0
-        assert caps and set(caps) == {(50,)}
+        assert len(caps) == 9 and set(caps) == {50}
+
+    def test_one_multiset_table_for_every_lambda(self, monkeypatch, capsys):
+        # the default run: 9 distinct lambdas, lambda = 0.5 among them
+        levels = []
+        real = exchangeable.multiset_probabilities
+
+        def counting(counts, probs):
+            levels.append(int(np.asarray(counts).sum(axis=1).max()))
+            return real(counts, probs)
+
+        for module in (exchangeable, rls, cli):
+            monkeypatch.setattr(module, "multiset_probabilities", counting, raising=False)
+        assert main(["rls"]) == 0
+        assert sorted(levels) == [7, 8]
+        out = capsys.readouterr().out
+        sweep = [line for line in out.splitlines() if line.startswith("lambda_sweep,")]
+        assert len(sweep) == 27
+
+    def test_mc_samples_over_the_budget_exit_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # 10^10 samples of n = 8 would take over an hour to draw
+        def no_draws(*args):
+            raise AssertionError("drew samples over the Monte Carlo budget")
+
+        def no_solves(*args):
+            raise AssertionError("solved before refusing the config")
+
+        for module in (exchangeable, cli):
+            monkeypatch.setattr(module, "mc_tails", no_draws)
+        monkeypatch.setattr(rls, "solve_stack", no_solves)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "rls", "params": {"mc_samples": 10**10}}))
+        assert main(["--config", str(config)]) == 2
+        err = assert_one_config_error(capsys)
+        assert "80000000000" in err and "10000000" in err
+        # one sample point over the budget is refused too
+        config.write_text(json.dumps({"command": "rls", "params": {"mc_samples": 1_250_001}}))
+        assert main(["--config", str(config)]) == 2
+        assert "10000008 sample points" in assert_one_config_error(capsys)
 
     def test_out_of_memory_is_one_config_error(self, monkeypatch, capsys):
         def exhausted(counts):

@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from interaction_bounds import bounds
+from interaction_bounds import bounds, exchangeable
 from interaction_bounds.exchangeable import (
     MC_BLOCK,
-    bound_ingredients,
+    MultisetTable,
     mc_tails,
     multiset_probabilities,
     multisets,
@@ -162,7 +162,7 @@ def test_bound_ingredients_match_the_dense_table(s, n, seed, scale):
     weights = tuple(float(w) for w in raw / math.fsum(raw.tolist()))
     values = scale * rng.uniform(-1.0, 1.0, math.comb(n + s - 1, s - 1))
     dense = bounds.bound_ingredients(spread(values, n, weights))
-    got = bound_ingredients(values, n, weights)
+    got = MultisetTable(weights, n).ingredients(values)
     assert set(got) == {"E_scv", "b", "crude", "j_mu"}
     # crude: the one second-difference stencil on the same floats
     assert got.pop("crude") == dense["crude"]
@@ -173,14 +173,37 @@ def test_bound_ingredients_match_the_dense_table(s, n, seed, scale):
 
 def test_bound_ingredients_check_their_input():
     with pytest.raises(ValueError, match="one value per 3-multiset"):
-        bound_ingredients(np.zeros(3), 3, (0.5, 0.5))
+        MultisetTable((0.5, 0.5), 3).ingredients(np.zeros(3))
     with pytest.raises(ValueError, match="n >= 2"):
-        bound_ingredients(np.zeros(2), 1, (0.5, 0.5))
-    # the cap bounds the multisets of the other n - 1 draws: 15 for n = 5, s = 3
+        MultisetTable((0.5, 0.5), 1).ingredients(np.zeros(2))
+    # the table's cap bounds its 21 multisets of n = 5 draws from 3 points, and
+    # with them the 15 and 10 of the other n - 1 and n - 2 draws
     values = np.zeros(21)
-    assert bound_ingredients(values, 5, (0.2, 0.3, 0.5), cap=15)["j_mu"] == 0.0
-    with pytest.raises(CapacityError, match="cap of 14"):
-        bound_ingredients(values, 5, (0.2, 0.3, 0.5), cap=14)
+    assert MultisetTable((0.2, 0.3, 0.5), 5, cap=21).ingredients(values)["j_mu"] == 0.0
+    with pytest.raises(CapacityError, match="21 sample multisets exceed the cap of 20"):
+        MultisetTable((0.2, 0.3, 0.5), 5, cap=20)
+
+
+def test_table_levels_are_enumerated_once_on_first_use(monkeypatch):
+    calls = []
+    real = exchangeable.multiset_probabilities
+
+    def counting(counts, probs):
+        calls.append(int(np.asarray(counts).sum(axis=1).max()))
+        return real(counts, probs)
+
+    monkeypatch.setattr(exchangeable, "multiset_probabilities", counting)
+    weights = (0.2, 0.3, 0.5)
+    table = MultisetTable(weights, 5)
+    assert calls == []
+    for scale in (1.0, -2.0):
+        values = scale * np.arange(21.0)
+        want = MultisetTable(weights, 5).ingredients(values)
+        assert table.ingredients(values) == want
+    # the (n-1)-level probabilities of table and of each fresh table, once each
+    assert calls == [4, 4, 4]
+    assert table.probs is table.probs and calls == [4, 4, 4, 5]
+    assert table.probs.tolist() == real(multisets(5, 3), weights).tolist()
 
 
 #: Point weights in sixteenths: every configuration weight and every multiset
@@ -223,9 +246,9 @@ def test_tail_probabilities_of_the_gap_match_the_configurations(weights, n, lam,
     population = Population(
         xs=rng.uniform(-0.7, 0.7, (s, 2)), ys=rng.uniform(-1.0, 1.0, s), probs=weights
     )
-    table = GapTable(population, n, lam)
+    table = GapTable(population, MultisetTable(weights, n), lam)
     dense = spread(table.gaps, n, weights)
     deviations = table.gaps - oracles.expectation(dense)
     t_values = deviation_grid(deviations)
-    got = tail_probabilities(deviations, table.probs, t_values)
+    got = tail_probabilities(deviations, table.table.probs, t_values)
     assert got == [oracles.exact_tail(dense, t) for t in t_values]

@@ -197,6 +197,24 @@ class TestInteraction:
                 tracemalloc.stop()
         assert peak / f.values.nbytes <= tables
 
+    def test_report_traced_peak_in_tables(self):
+        # The summed table of j and crude goes before j_mu runs, so the report
+        # peaks where the objective does; holding it as well took 8.4 tables.
+        f = seeded_table((4,) * 8, True, seed=1)
+        interaction_report(f)  # weight arrays are cached on the first call
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            interaction_report(f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / f.values.nbytes <= 7.5
+
     def test_single_axis_is_zero(self):
         f = random_table((4,), seed=12)
         report = interaction_report(f)

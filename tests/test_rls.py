@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from interaction_bounds.bounds import main_bound
-from interaction_bounds.exchangeable import MC_BLOCK, mc_tails, rank
+from interaction_bounds.exchangeable import MC_BLOCK, MultisetTable, mc_tails, rank
 from interaction_bounds.rls import (
     GapTable,
     Population,
@@ -30,7 +30,7 @@ from interaction_bounds.rls import (
     true_risk,
 )
 from interaction_bounds.rng import substream
-from interaction_bounds.space import CapacityError, tail_probabilities
+from interaction_bounds.space import DEFAULT_CAP, CapacityError, tail_probabilities
 
 TWO_ATOM = Population(xs=[[0.9], [-0.7]], ys=[0.8, -0.6], probs=[0.5, 0.5])
 SKEW_ATOM = Population(xs=[[0.6], [-1.0]], ys=[1.0, -0.2], probs=[0.3, 0.7])
@@ -48,6 +48,11 @@ def random_problem(rng, d=None, n=None, lam=None):
     xs = xs / np.maximum(norms, 1.0) * rng.uniform(0.2, 1.0, size=(n, 1))
     ys = rng.uniform(-1.0, 1.0, size=n)
     return RlsProblem(xs=xs, ys=ys, lam=lam)
+
+
+def gap_table(population, n, lam, cap=DEFAULT_CAP):
+    """The gaps at ``lam`` on the multiset table of ``n`` draws from the population."""
+    return GapTable(population, MultisetTable(population.probs, n, cap), lam)
 
 
 def random_population(rng, d, size):
@@ -261,7 +266,7 @@ class TestScvEstimators:
         pop = Population(xs=[[0.9], [-0.7]], ys=[0.0, 0.0], probs=[0.5, 0.5])
         mean, stderr = empirical_scv(pop, 4, 0.5, replications=20, seed=1)
         assert mean == 0.0
-        assert measured_ingredients(GapTable(pop, 4, 0.5))["e_scv"] == 0.0
+        assert measured_ingredients(gap_table(pop, 4, 0.5))["e_scv"] == 0.0
 
     def test_deterministic_in_seed(self):
         a = empirical_scv(TWO_ATOM, 4, 0.5, replications=50, seed=9)
@@ -301,12 +306,12 @@ class TestScvEstimators:
                         * (gap(sa) - gap(sb)) ** 2
                     )
         want = total
-        got = measured_ingredients(GapTable(pop, n, lam))["e_scv"]
+        got = measured_ingredients(gap_table(pop, n, lam))["e_scv"]
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_monte_carlo_matches_exhaustive(self):
         n, lam = 4, 0.5
-        exact = measured_ingredients(GapTable(TWO_ATOM, n, lam))["e_scv"]
+        exact = measured_ingredients(gap_table(TWO_ATOM, n, lam))["e_scv"]
         mean, stderr = empirical_scv(TWO_ATOM, n, lam, replications=600, seed=2)
         assert abs(mean - exact) <= 3.0 * stderr
 
@@ -318,41 +323,41 @@ class TestScvEstimators:
 
 class TestGapDistribution:
     def test_multiset_probabilities_sum_to_one(self):
-        total = math.fsum(GapTable(SKEW_ATOM, 6, 0.5).probs)
+        total = math.fsum(gap_table(SKEW_ATOM, 6, 0.5).table.probs)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_gap_table_symmetric_key(self):
-        table = GapTable(TWO_ATOM, 4, 0.5)
+        table = gap_table(TWO_ATOM, 4, 0.5)
         assert table.value((0, 1, 0, 1)) == table.value((1, 1, 0, 0))
 
     def test_gap_table_rejects_atoms_outside_the_population(self):
         # occupancy drops an unknown atom, so rank would look up the gap of
         # an unrelated multiset instead
-        table = GapTable(TWO_ATOM, 4, 0.5)
+        table = gap_table(TWO_ATOM, 4, 0.5)
         for sample in ((0, 1, 0, 5), (0, 0, 1, -1), [(0, 1, 1, 0), (0, 1, 2, 0)]):
             with pytest.raises(ValueError, match=r"atom indices must lie in \[0, 2\)"):
                 table.value(sample)
 
     def test_gap_table_multisets_above_cap_name_the_cap(self):
         # 3 atoms, n = 6: 28 sample multisets
-        assert len(GapTable(PLANE_ATOM, 6, 0.5, cap=28).gaps) == 28
+        assert len(gap_table(PLANE_ATOM, 6, 0.5, cap=28).gaps) == 28
         with pytest.raises(CapacityError, match="28 sample multisets exceed the cap of 27"):
-            GapTable(PLANE_ATOM, 6, 0.5, cap=27)
+            gap_table(PLANE_ATOM, 6, 0.5, cap=27)
 
     def test_exact_tail_monotone(self):
-        table = GapTable(TWO_ATOM, 5, 0.3)
+        table = gap_table(TWO_ATOM, 5, 0.3)
         deviations = table.gaps - exact_gap_mean(table)
-        tails = tail_probabilities(deviations, table.probs, (0.0, 0.005, 0.01, 0.05))
+        tails = tail_probabilities(deviations, table.table.probs, (0.0, 0.005, 0.01, 0.05))
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
     def test_mc_matches_exact_tail(self):
         n, lam = 6, 0.4
-        table = GapTable(TWO_ATOM, n, lam)
+        table = gap_table(TWO_ATOM, n, lam)
         mean = exact_gap_mean(table)
         values = oracles.mc_gap_values(table, 40_000, seed=4)
         assert np.mean(values) == pytest.approx(mean, abs=5e-4)
         t_values = (0.002, 0.005, 0.01)
-        exact_tails = tail_probabilities(table.gaps - mean, table.probs, t_values)
+        exact_tails = tail_probabilities(table.gaps - mean, table.table.probs, t_values)
         for t, exact in zip(t_values, exact_tails):
             mc = float(np.mean(values - mean > t))
             stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
@@ -361,7 +366,7 @@ class TestGapDistribution:
     @pytest.mark.parametrize("samples", [300, MC_BLOCK, 3 * MC_BLOCK + 1])
     def test_blocked_tails_are_the_one_shot_tails(self, samples):
         n, lam = 5, 0.3
-        table = GapTable(PLANE_ATOM, n, lam)
+        table = gap_table(PLANE_ATOM, n, lam)
         mean = exact_gap_mean(table)
         deviations = table.gaps - mean
         # a grid, every deviation itself (never exceeded), and both ends
@@ -377,7 +382,7 @@ class TestGapDistribution:
         # 10^6 samples of n = 7 in one rng.choice call would hold 56 MB of
         # uniforms and 56 MB of indices; blocks of 8,192 rows hold 0.46 MB each.
         n, samples = 7, 10**6
-        table = GapTable(PLANE_ATOM, n, 0.5)
+        table = gap_table(PLANE_ATOM, n, 0.5)
         mean = exact_gap_mean(table)
         t_values = np.linspace(0.0, float(table.gaps.max()) - mean, 11)[1:].tolist()
         tracemalloc.start()
@@ -394,12 +399,12 @@ class TestGapDistribution:
 
     def test_measured_ingredients_give_valid_main_bound(self):
         n, lam = 5, 0.35
-        table = GapTable(TWO_ATOM, n, lam)
+        table = gap_table(TWO_ATOM, n, lam)
         meas = measured_ingredients(table)
         assert meas["b"] >= 0.0 and 0.0 <= meas["j_mu"] <= meas["crude_j"]
         deviations = table.gaps - exact_gap_mean(table)
         t_values = np.linspace(0.0, max(deviations), 9)[1:].tolist()
-        for t, tail in zip(t_values, tail_probabilities(deviations, table.probs, t_values)):
+        for t, tail in zip(t_values, tail_probabilities(deviations, table.table.probs, t_values)):
             for j in (meas["j_mu"], meas["crude_j"]):
                 assert tail <= main_bound(meas["e_scv"], meas["b"], j, t).value + 1e-12
 
@@ -410,7 +415,7 @@ class TestMultisetEngine:
         [(TWO_ATOM, 5, 0.35), (SKEW_ATOM, 6, 0.45), (PLANE_ATOM, 4, 0.3)],
     )
     def test_measured_ingredients_match_configuration_loops(self, population, n, lam):
-        got = measured_ingredients(GapTable(population, n, lam))
+        got = measured_ingredients(gap_table(population, n, lam))
         want = oracles.rls_measured_ingredients(population, n, lam)
         assert got["b"] == want["b"]
         assert got["crude_j"] == want["crude_j"]
@@ -418,7 +423,7 @@ class TestMultisetEngine:
 
     def test_mc_values_are_gaps_of_the_drawn_samples(self):
         n, lam = 5, 0.3
-        got = oracles.mc_gap_values(GapTable(PLANE_ATOM, n, lam), 300, seed=6)
+        got = oracles.mc_gap_values(gap_table(PLANE_ATOM, n, lam), 300, seed=6)
         draws = np.sort(
             substream(6, 0xF0).choice(3, size=(300, n), p=PLANE_ATOM.probs), axis=1
         )
@@ -431,11 +436,25 @@ class TestMultisetEngine:
         assert np.array_equal(got, want)
 
     def test_multisets_above_cap_name_the_cap(self):
-        # 3 atoms, n = 6: the rest-samples of n - 1 points form 21 multisets
-        table = GapTable(PLANE_ATOM, 6, 0.5)
-        assert measured_ingredients(table, cap=21)["b"] >= 0.0
-        with pytest.raises(CapacityError, match="cap of 20"):
-            measured_ingredients(table, cap=20)
+        # 3 atoms, n = 6: 28 sample multisets, and 21 and 15 of the rest-samples;
+        # the table's cap bounds them all, so the ingredients need no cap of their own
+        table = gap_table(PLANE_ATOM, 6, 0.5, cap=28)
+        assert measured_ingredients(table) == measured_ingredients(gap_table(PLANE_ATOM, 6, 0.5))
+        with pytest.raises(CapacityError, match="cap of 27"):
+            gap_table(PLANE_ATOM, 6, 0.5, cap=27)
+
+    def test_gap_table_needs_the_population_multiset_table(self):
+        for probs in ((0.25, 0.25, 0.5), (0.5, 0.5)):
+            with pytest.raises(ValueError, match="atom probabilities"):
+                GapTable(PLANE_ATOM, MultisetTable(probs, 4), 0.5)
+
+    def test_gaps_at_every_lambda_share_one_multiset_table(self):
+        table = MultisetTable(PLANE_ATOM.probs, 5)
+        for lam in (0.25, 0.5):
+            gaps = GapTable(PLANE_ATOM, table, lam)
+            assert gaps.table is table
+            assert gaps.gaps.tobytes() == gap_table(PLANE_ATOM, 5, lam).gaps.tobytes()
+            assert measured_ingredients(gaps) == measured_ingredients(gap_table(PLANE_ATOM, 5, lam))
 
 
 class TestStackedSolvesMatchPerProblemLoops:
@@ -458,7 +477,7 @@ class TestStackedSolvesMatchPerProblemLoops:
     @given(DIMS, SIZES, st.integers(1, 4), LAMBDAS, SEEDS)
     def test_gap_table_is_per_row_gaps(self, d, n, size, lam, seed):
         population = random_population(np.random.default_rng(seed), d, size)
-        table = GapTable(population, n, lam)
+        table = gap_table(population, n, lam)
         assert table.gaps.tobytes() == oracles.rls_gap_table_rows(population, n, lam).tobytes()
 
     @given(DIMS, SIZES, st.integers(1, 3), LAMBDAS, SEEDS)

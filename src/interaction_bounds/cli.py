@@ -43,11 +43,13 @@ from . import rls as rlsmod
 from . import ustat as usmod
 from .exchangeable import MultisetTable, mc_tails, rank
 from .harness import (
+    _INEQ_TOL,
     RandomInstanceSpec,
     WorkerError,
     generate_instance,
     run_property_suite,
     tail_curve,
+    tail_excess,
 )
 from .rng import derive_seed, substream
 from .space import DEFAULT_CAP, CapacityError, FiniteAxis, _integer, tail_probabilities
@@ -337,19 +339,30 @@ def cmd_bounds_table(config: RunConfig) -> int:
         "exact_tail",
     ]
     rows: list[list[Any]] = []
+    violations = []
     for i in range(config.count):
         inst_seed = derive_seed(config.seed, 0xB0, i)
         _, f = generate_instance(dataclasses.replace(spec, seed=inst_seed))
         ing = bnd.bound_ingredients(f)
-        for t, tail, sup_bernstein, main, corollary in tail_curve(f, ing, t_points):
+        curve = tail_curve(f, ing, t_points)
+        for t, tail, sup_bernstein, main, corollary in curve:
             rows.append([
                 i, inst_seed, t,
                 ing["bd_term"], ing["sup_scv"], ing["E_scv"],
                 ing["sigma2"] + 0.25 * ing["j"] ** 2,
                 sup_bernstein, main, corollary, tail,
             ])
+        for column, (excess, row) in zip(header[7:10], tail_excess(curve)):
+            if excess > _INEQ_TOL:
+                violations.append(
+                    f"bound violated: instance {i} (seed {inst_seed}), t "
+                    f"{_fmt_cell(curve[row][0])}: {column} is below the exact tail "
+                    f"by {excess:.3e}"
+                )
     _emit_table(config, header, rows)
-    return 0
+    for line in violations:
+        print(line, file=sys.stderr)
+    return 1 if violations else 0
 
 
 def cmd_normal_limit_demo(config: RunConfig) -> int:
@@ -503,14 +516,22 @@ def _normal_limit_params(p: dict, seed: int) -> None:
 def _rls_params(p: dict, seed: int) -> None:
     path, parse = p.pop("path"), rlsmod.rls_config_from_json
     p["problem"] = _read_json(path, "rls problem", parse) if path else parse(_DEMO_RLS)
-    # The tail curve draws mc_samples samples of n points: refuse the whole
-    # sample before the first draw, against the budget of ustat's fallback.
-    samples, n, budget = p["mc_samples"], p["problem"][1], usmod.DEFAULT_EVAL_CAP
-    if samples * n > budget:
-        raise ValueError(
-            f"mc_samples {samples} times n {n} is {samples * n} sample points, "
-            f"over the Monte Carlo budget of {budget}"
-        )
+    # Refuse, before any solve or draw and against the budget of ustat's
+    # Monte Carlo fallback, the sample points of the tail curve's samples of
+    # n points, of the derivative lattice (14 perturbed samples of n points
+    # per lattice point) and of empirical_scv's replaced samples (two per
+    # point of each replication).
+    n, budget = p["problem"][1], usmod.DEFAULT_EVAL_CAP
+    for name, points in (
+        ("mc_samples", p["mc_samples"] * n),
+        ("grid", 14 * p["grid"] ** 2 * n),
+        ("replications", 2 * p["replications"] * n * n),
+    ):
+        if points > budget:
+            raise ValueError(
+                f"{name} {p[name]} at n {n} is {points} sample points, "
+                f"over the budget of {budget}"
+            )
 
 
 @dataclass(frozen=True)

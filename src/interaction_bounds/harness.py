@@ -9,16 +9,17 @@ randomized instances and reports, per check, the number of instances, the
 worst observed violation, the tolerance it was judged against, and the
 witness seed of the first failure.  Failures are data, not exceptions.
 
-The suite's instances run on every CPU in the process's affinity mask.  A
-job is one exact instance with its pure-sum instance, or one entropy
-instance.  One forked worker per CPU takes the next job off a shared pipe
-whenever it is free and sends back, pickled over a pipe of its own, the
-``(check, violation, seed)`` events of each job it ran.  The parent replays
-every job's events into the accumulators in job order, so the report is the
-serial loop's byte for byte, with the same first witness seed and the same
-error if a job raises.  Where ``os.fork`` or ``os.sched_getaffinity`` is
-missing, or one CPU is available, the jobs run in-process through the same
-function.
+The suite's jobs go through one map, ``_fork_map(job, count)``, which
+returns ``[job(p) for p in range(count)]`` on every CPU in the process's
+affinity mask.  A job is one exact instance with its pure-sum instance, or
+one entropy instance, and returns the ``(check, violation, seed)`` events of
+its checks.  One forked worker per CPU takes the next job position off a
+shared pipe whenever it is free and sends its results back, pickled over a
+pipe of its own.  The parent replays every job's events into the
+accumulators in job order, so the report is the serial loop's byte for
+byte, with the same first witness seed and the same error if a job raises.
+Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or one CPU is
+available, the map is the serial loop in-process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -182,6 +183,22 @@ def tail_curve(f: TabulatedFunction, ing: dict[str, float], points: int) -> list
     return rows
 
 
+def tail_excess(curve: list[tuple]) -> list[tuple[float, int]]:
+    """The worst ``tail - bound`` of each bound column of ``tail_curve`` rows, and its row.
+
+    One ``(excess, row index)`` pair per bound column, in column order
+    (sup-Bernstein, main, variance corollary), and none for a curve without
+    rows; the row is the first where the excess is largest.  A bound that
+    holds has a nonpositive excess.
+    """
+    if not curve:
+        return []
+    return [
+        max(((row[1] - row[column], i) for i, row in enumerate(curve)), key=lambda e: e[0])
+        for column in (2, 3, 4)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # The inequality suite
 # ---------------------------------------------------------------------------
@@ -314,14 +331,14 @@ def run_property_suite(
     produces an empty report.  ``inject_bug`` negates the Efron-Stein check,
     as a self-test that failures surface with a witness seed.
 
-    The instance pairs and entropy instances run in forked workers, one per
-    CPU and at most one per job (see the module docstring); the parent
-    replays their results in instance order and then runs the scalar lemmas,
-    so the report, and an error raised by an instance, do not depend on the
-    number of CPUs or on which worker ran what.  A worker that ends without
-    a result, for example killed by a signal, raises ``WorkerError`` once
-    every worker is reaped.  Each worker holds its own copy of what its
-    instances build.
+    The instance pairs and entropy instances run through ``_fork_map``, one
+    forked worker per CPU and at most one per job (see the module
+    docstring); the parent replays their events in instance order and then
+    runs the scalar lemmas, so the report, and an error raised by an
+    instance, do not depend on the number of CPUs or on which worker ran
+    what.  A worker that ends without a result, for example killed by a
+    signal, raises ``WorkerError`` once every worker is reaped.  Each worker
+    holds its own copy of what its instances build.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -331,10 +348,12 @@ def run_property_suite(
         entropy_count = max(1, count // 4)
     jobs = [(1, i) for i in range(count)] + [(3, i) for i in range(entropy_count)]
     acc = {name: _Accumulator(name, tol) for name, tol in CHECKS}
-    for events in _run_jobs(spec, jobs, tail_points, inject_bug):
+    job = functools.partial(_suite_job, spec, jobs, tail_points, inject_bug)
+    for events in _fork_map(job, len(jobs)):
         for name, violation, seed in events:
             acc[name].add(violation, seed)
-    _scalar_checks(acc, spec.seed, scalar_count)
+    for name, violation in _scalar_checks(substream(spec.seed, 0x0C), scalar_count):
+        acc[name].add(violation, spec.seed)
 
     return SuiteReport(
         checks=tuple(acc[name].result() for name, _ in CHECKS),
@@ -348,23 +367,12 @@ def run_property_suite(
 # ---------------------------------------------------------------------------
 
 
-#: One ``add`` of a job: check name, violation, instance seed.
+#: One event of a job: check name, violation, instance seed.
 _Event = tuple[str, float, int]
 
 
 class WorkerError(RuntimeError):
     """A suite worker ended without sending its results back."""
-
-
-class _Recorder:
-    """An accumulator's stand-in inside a job: logs each ``add`` for replay."""
-
-    def __init__(self, name: str, events: list[_Event]) -> None:
-        self.name = name
-        self.events = events
-
-    def add(self, violation: float, seed: int) -> None:
-        self.events.append((self.name, violation, seed))
 
 
 def _cpu_count() -> int:
@@ -374,86 +382,28 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_jobs(
-    spec: RandomInstanceSpec,
-    jobs: list[tuple[int, int]],
-    tail_points: int,
-    inject_bug: bool,
-) -> list[list[_Event]]:
-    """The events of each job, in job order, with the jobs shared by workers.
+def _fork_map(job: Callable[[int], Any], count: int) -> list:
+    """``[job(p) for p in range(count)]``, with the positions shared by workers.
 
-    One worker per CPU, at most one per job, takes the next job whenever it
-    is free, so a worker slowed by other load takes fewer.  A job draws only
-    from its own substreams, so where it runs does not change its events.
-    Jobs are taken in order, so every job before the earliest that raised
-    has run, and that error is raised, as the serial loop raises it; a job
-    lost with a worker that ended without a result raises ``WorkerError``,
-    as does that worker if no job was lost.
+    One forked worker per CPU, at most one per job, takes the next position
+    from a pipe whenever it is free, so a worker slowed by other load takes
+    fewer; where one CPU is available (``_cpu_count``) the jobs run
+    in-process, and with no jobs nothing is forked.  A job must depend only
+    on its position, so where it runs does not change its result.  Positions
+    are taken in order, so every job before the earliest that raised has
+    run, and that error is raised, as the serial loop raises it; a job lost
+    with a worker that ended without a result raises ``WorkerError``, as
+    does that worker if no job was lost.
+
+    A worker never prints: it runs its jobs up to the first that raises,
+    pickles their results, or that error, into a pipe of its own and leaves
+    by ``os._exit``, so no atexit handler or buffered output runs twice.
+    Every worker is reaped before this returns or raises; an exception here,
+    ``KeyboardInterrupt`` too, kills the workers still running first.
     """
-    workers = min(_cpu_count(), len(jobs))
-    run = functools.partial(
-        _run_chunk, spec, jobs, tail_points=tail_points, inject_bug=inject_bug
-    )
-    if workers > 1:
-        results = _fork_map(run, workers, len(jobs))
-    else:
-        results = [run(range(len(jobs)))]
-    outcomes: dict[int, list[_Event] | Exception] = {}
-    lost = None
-    for result in results:
-        if isinstance(result, WorkerError):
-            lost = result
-        else:
-            outcomes.update(result)
-    logs = []
-    for position in range(len(jobs)):
-        events = outcomes.get(position, lost)
-        if isinstance(events, Exception):
-            raise events
-        logs.append(events)
-    if lost is not None:
-        raise lost
-    return logs
-
-
-def _run_chunk(
-    spec: RandomInstanceSpec,
-    jobs: list[tuple[int, int]],
-    positions: Iterable[int],
-    tail_points: int,
-    inject_bug: bool,
-) -> dict[int, list[_Event] | Exception]:
-    """Run ``jobs[p]`` for each ``p`` of ``positions`` in turn: the events of
-    each, up to the first that raises, whose error it holds instead."""
-    outcomes: dict[int, list[_Event] | Exception] = {}
-    for position in positions:
-        stream, i = jobs[position]
-        events: list[_Event] = []
-        acc = {name: _Recorder(name, events) for name, _ in CHECKS}
-        try:
-            if stream == 1:
-                _pair_job(acc, spec, i, tail_points, inject_bug)
-            else:
-                _entropy_job(acc, spec, i)
-        except Exception as exc:
-            outcomes[position] = exc
-            break
-        outcomes[position] = events
-    return outcomes
-
-
-def _fork_map(run, workers: int, count: int) -> list:
-    """``run(positions)`` in each of ``workers`` forked workers, which share
-    the positions ``0 .. count - 1``: each takes the next from a pipe
-    whenever it asks for one.
-
-    A worker never prints: it pickles its result into a pipe of its own and
-    leaves by ``os._exit``, so no atexit handler or buffered output runs
-    twice.  One that ends without a result gives a ``WorkerError`` in its
-    place.  Every worker is reaped before this returns or raises; an
-    exception here, ``KeyboardInterrupt`` too, kills the workers still
-    running first.
-    """
+    workers = min(_cpu_count(), count)
+    if workers <= 1:
+        return [job(p) for p in range(count)]
     import signal  # here, not at the top: its enums cost every command ~0.1 MB
 
     sys.stdout.flush()
@@ -461,7 +411,8 @@ def _fork_map(run, workers: int, count: int) -> list:
     queue_read, queue_write = os.pipe()
     queue_in, queue_out = open(queue_read, "rb", 0), open(queue_write, "wb", 0)
     pending: dict[int, int] = {}  # pid -> read end of its result pipe
-    results: list = []
+    outcomes: dict[int, tuple[bool, Any]] = {}  # position -> (ok, result or error)
+    lost = None
     try:
         for _ in range(workers):
             read, write = os.pipe()
@@ -474,12 +425,15 @@ def _fork_map(run, workers: int, count: int) -> list:
                         os.close(inherited)
                     # The parent writes each position in one 4-byte write, which
                     # a pipe keeps whole, so each 4-byte read takes one position.
-                    positions = (
-                        int.from_bytes(record, "little")
-                        for record in iter(lambda: queue_in.read(4), b"")
-                    )
+                    for record in iter(lambda: queue_in.read(4), b""):
+                        position = int.from_bytes(record, "little")
+                        try:
+                            outcomes[position] = True, job(position)
+                        except Exception as exc:
+                            outcomes[position] = False, exc
+                            break
                     with open(write, "wb") as pipe:
-                        pickle.dump(run(positions), pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
@@ -497,13 +451,10 @@ def _fork_map(run, workers: int, count: int) -> list:
             del pending[pid]
             os.close(read)
             if code == 0:
-                results.append(pickle.loads(data))
+                outcomes.update(pickle.loads(data))
             else:
                 how = signal.Signals(-code).name if code < 0 else f"exit status {code}"
-                results.append(
-                    WorkerError(f"a suite worker ended by {how} without a result")
-                )
-        return results
+                lost = WorkerError(f"a suite worker ended by {how} without a result")
     finally:
         queue_in.close()
         queue_out.close()
@@ -513,42 +464,70 @@ def _fork_map(run, workers: int, count: int) -> list:
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    results = []
+    for position in range(count):
+        ok, result = outcomes.get(position, (False, lost))
+        if not ok:
+            raise result
+        results.append(result)
+    if lost is not None:
+        raise lost
+    return results
+
+
+def _suite_job(
+    spec: RandomInstanceSpec,
+    jobs: list[tuple[int, int]],
+    tail_points: int,
+    inject_bug: bool,
+    position: int,
+) -> list[_Event]:
+    """The events of ``jobs[position]``, instance pair ``(1, i)`` or entropy instance ``(3, i)``."""
+    stream, i = jobs[position]
+    if stream == 1:
+        return _pair_job(spec, i, tail_points, inject_bug)
+    return _entropy_job(spec, i)
 
 
 def _pair_job(
-    acc: dict, spec: RandomInstanceSpec, i: int, tail_points: int, inject_bug: bool
-) -> None:
+    spec: RandomInstanceSpec, i: int, tail_points: int, inject_bug: bool
+) -> list[_Event]:
     """Exact checks on instance ``i`` and sum checks on pure-sum instance ``i``."""
     inst_seed = derive_seed(spec.seed, 1, i)
     _, f = generate_instance(dataclasses.replace(spec, seed=inst_seed))
     rng = substream(inst_seed, 0x05)
-    _exact_checks(acc, inst_seed, f, rng, tail_points, inject_bug)
+    events = [
+        (name, violation, inst_seed)
+        for name, violation in _exact_checks(f, rng, tail_points, inject_bug)
+    ]
 
     sum_seed = derive_seed(spec.seed, 2, i)
     sum_spec = dataclasses.replace(
         spec, values="sum_plus_perturbation", epsilon=0.0, seed=sum_seed
     )
     _, f_sum = generate_instance(sum_spec)
-    _sum_checks(acc, sum_seed, f_sum, tail_points)
+    events += [
+        (name, violation, sum_seed)
+        for name, violation in _sum_checks(f_sum, tail_points)
+    ]
+    return events
 
 
-def _entropy_job(acc: dict, spec: RandomInstanceSpec, i: int) -> None:
+def _entropy_job(spec: RandomInstanceSpec, i: int) -> list[_Event]:
     """Entropy checks on entropy instance ``i`` and its auxiliary table."""
     ent_seed = derive_seed(spec.seed, 3, i)
     _, f = generate_instance(dataclasses.replace(spec, seed=ent_seed))
     g_rng = substream(ent_seed, 0x06)
     g = TabulatedFunction(f.space, g_rng.uniform(-1.0, 1.0, size=f.space.size))
-    _entropy_checks(acc, ent_seed, f, g)
+    return [(name, violation, ent_seed) for name, violation in _entropy_checks(f, g)]
 
 
 def _exact_checks(
-    acc: dict[str, _Accumulator],
-    seed: int,
     f: TabulatedFunction,
     rng: np.random.Generator,
     tail_points: int,
     inject_bug: bool,
-) -> None:
+) -> Iterator[tuple[str, float]]:
     space = f.space
     scv_table = bnd.scv_table(f)
     ing = bnd.bound_ingredients(f)
@@ -556,16 +535,14 @@ def _exact_checks(
     j, j_mu, crude = ing["j"], ing["j_mu"], ing["crude"]
 
     if inject_bug:
-        acc["efron_stein"].add(e_scv - sigma2, seed)
+        yield "efron_stein", e_scv - sigma2
     else:
-        acc["efron_stein"].add(sigma2 - e_scv, seed)
+        yield "efron_stein", sigma2 - e_scv
 
     a_scale = float(rng.uniform(0.25, 2.0))
     shift = float(rng.uniform(-1.0, 1.0))
     scaled = f * a_scale + shift
-    acc["variance_scaling"].add(
-        abs(variance(scaled) - a_scale * a_scale * sigma2), seed
-    )
+    yield "variance_scaling", abs(variance(scaled) - a_scale * a_scale * sigma2)
 
     # Relabel a random axis: permute points consistently in weights and values.
     k_perm = int(rng.integers(0, space.n))
@@ -578,19 +555,16 @@ def _exact_checks(
     relabeled = TabulatedFunction(
         relabeled_space, np.take(f.values, perm, axis=k_perm)
     )
-    acc["relabeling_invariance"].add(
-        max(
-            abs(expectation(relabeled) - expectation(f)),
-            abs(variance(relabeled) - sigma2),
-        ),
-        seed,
+    yield "relabeling_invariance", max(
+        abs(expectation(relabeled) - expectation(f)),
+        abs(variance(relabeled) - sigma2),
     )
 
     two_forms = 0.0
     for k in range(space.n):
         delta = np.abs(cond_variance(f, k).values - cond_variance_pairs(f, k).values)
         two_forms = max(two_forms, float(delta.max()))
-    acc["cond_variance_two_forms"].add(two_forms, seed)
+    yield "cond_variance_two_forms", two_forms
 
     if space.n >= 2:
         ks = rng.permutation(space.n)[:2]
@@ -609,21 +583,19 @@ def _exact_checks(
              lambda: cond_expectation(cond_expectation(f, k2), k1)),
         )
         worst = max(float(np.abs(a().values - b().values).max()) for a, b in pairs)
-        acc["operator_commutation"].add(worst, seed)
+        yield "operator_commutation", worst
 
     gap, envelope = bnd.efron_stein_gap(f, j=j)
-    acc["efron_stein_gap_envelope"].add(max(-gap, gap - envelope), seed)
+    yield "efron_stein_gap_envelope", max(-gap, gap - envelope)
 
     bias = bnd.bias_second_difference_bound(f)
-    acc["bias_bound_sandwich"].add(max(gap - bias, bias - envelope), seed)
+    yield "bias_bound_sandwich", max(gap - bias, bias - envelope)
 
-    acc["chatterjee_identity"].add(abs(bnd.chatterjee_variance(f) - sigma2), seed)
+    yield "chatterjee_identity", abs(bnd.chatterjee_variance(f) - sigma2)
 
-    acc["conditional_mean_variance"].add(
-        bnd.conditional_mean_variance_sum(f) - sigma2, seed
-    )
+    yield "conditional_mean_variance", bnd.conditional_mean_variance_sum(f) - sigma2
 
-    acc["interaction_chain"].add(max(j_mu - j, j - crude), seed)
+    yield "interaction_chain", max(j_mu - j, j - crude)
 
     hom_scale = float(rng.uniform(0.25, 4.0))
     scaled_f = f * hom_scale
@@ -634,24 +606,16 @@ def _exact_checks(
     ):
         denom = max(abs(reference), 1e-12)
         hom_violation = max(hom_violation, abs(value - reference) / denom)
-    acc["interaction_homogeneity"].add(hom_violation, seed)
+    yield "interaction_homogeneity", hom_violation
 
     d_scv = self_bounding_operator(scv_table)
-    acc["self_bounding_scv"].add(
-        float((d_scv.values - j_mu * j_mu * scv_table.values).max()), seed
-    )
+    yield "self_bounding_scv", float((d_scv.values - j_mu * j_mu * scv_table.values).max())
 
-    acc["variance_term_ordering"].add(
-        max(e_scv - sup_scv, sup_scv - ing["bd_term"]), seed
-    )
+    yield "variance_term_ordering", max(e_scv - sup_scv, sup_scv - ing["bd_term"])
 
-    curve = tail_curve(f, ing, tail_points)
-    if curve:
-        for column, name in enumerate(
-            ("tail_sup_bernstein", "tail_main", "tail_variance_corollary"), start=2
-        ):
-            worst = max(0.0, *(row[1] - row[column] for row in curve))
-            acc[name].add(worst, seed)
+    names = ("tail_sup_bernstein", "tail_main", "tail_variance_corollary")
+    for name, (excess, _) in zip(names, tail_excess(tail_curve(f, ing, tail_points))):
+        yield name, max(0.0, excess)
 
 
 def _sum_profile_variances(f: TabulatedFunction) -> float:
@@ -669,12 +633,10 @@ def _sum_profile_variances(f: TabulatedFunction) -> float:
     return fsum(total)
 
 
-def _sum_checks(
-    acc: dict[str, _Accumulator], seed: int, f: TabulatedFunction, tail_points: int
-) -> None:
+def _sum_checks(f: TabulatedFunction, tail_points: int) -> Iterator[tuple[str, float]]:
     e_scv = expectation(scv(f))
     sigma2 = variance(f)
-    acc["efron_stein_sum_equality"].add(abs(e_scv - sigma2), seed)
+    yield "efron_stein_sum_equality", abs(e_scv - sigma2)
 
     b = bnd.per_coordinate_range_bound(f)
     if b <= 1e-12:
@@ -689,15 +651,12 @@ def _sum_checks(
         value = bnd.main_bound(e_scv, b, j_mu, float(t)).value
         bernstein = math.exp(-(t * t) / (2.0 * sum_sigma + 2.0 * b * t / 3.0))
         worst = max(worst, abs(value - bernstein) / bernstein)
-    acc["bernstein_reduction"].add(worst, seed)
+    yield "bernstein_reduction", worst
 
 
 def _entropy_checks(
-    acc: dict[str, _Accumulator],
-    seed: int,
-    f: TabulatedFunction,
-    g: TabulatedFunction,
-) -> None:
+    f: TabulatedFunction, g: TabulatedFunction
+) -> Iterator[tuple[str, float]]:
     space = f.space
     scale = bnd.per_coordinate_range_bound(f)
     rescaled = f * (1.0 / scale) if scale > 1e-12 else None
@@ -712,38 +671,31 @@ def _entropy_checks(
             space,
             sum(conditional_entropy(f, k, beta).values for k in range(space.n)),
         )
-        acc["entropy_subadditivity"].add(
-            s_f - gibbs_expectation(state, cond_sum), seed
-        )
+        yield "entropy_subadditivity", s_f - gibbs_expectation(state, cond_sum)
 
         if rescaled is not None:
             tilted = gibbs(rescaled, beta)
             s_r = beta * gibbs_expectation(tilted, rescaled) - tilted.log_z
-            acc["bennett_entropy"].add(
-                s_r - bnd.psi(beta) * gibbs_expectation(tilted, scv_rescaled), seed
+            yield "bennett_entropy", (
+                s_r - bnd.psi(beta) * gibbs_expectation(tilted, scv_rescaled)
             )
 
-        acc["entropy_upper_self_bound"].add(
-            s_f - 0.5 * beta * beta * gibbs_expectation(state, d_f), seed
-        )
+        yield "entropy_upper_self_bound", s_f - 0.5 * beta * beta * gibbs_expectation(state, d_f)
 
-        acc["decoupling"].add(gibbs_expectation(state, g) - (s_f + log_e_g), seed)
+        yield "decoupling", gibbs_expectation(state, g) - (s_f + log_e_g)
 
-        acc["herbst_identity"].add(
-            abs(herbst_log_mgf(f, beta) - log_mgf(f, beta)), seed
-        )
+        yield "herbst_identity", abs(herbst_log_mgf(f, beta) - log_mgf(f, beta))
 
 
-def _scalar_checks(acc: dict[str, _Accumulator], seed: int, scalar_count: int) -> None:
+def _scalar_checks(rng: np.random.Generator, scalar_count: int) -> Iterator[tuple[str, float]]:
     for a in A_GRID:
         limit = 1.0 / (1.0 / 3.0 + a / 2.0)
         for gamma in np.linspace(0.0, limit, 101)[1:-1]:
             ok = bnd.psi_ratio_inequality(a, float(gamma))
-            acc["psi_ratio_grid"].add(0.0 if ok else 1.0, seed)
-    rng = substream(seed, 0x0C)
+            yield "psi_ratio_grid", 0.0 if ok else 1.0
     for _ in range(scalar_count):
         c = float(np.exp(rng.uniform(math.log(0.05), math.log(5.0))))
         b = float(np.exp(rng.uniform(math.log(0.05), math.log(5.0))))
         t = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
         numeric, closed = bnd.chernoff_infimum(c, b, t)
-        acc["chernoff_infimum"].add(numeric - closed, seed)
+        yield "chernoff_infimum", numeric - closed

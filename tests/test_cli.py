@@ -18,7 +18,7 @@ import pytest
 import interaction_bounds
 import oracles
 
-from interaction_bounds import cli, exchangeable, rls
+from interaction_bounds import bounds, cli, exchangeable, rls
 from interaction_bounds import ustat as usmod
 from interaction_bounds.cli import main
 from interaction_bounds.rng import derive_seed
@@ -730,6 +730,28 @@ class TestRlsCommand:
         assert main(["--config", str(config)]) == 2
         assert "10000008 sample points" in assert_one_config_error(capsys)
 
+    @pytest.mark.parametrize("name, value, work, points", [
+        ("grid", 1000, "derivative_bound_check", 112_000_000),
+        ("grid", 299, "derivative_bound_check", 10_012_912),
+        ("replications", 1_000_000, "empirical_scv", 128_000_000),
+        ("replications", 78_126, "empirical_scv", 10_000_128),
+    ])
+    def test_sample_points_over_the_budget_exit_before_any_work(
+        self, tmp_path, monkeypatch, capsys, name, value, work, points
+    ):
+        # n = 8: the derivative lattice solves 14 grid^2 samples of 8 points,
+        # and empirical_scv 2 replications * 8 samples of 8 points
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"ran {work} before refusing the config")
+
+        monkeypatch.setattr(rls, work, no_work)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "rls", "params": {name: value}}))
+        assert main(["--config", str(config)]) == 2
+        err = assert_one_config_error(capsys)
+        assert f"{name} {value} at n 8 is {points} sample points" in err
+        assert "budget of 10000000" in err
+
     def test_out_of_memory_is_one_config_error(self, monkeypatch, capsys):
         def exhausted(counts):
             raise MemoryError("Unable to allocate 898. MiB for an array")
@@ -790,6 +812,33 @@ class TestBoundsTableCommand:
             row = line.split(",")
             assert float(row[i_e]) <= float(row[i_sup]) + 1e-12
             assert float(row[i_sup]) <= float(row[i_bd]) + 1e-12
+
+
+    def test_bound_below_the_exact_tail_exits_1_with_the_witness(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = bounds.main_bound
+
+        def too_small(*args):
+            report = real(*args)
+            return dataclasses.replace(report, value=0.1 * report.value)
+
+        monkeypatch.setattr(bounds, "main_bound", too_small)
+        out = tmp_path / "b.csv"
+        assert main(["bounds-table", "--count", "3", "--out", str(out)]) == 1
+        lines = read(out).splitlines()
+        assert len(lines) == 2 + 3 * 20  # the table is still written
+        rows = {(row[0], row[2]) for row in (line.split(",") for line in lines[2:])}
+        err = capsys.readouterr().err.splitlines()
+        assert err
+        for i, line in enumerate(err):
+            seed = derive_seed(0, 0xB0, i)
+            head = f"bound violated: instance {i} (seed {seed}), t "
+            assert line.startswith(head), line
+            t, rest = line[len(head):].split(": ", 1)
+            assert (str(i), t) in rows
+            assert rest.startswith("main is below the exact tail by ")
+            assert float(rest.rsplit(" ", 1)[1]) > 1e-10
 
 
 class TestNormalLimitDemo:

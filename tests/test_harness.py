@@ -169,8 +169,7 @@ class TestPropertySuite:
         spec = RandomInstanceSpec(seed=5)
         _, f = generate_instance(spec)
         g = TabulatedFunction(f.space, np.linspace(-1.0, 1.0, f.space.size))
-        acc = {name: harness._Accumulator(name, tol) for name, tol in CHECKS}
-        harness._entropy_checks(acc, spec.seed, f, g)
+        list(harness._entropy_checks(f, g))
         rescaled = [beta for h, beta in states if h is not f]
         assert sorted(rescaled) == sorted(harness.BETA_GRID)
 
@@ -312,19 +311,19 @@ class TestWorkers:
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        chunks = []
-        real = harness._run_chunk
+        ran = []
+        real = harness._suite_job
 
-        def recording(spec, jobs, positions, **kwargs):
-            positions = list(positions)
-            chunks.append([jobs[p] for p in positions])
-            return real(spec, jobs, positions, **kwargs)
+        def recording(spec, jobs, tail_points, inject_bug, position):
+            ran.append((jobs[position], os.getpid()))
+            return real(spec, jobs, tail_points, inject_bug, position)
 
-        monkeypatch.setattr(harness, "_run_chunk", recording)
+        monkeypatch.setattr(harness, "_suite_job", recording)
         run_property_suite(
             RandomInstanceSpec(seed=4), count=3, entropy_count=2, scalar_count=1
         )
-        assert chunks == [[(1, 0), (1, 1), (1, 2), (3, 0), (3, 1)]]
+        jobs = [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1)]
+        assert ran == [(job, os.getpid()) for job in jobs]
 
     def test_earliest_instance_error_wins(self, monkeypatch, capsys):
         # Jobs (1, 0) .. (1, 4), (3, 0): pairs 2 and 4 and the entropy
@@ -356,10 +355,10 @@ class TestWorkers:
         assert captured.err == f"config error: {expected_last}\n"
 
     def test_killed_worker_is_one_failure_line(self, monkeypatch, capsys):
-        def killed(spec, jobs, positions, **kwargs):
+        def killed(*args):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(harness, "_run_chunk", killed)
+        monkeypatch.setattr(harness, "_suite_job", killed)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         assert main(["verify", "--count", "3"]) == 1
         captured = capsys.readouterr()
@@ -371,10 +370,10 @@ class TestWorkers:
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        def chunk(spec, jobs, positions, **kwargs):
+        def sleeping(*args):
             time.sleep(60)
 
-        monkeypatch.setattr(harness, "_run_chunk", chunk)
+        monkeypatch.setattr(harness, "_suite_job", sleeping)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()
@@ -386,3 +385,34 @@ class TestWorkers:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_results_in_job_order(self, monkeypatch, cpus, count):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        assert harness._fork_map(lambda p: p * p, count) == [p * p for p in range(count)]
+
+    def test_no_jobs_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked a worker for no jobs")
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert harness._fork_map(lambda p: p, 0) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_earliest_error_wins(self, monkeypatch, cpus):
+        # Every job after job 0 fails.  The first worker holds job 0 while
+        # the others fail jobs 1 and 2, then fails a later job itself, and it
+        # is reaped first; the serial loop raises job 1's error.
+        def job(p):
+            if p == 0:
+                time.sleep(0.2)
+                return p
+            raise ValueError(f"job {p}")
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        with pytest.raises(ValueError, match="^job 1$"):
+            harness._fork_map(job, 6)

@@ -206,7 +206,6 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_ustat(config: RunConfig) -> int:
     p = config.params
-    axis, points = p["base"]
     t_values = p["t_values"]
     header = [
         "m", "n", "t", "sigma1sq", "ustat_bound", "arcones_bound",
@@ -214,21 +213,17 @@ def cmd_ustat(config: RunConfig) -> int:
         "note",
     ]
     # The rows of each m, in n order.  Sample sizes go outside, so that one
-    # multiset table at a time is live, built on first use and shared by every m.
+    # multiset table at a time is live, enumerated on first use and shared by every m.
     by_m: list[list[list[Any]]] = [[] for _ in p["m_values"]]
     for n in p["n_values"]:
-        table = functools.cache(functools.partial(MultisetTable, axis.weights, n, config.cap))
+        table = MultisetTable(p["axis"].weights, n, config.cap)
         for rows, m in zip(by_m, p["m_values"]):
             if n <= m:
                 continue
-            problem = usmod.UStatProblem(
-                kernel=p["kernel"](m), n=n, base_axis=axis, base_points=points
-            )
+            problem = p["problems"][m]
             s1 = usmod.sigma1_squared(problem)
             cross = usmod.crossover(m, s1, n)
-            tails, kind, note = _ustat_tails(
-                problem, t_values, table, p["mc_samples"], config.seed
-            )
+            tails, kind, note = _ustat_tails(problem, table, t_values, p["mc_samples"], config.seed)
             for t, (tail, stderr) in zip(t_values, tails):
                 rows.append([
                     m, n, t, s1,
@@ -243,15 +238,18 @@ def cmd_ustat(config: RunConfig) -> int:
     return 0
 
 
-def _ustat_tails(problem, t_values, multiset_table, mc_samples, seed):
+def _ustat_tails(problem, table, t_values, mc_samples, seed):
     """Two-sided ``(tail, stderr)`` per ``t``, kind and note: exact within the caps, else Monte Carlo.
 
-    ``multiset_table()`` gives the ``MultisetTable`` of the sample size.  The
-    note of a Monte Carlo cell names the limit that refused the exact tails.
+    ``table`` is the ``MultisetTable`` of the sample size.  The note of a
+    Monte Carlo cell names the limit that refused the exact tails; a cell over
+    both the multiset cap and the kernel-term budget names the cap, and either
+    refuses before the sample multisets are enumerated.
     """
     center = usmod.exact_u_mean(problem)
     try:
-        table = multiset_table()
+        if (rows := math.comb(table.n + len(table.weights) - 1, table.n)) <= table.cap:
+            usmod.check_kernel_terms(problem, rows)
         deviations = np.abs(usmod.u_at_counts(problem, table.counts) - center)
         return [(p, 0.0) for p in tail_probabilities(deviations, table.probs, t_values)], "exact", ""
     except CapacityError as exc:
@@ -261,7 +259,7 @@ def _ustat_tails(problem, t_values, multiset_table, mc_samples, seed):
     except CapacityError:
         return [("", "")] * len(t_values), "skipped", "tail skipped; Monte Carlo budget exceeded"
     tails = mc_tails(
-        substream(seed, 0x0E), problem.base_axis.weights, problem.n, mc_samples,
+        substream(seed, 0x0E), table.weights, table.n, mc_samples,
         lambda counts: np.abs(usmod.u_at_counts(problem, counts) - center), t_values,
     )
     return tails, "mc", note
@@ -367,16 +365,13 @@ def cmd_bounds_table(config: RunConfig) -> int:
 
 def cmd_normal_limit_demo(config: RunConfig) -> int:
     p = config.params
-    axis, points = p["base"]
-    t = p["t"]
-    kernel = p["kernel"](p["m"])
+    t, problem = p["t"], p["problems"][p["m"]]
     header = [
         "n", "sigma2_n", "b", "j_mu", "linear_term", "bound", "normal_tail",
     ]
     rows: list[list[Any]] = []
     for n in p["n_values"]:
-        problem = usmod.UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        table = MultisetTable(axis.weights, n, config.cap)
+        table = MultisetTable(p["axis"].weights, n, config.cap)
         ing = table.ingredients(usmod.u_at_counts(problem, table.counts) * n)
         sigma2_n = ing["E_scv"] / n
         b, j_mu = ing["b"], ing["j_mu"]
@@ -487,24 +482,24 @@ def _instance_spec(p: dict, seed: int) -> None:
 
 
 def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
-    """Replace the kernel fields by ``p["kernel"]`` (order to kernel) and ``p["base"]``.
+    """Replace the kernel fields by ``p["axis"]`` and ``p["problems"]`` (order to problem).
 
-    ``p["kernel"]`` gives one kernel object per order, so the kernel values
-    checked here are the ones the command reuses.
+    The kernel tables built here, one per order, are the ones the command reuses.
     """
-    p["kernel"] = functools.cache(getattr(usmod, _KERNELS[p["kernel"]]))
+    factory = getattr(usmod, _KERNELS[p.pop("kernel")])
     if path := p.pop("kernel_path", None):
         kernel = _read_json(path, "kernel", usmod.kernel_from_json)
         if any(m != kernel.m for m in orders):
             raise ValueError(f"kernel order {kernel.m} does not match m_values {orders}")
-        p["kernel"] = lambda m: kernel
+        factory = lambda m: kernel
     points, weights = p.pop("base_points"), p.pop("base_weights")
-    axis = FiniteAxis.uniform(len(points)) if weights is None else FiniteAxis(weights=weights)
-    p["base"] = axis, points
+    p["axis"] = FiniteAxis.uniform(len(points)) if weights is None else FiniteAxis(weights=weights)
     # Evaluate the kernel at the base points now, so that a value outside [-1, 1]
-    # or a table without a base point is a config error (E[u] does not depend on n).
-    for m in orders:
-        usmod.exact_u_mean(usmod.UStatProblem(p["kernel"](m), m + 1, axis, points))
+    # or a table without a base point is a config error.
+    p["problems"] = {}
+    for m in dict.fromkeys(orders):
+        p["problems"][m] = problem = usmod.UStatProblem(factory(m), p["axis"], points)
+        usmod.exact_u_mean(problem)
 
 
 def _normal_limit_params(p: dict, seed: int) -> None:

@@ -8,12 +8,12 @@ each point occurs: ``C(n + s - 1, s - 1)`` sample multisets in place of
 
 ``MultisetTable`` holds the ``n``-multisets of one sample law with their
 probabilities, and the ``(n-1)``- and ``(n-2)``-levels with their neighbour
-ranks, each enumerated once for every symmetric function of that law (a
-U-statistic at each sample size, the gap at each regularization).  Its
-``ingredients`` gives the exact inputs of the main tail bound from the values
-on the multisets alone: every coordinate carries the same law, so a term of
-one coordinate depends only on the multiset of the other ``n - 1`` draws, and
-a term of a coordinate pair on that of the other ``n - 2``.  ``mc_tails``
+ranks, each enumerated on first use and once for every symmetric function of
+that law (a U-statistic at each sample size, the gap at each regularization).
+Its ``ingredients`` gives the exact inputs of the main tail bound from the
+values on the multisets alone: every coordinate carries the same law, so a
+term of one coordinate depends only on the multiset of the other ``n - 1``
+draws, and a term of a coordinate pair on that of the other ``n - 2``.  ``mc_tails``
 estimates tails from seeded samples, one block at a time, where the
 multisets exceed the cap.
 """
@@ -171,8 +171,12 @@ def rank(counts: np.ndarray) -> np.ndarray:
 
 
 def neighbours(counts: np.ndarray) -> np.ndarray:
-    """``[r, i]``: rank of count row ``r`` with one more draw of point ``i``."""
-    return rank(counts[:, None, :] + np.eye(counts.shape[-1], dtype=np.intp))
+    """``[r, i]``: rank of count row ``r`` with one more draw of point ``i``.
+
+    Ranked one point at a time, so the working memory is a few ``rows x s``
+    arrays.
+    """
+    return np.stack([rank(counts + e) for e in np.eye(counts.shape[-1], dtype=np.intp)], axis=1)
 
 
 class MultisetTable:
@@ -180,32 +184,43 @@ class MultisetTable:
 
     ``counts`` holds the count rows in ``multisets`` order, at most ``cap`` of
     them, and ``probs`` their probabilities under i.i.d. draws from the point
-    probabilities ``weights``.  ``levels`` holds what the bound ingredients
-    read of the smaller samples.  Each part is enumerated once, on first use,
-    and kept, so every symmetric function of one sample law shares them.
+    probabilities ``weights``.  ``rest_level`` and ``pair_level`` hold what
+    the bound ingredients read of the samples with one and two draws fewer.
+    Each part is enumerated once, on first use, and kept, so every symmetric
+    function of one sample law shares them; making a table enumerates nothing.
     """
 
     def __init__(self, probs: Sequence[float], n: int, cap: int = DEFAULT_CAP) -> None:
         self.weights, self.n, self.cap = np.asarray(probs, dtype=np.float64), n, cap
-        self.counts = multisets(n, len(self.weights), cap)
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        return multisets(self.n, len(self.weights), self.cap)
 
     @functools.cached_property
     def probs(self) -> np.ndarray:
         return multiset_probabilities(self.counts, self.weights)
 
     @functools.cached_property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """``(rest_probs, up, low, pair_rows, top)`` of the smaller samples.
+    def rest_level(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rest_probs, up)`` of the ``(n-1)``-multisets ``rest``.
 
-        ``rest_probs`` and ``up = neighbours(rest)`` are the probabilities
-        and neighbour ranks of the ``(n-1)``-multisets ``rest``; ``low``
-        holds the ``(n-2)``-multisets and ``pair_rows = neighbours(low)``
-        their neighbours, and ``top[q, a, b]`` is the row of ``q`` plus ``a``
-        and ``b`` among the ``n``-multisets.
+        Their probabilities, and their neighbour ranks ``up = neighbours(rest)``.
         """
-        rest, low = (multisets(self.n - k, len(self.weights), self.cap) for k in (1, 2))
-        up, pair_rows = neighbours(rest), neighbours(low)
-        return multiset_probabilities(rest, self.weights), up, low, pair_rows, up[pair_rows]
+        rest = multisets(self.n - 1, len(self.weights), self.cap)
+        return multiset_probabilities(rest, self.weights), neighbours(rest)
+
+    @functools.cached_property
+    def pair_level(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(low, pair_rows, top)`` of the ``(n-2)``-multisets ``low``.
+
+        Their neighbour ranks ``pair_rows = neighbours(low)``, and
+        ``top[q, a, b]``, the row of ``q`` plus ``a`` and ``b`` among the
+        ``n``-multisets.
+        """
+        low = multisets(self.n - 2, len(self.weights), self.cap)
+        pair_rows = neighbours(low)
+        return low, pair_rows, self.rest_level[1][pair_rows]
 
     def ingredients(self, values: np.ndarray) -> dict[str, float]:
         """Exact ``E_scv``, ``b``, ``crude`` and ``j_mu`` of a symmetric function.
@@ -224,7 +239,7 @@ class MultisetTable:
         p, n, s, counts = self.weights, self.n, len(self.weights), self.counts
         if n < 2 or len(values) != len(counts):
             raise ValueError(f"need one value per {n}-multiset of {s} points, n >= 2")
-        rest_probs, up, low, pair_rows, top = self.levels
+        (rest_probs, up), (low, pair_rows, top) = self.rest_level, self.pair_level
         # vals[r, y]: f at (n-1)-multiset r plus point y.
         vals = np.asarray(values, dtype=np.float64)[up]
         acc = np.zeros(len(vals))

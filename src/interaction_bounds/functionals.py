@@ -81,7 +81,7 @@ class InteractionReport:
 
     ``_interaction_tables`` gives ``j`` and ``crude`` from one sweep over the
     unordered axis pairs, on one contiguous copy of the table per pair, by
-    the stencil ``exchangeable.bound_ingredients`` shares for ``crude``.
+    the stencil ``exchangeable.MultisetTable.ingredients`` shares for ``crude``.
     ``_weighted_objective_tables`` gives ``j_mu`` in a sweep over the axes
     ``l``, blocks of the points ``z`` of axis ``l``, and ``k != l``, so that
     at most ``min(n - 1, s_l) + 3`` tables are live for an axis ``l`` of

@@ -14,11 +14,12 @@ mean.  ``crossover`` locates the deviation beyond which the first bound
 decays faster; the comparison is between the exponential rates, see its
 docstring.
 
-``u`` is evaluated on the count rows of the ``exchangeable.MultisetTable`` of
-the sample size, and ``sigma1^2`` and ``E[u]`` on the table of the
-``m``-multisets of base points and its ``(m-1)``-level.  The kernel values
-on that table are computed once per kernel and base, and the kernel keeps
-them, so every sample size shares them.
+A ``UStatProblem`` is a kernel on a base measure, the U-statistic at every
+sample size.  It holds its kernel table: the ``exchangeable.MultisetTable`` of
+the ``m``-multisets of base points and the kernel at each, built on first use
+and shared by every sample size.  ``u`` is evaluated on the count rows of the
+``MultisetTable`` of the sample size, and ``sigma1^2`` and ``E[u]`` on the
+kernel table and its ``(m-1)``-level.
 
 The counting identity behind the first bound: the number of ordered pairs of
 ``m``-subsets of ``{1..n}`` that intersect equals
@@ -45,16 +46,18 @@ from .space import CapacityError, FiniteAxis, _integer, fsum
 #: multiset) products in ``u_at_counts``.
 DEFAULT_EVAL_CAP = 10_000_000
 
+#: Cap on the ``m``-multisets of base points in a kernel table.
+KERNEL_TABLE_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class Kernel:
     """A symmetric kernel of order ``m`` with values in ``[-1, 1]``.
 
     ``fn`` maps an ``m``-tuple of base-set points (floats) to a real.  The
-    kernel table behind ``u_at_counts``, ``sigma1_squared`` and
-    ``exact_u_mean`` reads it once per multiset of base points, in base order,
-    once for each base it is asked on, and rejects an out-of-range value;
-    symmetry is assumed, and ``tabulated_kernel`` checks it exhaustively.
+    kernel table of a ``UStatProblem`` reads it once per multiset of base
+    points, in base order, and rejects an out-of-range value; symmetry is
+    assumed, and ``tabulated_kernel`` checks it exhaustively.
     """
 
     m: int
@@ -64,8 +67,6 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("kernel order must be at least 2")
-        # ``_kernel_level`` on each base (axis, points) it is asked on, kept.
-        object.__setattr__(self, "_tables", functools.cache(functools.partial(_kernel_level, self)))
 
 
 def product_kernel(m: int = 2) -> Kernel:
@@ -142,20 +143,17 @@ def kernel_from_json(doc: dict) -> Kernel:
 
 @dataclass(frozen=True)
 class UStatProblem:
-    """Kernel, sample size, and base measure for one U-statistic.
+    """A kernel on a base measure: the U-statistic of i.i.d. samples of any size.
 
     ``base_axis`` carries the point weights and ``base_points`` the point
     values (aligned by index); the sample distribution is ``base`` i.i.d.
     """
 
     kernel: Kernel
-    n: int
     base_axis: FiniteAxis
     base_points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n <= self.kernel.m:
-            raise ValueError("sample size must exceed the kernel order")
         pts = tuple(float(p) for p in self.base_points)
         object.__setattr__(self, "base_points", pts)
         if len(pts) != self.base_axis.size:
@@ -165,43 +163,34 @@ class UStatProblem:
     def m(self) -> int:
         return self.kernel.m
 
+    @functools.cached_property
+    def kernel_table(self) -> tuple[MultisetTable, np.ndarray]:
+        """The table of ``m``-multisets of base points and the kernel at each.
 
-def _kernel_table(problem: UStatProblem, cap: int) -> tuple[MultisetTable, np.ndarray]:
-    """The table of ``m``-multisets of base points and the kernel at each.
-
-    Refuses more than ``cap`` multisets before any work.  ``g`` is evaluated
-    once per multiset, at its points in base order, and checked against
-    ``[-1, 1]``; the kernel keeps the table and values of each base, so the
-    cells of one kernel share them at every sample size.
-    """
-    if (size := math.comb(problem.m + problem.base_axis.size - 1, problem.m)) > cap:
-        raise CapacityError(f"{size} sample multisets exceed the cap of {cap}")
-    return problem.kernel._tables(problem.base_axis, problem.base_points)
-
-
-def _kernel_level(kernel: Kernel, axis: FiniteAxis, base: tuple[float, ...]):
-    """The ``m``-multiset table of ``axis`` and ``kernel`` at each multiset of ``base``."""
-    table = MultisetTable(axis.weights, kernel.m, math.inf)
-    values = []
-    for kappa in table.counts.tolist():
-        points = tuple(p for p, k in zip(base, kappa) for _ in range(k))
-        value = float(kernel.fn(points))
-        if not (-1.0 - 1e-12 <= value <= 1.0 + 1e-12):
-            raise ValueError(f"kernel value {value} at {points} outside [-1, 1]")
-        values.append(value)
-    return table, np.array(values)
+        Refuses more than ``KERNEL_TABLE_CAP`` multisets before any work.
+        ``g`` is evaluated once per multiset, at its points in base order, and
+        checked against ``[-1, 1]``.
+        """
+        table = MultisetTable(self.base_axis.weights, self.m, KERNEL_TABLE_CAP)
+        values = []
+        for kappa in table.counts.tolist():
+            points = tuple(p for p, k in zip(self.base_points, kappa) for _ in range(k))
+            value = float(self.kernel.fn(points))
+            if not (-1.0 - 1e-12 <= value <= 1.0 + 1e-12):
+                raise ValueError(f"kernel value {value} at {points} outside [-1, 1]")
+            values.append(value)
+        return table, np.array(values)
 
 
-def sigma1_squared(problem: UStatProblem, cap: int = 1_000_000) -> float:
+def sigma1_squared(problem: UStatProblem) -> float:
     """Variance of the one-argument conditional mean of the kernel, exactly.
 
     The conditional mean at ``y`` weights the kernel at ``y`` plus each
     ``(m-1)``-multiset of base points by that multiset's probability, from
-    the levels of the kernel's ``m``-multiset table; requires the
-    ``m``-multisets within the cap.  Always lies in ``[0, 1]``.
+    the ``(m-1)``-level of the kernel table.  Always lies in ``[0, 1]``.
     """
-    table, g = _kernel_table(problem, cap)
-    rest_probs, up = table.levels[:2]
+    table, g = problem.kernel_table
+    rest_probs, up = table.rest_level
     w = problem.base_axis.weights
     terms = rest_probs[:, None] * g[up]
     cond_mean = [fsum(column) for column in terms.T]
@@ -313,14 +302,15 @@ def u_at_counts(
     rounded sum over the ``m``-subsets of the sample, bit for bit unless ``g``
     rounds differently in another argument order (a product of three
     non-dyadic points).  Where ``C(n, m)`` is beyond the float range, the
-    exact sum is divided by it exactly and rounded once.  ``eval_cap`` bounds
-    the terms.
+    exact sum is divided by it exactly and rounded once.  The rows share
+    one sample size ``n > m``; ``eval_cap`` bounds the terms.
     """
-    n, m = problem.n, problem.m
-    counts = np.asarray(counts)
-    if np.any(counts.sum(axis=1) != n):
-        raise ValueError(f"count rows must sum to the sample size {n}")
-    table, values = _kernel_table(problem, eval_cap)
+    m, counts = problem.m, np.asarray(counts)
+    sizes = counts.sum(axis=1)
+    n = int(sizes[0]) if len(sizes) else 0
+    if n <= m or np.any(sizes != n):
+        raise ValueError(f"count rows must share one sample size above the kernel order {m}")
+    table, values = problem.kernel_table
     kappas = table.counts.tolist()
     check_kernel_terms(problem, len(counts), eval_cap)
     # Kernel values as integers over one power of two, so the sums are exact.
@@ -341,7 +331,7 @@ def u_at_counts(
     return out
 
 
-def exact_u_mean(problem: UStatProblem, cap: int = 1_000_000) -> float:
+def exact_u_mean(problem: UStatProblem) -> float:
     """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-multiset."""
-    table, g = _kernel_table(problem, cap)
+    table, g = problem.kernel_table
     return fsum(table.probs * g)

@@ -15,9 +15,12 @@ that the library's stacked solves must reproduce bit for bit.
 ``sample_u_values`` and ``mc_gap_values`` draw a whole Monte Carlo sample in
 one ``rng.choice`` call, and ``mc_tails_of`` counts its tails with one
 ``np.mean`` per ``t``: the one-shot form that the blocked
-``exchangeable.mc_tails`` must reproduce bit for bit.
-``scv_envelope_terms`` is the one exception to independence: it composes
-library paths, to check an inequality of the paper rather than a path.  The
+``exchangeable.mc_tails`` must reproduce bit for bit.  ``neighbours`` calls
+the library's ``rank`` once on a ``(rows, s, s)`` gather of every
+one-more-draw row, the form that the per-point ``exchangeable.neighbours``
+must reproduce bit for bit.  ``scv_envelope_terms`` is the other exception
+to independence: it composes library paths, to check an inequality of the
+paper rather than a path.  The
 ``*_table_formula`` references form every term of a mean or variance as one
 table and sum it with ``math.fsum``, the form the blocked library sums must
 reproduce bit for bit.
@@ -33,7 +36,7 @@ import numpy as np
 
 from scipy.linalg import cho_factor, cho_solve
 
-from interaction_bounds.exchangeable import MultisetTable, occupancy
+from interaction_bounds.exchangeable import MultisetTable, occupancy, rank
 from interaction_bounds.operators import _center
 from interaction_bounds.rls import (
     DerivativeCheckReport,
@@ -488,13 +491,13 @@ def u_value(kernel_fn, m, sample):
     return math.fsum(kernel_fn(c) for c in combos) / len(combos)
 
 
-def tabulate_u(problem):
-    """The U-statistic on every configuration of the ``n``-fold base space.
+def tabulate_u(problem, n):
+    """The U-statistic of ``n`` draws on every configuration of the ``n``-fold base space.
 
     One exactly rounded kernel sum over the ``m``-subsets of sample positions
     per configuration, divided by ``C(n, m)``; returns the dense table.
     """
-    n, m = problem.n, problem.m
+    m = problem.m
     combos = list(itertools.combinations(range(n), m))
     pts = problem.base_points
     fn = problem.kernel.fn
@@ -514,8 +517,8 @@ def intersecting_pairs(n, m):
     )
 
 
-def scv_envelope_terms(problem):
-    """Exact expected variance sum of ``u`` against two closed-form envelopes.
+def scv_envelope_terms(problem, n):
+    """Exact expected variance sum of ``u`` of ``n`` draws against two closed-form envelopes.
 
     Returns ``lhs = sum_k E[conditional variance of u over k]`` (exact, on
     sample multisets, from the library paths) together with::
@@ -528,7 +531,7 @@ def scv_envelope_terms(problem):
     the tests), so only the safe form with the doubled second term is an
     actual upper bound; ``lhs <= safe_envelope`` always holds.
     """
-    n, m = problem.n, problem.m
+    m = problem.m
     table = MultisetTable(problem.base_axis.weights, n)
     lhs = table.ingredients(u_at_counts(problem, table.counts))["E_scv"]
     base = (m * m / n) * sigma1_squared(problem)
@@ -538,6 +541,11 @@ def scv_envelope_terms(problem):
         "tight_envelope": base + half_term,
         "safe_envelope": base + 2.0 * half_term,
     }
+
+
+def neighbours(counts):
+    """``exchangeable.neighbours`` as one ``rank`` call on a ``(rows, s, s)`` gather."""
+    return rank(counts[:, None, :] + np.eye(counts.shape[-1], dtype=np.intp))
 
 
 def rls_gap_1d(xs, ys, lam, pop_xs, pop_ys, pop_ps):
@@ -759,11 +767,11 @@ def rls_derivative_bound_check(
     )
 
 
-def sample_u_values(problem, n_samples, seed=0, eval_cap=DEFAULT_EVAL_CAP):
-    """Seeded i.i.d. draws of the U-statistic, all in one ``rng.choice`` call."""
+def sample_u_values(problem, n, n_samples, seed=0, eval_cap=DEFAULT_EVAL_CAP):
+    """Seeded i.i.d. draws of the U-statistic of ``n`` draws, all in one ``rng.choice`` call."""
     rng = substream(seed, 0x0E)
     w = np.asarray(problem.base_axis.weights)
-    idx = rng.choice(len(w), size=(n_samples, problem.n), p=w)
+    idx = rng.choice(len(w), size=(n_samples, n), p=w)
     return u_at_counts(problem, occupancy(idx, len(w)), eval_cap)
 
 

@@ -223,8 +223,8 @@ def test_criterion_5_u_statistics():
         (sign_agreement_kernel(2), 6, three, (-0.5, 0.25, 1.0)),
     ]
     for kernel, n, axis, points in cases:
-        prob = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = oracles.tabulate_u(prob)
+        prob = UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
+        u = oracles.tabulate_u(prob, n)
         m = kernel.m
         range_worst = max(
             float((u.values - cond_expectation(u, k).values).max()) for k in range(n)

@@ -474,8 +474,8 @@ class TestUstatCommand:
         assert main(["--config", str(config), "--cap", "10", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert {row["tail_kind"] for row in rows} == {"mc"}
-        problem = UStatProblem(product_kernel(2), 40, FiniteAxis.uniform(2), (-1.0, 1.0))
-        values = oracles.sample_u_values(problem, samples, seed=2)
+        problem = UStatProblem(product_kernel(2), FiniteAxis.uniform(2), (-1.0, 1.0))
+        values = oracles.sample_u_values(problem, 40, samples, seed=2)
         want = oracles.mc_tails_of(np.abs(values - exact_u_mean(problem)), params["t_values"])
         assert [(row["tail"], row["tail_stderr"]) for row in rows] == want
 
@@ -532,6 +532,75 @@ class TestUstatCommand:
         lines = capsys.readouterr().out.splitlines()[2:]
         cells = [tuple(int(v) for v in line.split(",")[:2]) for line in lines[::5]]
         assert cells == [(m, n) for m in (2, 3, 4) for n in (10, 50, 200)]
+
+    def test_one_problem_per_kernel_order(self, monkeypatch):
+        # the default run: m in (2, 3, 4) on two base points, so three problems
+        # and 3 + 4 + 5 kernel values, shared by the nine cells
+        problems, evals = [], []
+        real = usmod.UStatProblem.__post_init__
+
+        def counting(problem):
+            problems.append(problem.kernel.m)
+            real(problem)
+
+        monkeypatch.setattr(usmod.UStatProblem, "__post_init__", counting)
+        factory = usmod.product_kernel
+
+        def counted_kernel(m):
+            kernel = factory(m)
+            return dataclasses.replace(kernel, fn=lambda p: evals.append(m) or kernel.fn(p))
+
+        monkeypatch.setattr(usmod, "product_kernel", counted_kernel)
+        assert main(["ustat", "--out", os.devnull]) == 0
+        assert problems == [2, 3, 4]
+        assert len(evals) == 12
+
+    def test_cell_over_the_kernel_term_budget_enumerates_no_sample_multisets(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 316,251 multisets of n = 50 draws from 5 points fit --cap, but times
+        # 70 kernel multisets they exceed the term budget
+        sizes = []
+        real = exchangeable.multisets
+
+        def counting(n, s, *cap):
+            sizes.append(n)
+            return real(n, s, *cap)
+
+        monkeypatch.setattr(exchangeable, "multisets", counting)
+        params = {"kernel": "mean", "m_values": [4], "n_values": [50], "t_values": [0.1],
+                  "base_points": [-1.0, -0.5, 0.0, 0.5, 1.0], "mc_samples": 200}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "ustat", "params": params}))
+        assert main(["--config", str(config), "--cap", "1000000000", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["tail_kind"], row["note"]) for row in rows] == [(
+            "mc",
+            "exact tails: 22137570 kernel terms exceed the cap of 10000000; "
+            "fell back to Monte Carlo",
+        )]
+        assert 50 not in sizes
+
+    def test_twenty_points_fit_400_mib(self, tmp_path, capsys):
+        # m = 6 on 20 points: 177,100 kernel multisets and a cell over the
+        # kernel-term budget.  A fresh interpreter under 400 MiB of address
+        # space writes the rows of an unlimited run.
+        params = {"kernel": "mean", "base_points": np.linspace(-1.0, 1.0, 20).tolist(),
+                  "m_values": [6], "n_values": [7]}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "ustat", "params": params}))
+        assert main(["--config", str(config)]) == 0
+        want = capsys.readouterr().out
+        src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+        limit = 400 << 20
+        done = subprocess.run(
+            [sys.executable, "-m", "interaction_bounds.cli", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout == want
 
     def test_large_samples_get_exact_tails(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -52,6 +52,35 @@ def test_rows_follow_combinations_with_replacement(n, s):
     assert np.array_equal(more[neighbours(counts)], counts[:, None, :] + np.eye(s, dtype=int))
 
 
+@given(
+    st.integers(1, 6).flatmap(
+        lambda s: st.lists(st.lists(st.integers(0, 9), min_size=s, max_size=s), max_size=30).map(
+            lambda rows: np.array(rows, dtype=np.intp).reshape(-1, s)
+        )
+    )
+)
+def test_neighbours_are_the_gathered_ranks(counts):
+    # rows of any totals, in any order: the ranks are exact integers
+    got, want = neighbours(counts), oracles.neighbours(counts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_making_a_table_enumerates_nothing(monkeypatch):
+    sizes = []
+    real = exchangeable.multisets
+
+    def counting(n, s, *cap):
+        sizes.append(n)
+        return real(n, s, *cap)
+
+    monkeypatch.setattr(exchangeable, "multisets", counting)
+    table = MultisetTable((0.2, 0.3, 0.5), 5, cap=20)
+    assert sizes == []
+    assert table.rest_level[1].shape == (15, 3) and sizes == [4]
+    with pytest.raises(CapacityError):
+        table.counts
+
+
 def test_occupancy_of_samples():
     samples = np.array([[[0, 2, 0, 1], [2, 2, 2, 2]]])
     assert occupancy(samples, 3).tolist() == [[[2, 1, 1], [0, 0, 4]]]
@@ -181,7 +210,7 @@ def test_bound_ingredients_check_their_input():
     values = np.zeros(21)
     assert MultisetTable((0.2, 0.3, 0.5), 5, cap=21).ingredients(values)["j_mu"] == 0.0
     with pytest.raises(CapacityError, match="21 sample multisets exceed the cap of 20"):
-        MultisetTable((0.2, 0.3, 0.5), 5, cap=20)
+        MultisetTable((0.2, 0.3, 0.5), 5, cap=20).counts
 
 
 def test_table_levels_are_enumerated_once_on_first_use(monkeypatch):
@@ -227,9 +256,7 @@ def deviation_grid(deviations):
 def test_tail_probabilities_of_u_statistics_match_the_configurations(weights, kernel, n, seed):
     n = max(n, kernel.m + 1)
     points = np.random.default_rng(seed).uniform(-1.0, 1.0, len(weights))
-    problem = UStatProblem(
-        kernel=kernel, n=n, base_axis=FiniteAxis(weights=weights), base_points=points
-    )
+    problem = UStatProblem(kernel=kernel, base_axis=FiniteAxis(weights=weights), base_points=points)
     counts = multisets(n, len(weights))
     values = u_at_counts(problem, counts)
     dense = spread(values, n, weights)

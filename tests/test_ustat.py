@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from interaction_bounds import exchangeable
+from interaction_bounds import ustat as usmod
 from interaction_bounds.functionals import interaction
 from interaction_bounds.exchangeable import MC_BLOCK, mc_tails, multisets, occupancy, rank
 from interaction_bounds.operators import cond_expectation
@@ -36,8 +38,8 @@ TWO_POINT = FiniteAxis.uniform(2)
 PM_ONE = (-1.0, 1.0)
 
 
-def problem(kernel, n, axis=TWO_POINT, points=PM_ONE):
-    return UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
+def problem(kernel, axis=TWO_POINT, points=PM_ONE):
+    return UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
 
 
 class TestKernels:
@@ -106,33 +108,33 @@ class TestEvaluateU:
     """``u`` of one sample, given by how often it holds each base point."""
 
     def test_all_ones(self):
-        p = problem(product_kernel(2), 3)
+        p = problem(product_kernel(2))
         assert u_at_counts(p, [[0, 3]]).tolist() == pytest.approx([1.0])
 
     def test_mixed_signs(self):
-        p = problem(product_kernel(2), 3)
+        p = problem(product_kernel(2))
         assert u_at_counts(p, [[1, 2]]).tolist() == pytest.approx([-1.0 / 3.0])
 
     def test_constant_kernel(self):
         const = Kernel(m=2, fn=lambda _: 0.25, name="const")
-        p = problem(const, 5)
+        p = problem(const)
         assert u_at_counts(p, [[2, 3]]).tolist() == pytest.approx([0.25])
 
     def test_wrong_length(self):
-        p = problem(product_kernel(2), 3)
+        p = problem(product_kernel(2))
         with pytest.raises(ValueError):
             u_at_counts(p, [[0, 2]])
 
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):
-            problem(product_kernel(2), 2)  # n must exceed m
+            u_at_counts(problem(product_kernel(2)), [[1, 1]])  # n must exceed m
 
     def test_matches_oracle_on_random_samples(self):
         rng = np.random.default_rng(8)
         kern = mean_kernel(3)
         for _ in range(5):
             sample = tuple(rng.uniform(-1, 1, 6))
-            p = problem(kern, 6, FiniteAxis.uniform(6), sample)
+            p = problem(kern, FiniteAxis.uniform(6), sample)
             assert u_at_counts(p, [[1] * 6]).tolist() == pytest.approx(
                 [oracles.u_value(kern.fn, 3, sample)], abs=1e-13
             )
@@ -141,19 +143,35 @@ class TestEvaluateU:
 class TestSigma1:
     def test_degenerate_product_kernel(self):
         # conditional mean of y*x over x on uniform {-1,1} vanishes identically
-        assert sigma1_squared(problem(product_kernel(2), 4)) == pytest.approx(0.0)
+        assert sigma1_squared(problem(product_kernel(2))) == pytest.approx(0.0)
 
     def test_mean_pair_kernel(self):
         # conditional mean is y/2, variance of y/2 over uniform {-1,1} is 1/4
-        assert sigma1_squared(problem(mean_kernel(2), 4)) == pytest.approx(0.25)
+        assert sigma1_squared(problem(mean_kernel(2))) == pytest.approx(0.25)
 
     def test_constant_kernel(self):
         const = Kernel(m=2, fn=lambda _: -0.3, name="const")
-        assert sigma1_squared(problem(const, 4)) == pytest.approx(0.0)
+        assert sigma1_squared(problem(const)) == pytest.approx(0.0)
 
-    def test_capacity(self):
+    def test_reads_no_pair_level(self, monkeypatch):
+        # the kernel table of m = 4 on 5 points and its 3-multisets, no 2-multisets
+        sizes = []
+        real = exchangeable.multisets
+
+        def counting(n, s, *cap):
+            sizes.append(n)
+            return real(n, s, *cap)
+
+        monkeypatch.setattr(exchangeable, "multisets", counting)
+        p = problem(mean_kernel(4), FiniteAxis.uniform(5), (-1.0, -0.5, 0.0, 0.5, 1.0))
+        # conditional mean y / 4, and the points have variance 1/2
+        assert sigma1_squared(p) == pytest.approx(0.5 / 16)
+        assert sorted(sizes) == [3, 4]
+
+    def test_capacity(self, monkeypatch):
+        monkeypatch.setattr(usmod, "KERNEL_TABLE_CAP", 1)
         with pytest.raises(CapacityError):
-            sigma1_squared(problem(mean_kernel(3), 5), cap=1)
+            sigma1_squared(problem(mean_kernel(3)))
 
 
 class TestBoundFormulas:
@@ -281,8 +299,8 @@ PROOF_CHAIN_CASES = [
 class TestProofChain:
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES)
     def test_per_coordinate_range(self, kernel, n, axis, points):
-        p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = oracles.tabulate_u(p)
+        p = UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
+        u = oracles.tabulate_u(p, n)
         worst = max(
             float((u.values - cond_expectation(u, k).values).max())
             for k in range(n)
@@ -291,8 +309,8 @@ class TestProofChain:
 
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES)
     def test_interaction_bound(self, kernel, n, axis, points):
-        p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = oracles.tabulate_u(p)
+        p = UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
+        u = oracles.tabulate_u(p, n)
         m = kernel.m
         j = interaction(u)
         tight = 4.0 * m * (m - 1) / math.sqrt(n * (n - 1))
@@ -301,8 +319,8 @@ class TestProofChain:
 
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES[:4])
     def test_exact_tail_below_bound(self, kernel, n, axis, points):
-        p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        u = oracles.tabulate_u(p)
+        p = UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
+        u = oracles.tabulate_u(p, n)
         s1 = sigma1_squared(p)
         center = expectation(u)
         w = u.space.weight_table()
@@ -314,36 +332,36 @@ class TestProofChain:
     def test_variance_sum_envelopes(self):
         # the halved envelope is not a valid bound: the degenerate product
         # kernel exceeds it for n >= 4, while the doubled form always holds
-        terms = oracles.scv_envelope_terms(problem(product_kernel(2), 4))
+        terms = oracles.scv_envelope_terms(problem(product_kernel(2)), 4)
         assert terms["lhs"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert terms["lhs"] > terms["tight_envelope"] + 0.05
         assert terms["lhs"] <= terms["safe_envelope"] + 1e-10
 
     @pytest.mark.parametrize("kernel,n,axis,points", PROOF_CHAIN_CASES)
     def test_safe_envelope_holds(self, kernel, n, axis, points):
-        p = UStatProblem(kernel=kernel, n=n, base_axis=axis, base_points=points)
-        terms = oracles.scv_envelope_terms(p)
+        p = UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
+        terms = oracles.scv_envelope_terms(p, n)
         assert terms["lhs"] <= terms["safe_envelope"] + 1e-10
 
 
 class TestSampling:
     def test_exact_mean_matches_table(self):
-        p = problem(mean_kernel(2), 5)
-        u = oracles.tabulate_u(p)
+        p = problem(mean_kernel(2))
+        u = oracles.tabulate_u(p, 5)
         assert exact_u_mean(p) == pytest.approx(expectation(u), abs=1e-12)
 
     def test_sampled_values_deterministic(self):
-        p = problem(product_kernel(2), 6)
-        a = oracles.sample_u_values(p, 50, seed=9)
-        b = oracles.sample_u_values(p, 50, seed=9)
+        p = problem(product_kernel(2))
+        a = oracles.sample_u_values(p, 6, 50, seed=9)
+        b = oracles.sample_u_values(p, 6, 50, seed=9)
         assert np.array_equal(a, b)
 
     def test_sampled_tail_agrees_with_exact(self):
-        p = problem(mean_kernel(2), 6)
-        u = oracles.tabulate_u(p)
+        p = problem(mean_kernel(2))
+        u = oracles.tabulate_u(p, 6)
         center = expectation(u)
         w = u.space.weight_table()
-        values = oracles.sample_u_values(p, 4000, seed=10)
+        values = oracles.sample_u_values(p, 6, 4000, seed=10)
         t = 0.25
         exact = tail_probabilities(np.abs(u.values - center), w, [t])[0]
         mc = float(np.mean(np.abs(values - center) > t))
@@ -352,20 +370,20 @@ class TestSampling:
 
     @pytest.mark.parametrize("samples", [50, MC_BLOCK + 1])
     def test_blocked_tails_are_the_one_shot_tails(self, samples):
-        p = problem(_tabulated_quadratic(WEIGHTED_POINTS), 9, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        p = problem(_tabulated_quadratic(WEIGHTED_POINTS), WEIGHTED_AXIS, WEIGHTED_POINTS)
         center = exact_u_mean(p)
         t_values = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 2.0]
         got = mc_tails(
-            substream(3, 0x0E), WEIGHTED_AXIS.weights, p.n, samples,
+            substream(3, 0x0E), WEIGHTED_AXIS.weights, 9, samples,
             lambda counts: np.abs(u_at_counts(p, counts) - center), t_values,
         )
-        values = oracles.sample_u_values(p, samples, seed=3)
+        values = oracles.sample_u_values(p, 9, samples, seed=3)
         assert got == oracles.mc_tails_of(np.abs(values - center), t_values)
         assert got[-1] == (0.0, 0.0)
 
     def test_kernel_terms_of_a_whole_sample(self):
         # 70 multisets of 4 of 5 points: u_at_counts' cap text, before any row is formed
-        p = problem(mean_kernel(4), 5, FiniteAxis.uniform(5), (-1.0, -0.5, 0.0, 0.5, 1.0))
+        p = problem(mean_kernel(4), FiniteAxis.uniform(5), (-1.0, -0.5, 0.0, 0.5, 1.0))
         check_kernel_terms(p, 142_857)
         text = "^10000060 kernel terms exceed the cap of 10000000$"
         with pytest.raises(CapacityError, match=text):
@@ -394,15 +412,15 @@ COUNT_CASES = [
 class TestCountsEvaluator:
     @pytest.mark.parametrize("kernel,n", COUNT_CASES)
     def test_tabulate_matches_configuration_loop(self, kernel, n):
-        p = problem(kernel, n, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        p = problem(kernel, WEIGHTED_AXIS, WEIGHTED_POINTS)
         configs = np.indices((3,) * n).reshape(n, -1).T
         got = u_at_counts(p, multisets(n, 3))[rank(occupancy(configs, 3))]
-        assert np.array_equal(got, oracles.tabulate_u(p).values.ravel())
+        assert np.array_equal(got, oracles.tabulate_u(p, n).values.ravel())
 
     @pytest.mark.parametrize("kernel,n", COUNT_CASES)
     def test_samples_match_evaluate_u(self, kernel, n):
-        p = problem(kernel, n, WEIGHTED_AXIS, WEIGHTED_POINTS)
-        got = oracles.sample_u_values(p, 200, seed=12)
+        p = problem(kernel, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        got = oracles.sample_u_values(p, n, 200, seed=12)
         draws = substream(12, 0x0E).choice(3, size=(200, n), p=WEIGHTED_AXIS.weights)
         pts = np.asarray(WEIGHTED_POINTS)
         want = [oracles.u_value(kernel.fn, kernel.m, pts[row]) for row in draws]
@@ -411,34 +429,37 @@ class TestCountsEvaluator:
     def test_large_sample_beyond_evaluate_u(self):
         # n = 200 has no configuration table, but u at all-equal points is g there;
         # the per-sample sum would have C(200, 4) terms
-        p = problem(mean_kernel(4), 200, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        p = problem(mean_kernel(4), WEIGHTED_AXIS, WEIGHTED_POINTS)
         got = u_at_counts(p, np.array([[200, 0, 0], [0, 0, 200]]))
         assert got.tolist() == [-0.7, 0.9]
 
     def test_sample_count_beyond_float_range(self):
         # C(20000, 142) ~ 1e367 is no float; the kernel sum is the x^142 coefficient
         # of (1 - x)^10000 (1 + x)^10000 = (1 - x^2)^10000, so u = -C(10000, 71) / C(20000, 142)
-        p = problem(product_kernel(142), 20000)
+        p = problem(product_kernel(142))
         want = -float(Fraction(math.comb(10000, 71), math.comb(20000, 142)))
         assert u_at_counts(p, [[10000, 10000]]).tolist() == [want]
 
     def test_out_of_range_kernel_rejected(self):
         wild = Kernel(m=2, fn=lambda pts: 1.5 * pts[0] * pts[1], name="wild")
         with pytest.raises(ValueError, match="outside"):
-            u_at_counts(problem(wild, 4), multisets(4, 2))
+            u_at_counts(problem(wild), multisets(4, 2))
         with pytest.raises(ValueError, match="outside"):
-            oracles.sample_u_values(problem(wild, 4), 10, seed=1)
+            oracles.sample_u_values(problem(wild), 4, 10, seed=1)
         with pytest.raises(ValueError, match="outside"):
-            sigma1_squared(problem(wild, 4))
+            sigma1_squared(problem(wild))
 
     def test_term_cap_names_the_cap(self):
-        p = problem(mean_kernel(2), 5, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        p = problem(mean_kernel(2), WEIGHTED_AXIS, WEIGHTED_POINTS)
         counts = multisets(5, 3)
         assert len(u_at_counts(p, counts, eval_cap=21 * 6)) == 21
         with pytest.raises(CapacityError, match="cap of 125"):
             u_at_counts(p, counts, eval_cap=125)
 
     def test_rows_must_hold_n_draws(self):
-        p = problem(mean_kernel(2), 5, WEIGHTED_AXIS, WEIGHTED_POINTS)
+        # one sample size n > m for every row
+        p = problem(mean_kernel(2), WEIGHTED_AXIS, WEIGHTED_POINTS)
         with pytest.raises(ValueError, match="sample size"):
-            u_at_counts(p, occupancy(np.zeros((1, 4), dtype=int), 3))
+            u_at_counts(p, np.concatenate([multisets(5, 3), multisets(4, 3)]))
+        with pytest.raises(ValueError, match="sample size"):
+            u_at_counts(p, occupancy(np.zeros((1, 2), dtype=int), 3))

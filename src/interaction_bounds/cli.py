@@ -221,7 +221,7 @@ def cmd_ustat(config: RunConfig) -> int:
             if n <= m:
                 continue
             problem = p["problems"][m]
-            s1 = usmod.sigma1_squared(problem)
+            s1 = problem.sigma1sq
             cross = usmod.crossover(m, s1, n)
             tails, kind, note = _ustat_tails(problem, table, t_values, p["mc_samples"], config.seed)
             for t, (tail, stderr) in zip(t_values, tails):
@@ -246,7 +246,7 @@ def _ustat_tails(problem, table, t_values, mc_samples, seed):
     both the multiset cap and the kernel-term budget names the cap, and either
     refuses before the sample multisets are enumerated.
     """
-    center = usmod.exact_u_mean(problem)
+    center = problem.u_mean
     try:
         if (rows := math.comb(table.n + len(table.weights) - 1, table.n)) <= table.cap:
             usmod.check_kernel_terms(problem, rows)
@@ -484,7 +484,8 @@ def _instance_spec(p: dict, seed: int) -> None:
 def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
     """Replace the kernel fields by ``p["axis"]`` and ``p["problems"]`` (order to problem).
 
-    The kernel tables built here, one per order, are the ones the command reuses.
+    The problems built here, one per order, are the ones the command reuses,
+    with their kernel tables and means.
     """
     factory = getattr(usmod, _KERNELS[p.pop("kernel")])
     if path := p.pop("kernel_path", None):
@@ -494,12 +495,13 @@ def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
         factory = lambda m: kernel
     points, weights = p.pop("base_points"), p.pop("base_weights")
     p["axis"] = FiniteAxis.uniform(len(points)) if weights is None else FiniteAxis(weights=weights)
-    # Evaluate the kernel at the base points now, so that a value outside [-1, 1]
-    # or a table without a base point is a config error.
+    # Evaluate the kernel at the base points, and its mean, which the problem
+    # holds for every cell, now, so that a value outside [-1, 1] or a table
+    # without a base point is a config error.
     p["problems"] = {}
     for m in dict.fromkeys(orders):
         p["problems"][m] = problem = usmod.UStatProblem(factory(m), p["axis"], points)
-        usmod.exact_u_mean(problem)
+        problem.u_mean
 
 
 def _normal_limit_params(p: dict, seed: int) -> None:

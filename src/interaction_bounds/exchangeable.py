@@ -120,16 +120,17 @@ def _scaled_probability(weight: int, row: Sequence[int], p: Sequence[float]) -> 
 
 
 def occupancy(samples: np.ndarray, s: int) -> np.ndarray:
-    """Count vectors of samples given as point indices along the last axis.
+    """Count vectors of samples given as point indices in ``[0, s)`` along the last axis.
 
-    One pass over the samples per point, so the working memory is one boolean
-    per sample entry whatever ``s`` is.
+    One ``np.bincount`` over ``sample * s + point`` counts every sample in
+    one pass.  Raises ValueError on an index outside ``[0, s)``.
     """
     samples = np.asarray(samples)
-    counts = np.empty((*samples.shape[:-1], s), dtype=np.intp)
-    for i in range(s):
-        counts[..., i] = np.count_nonzero(samples == i, axis=-1)
-    return counts
+    if samples.size and (samples.min() < 0 or samples.max() >= s):
+        raise ValueError(f"point indices must lie in [0, {s})")
+    rows = math.prod(samples.shape[:-1])
+    keys = np.arange(rows)[:, None] * s + samples.reshape(rows, samples.shape[-1])
+    return np.bincount(keys.ravel(), minlength=rows * s).reshape(*samples.shape[:-1], s)
 
 
 def mc_tails(
@@ -165,9 +166,16 @@ def rank(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.intp)
     s = counts.shape[-1]
     after = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1][..., 1:]
-    top = int(after.max(initial=0))
+    return _comb_table(int(after.max(initial=0)), s)[after, np.arange(s - 1, 0, -1)].sum(axis=-1)
+
+
+@functools.cache
+def _comb_table(top: int, s: int) -> np.ndarray:
+    """``[d, q] = C(d + q - 1, q)`` for ``d`` in ``1..top`` and 0 at ``d = 0``, read-only."""
     table = [[math.comb(d + q - 1, q) if d else 0 for q in range(s)] for d in range(top + 1)]
-    return np.array(table, dtype=np.intp)[after, np.arange(s - 1, 0, -1)].sum(axis=-1)
+    array = np.array(table, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 def neighbours(counts: np.ndarray) -> np.ndarray:

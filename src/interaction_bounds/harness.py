@@ -9,17 +9,18 @@ randomized instances and reports, per check, the number of instances, the
 worst observed violation, the tolerance it was judged against, and the
 witness seed of the first failure.  Failures are data, not exceptions.
 
-The suite's jobs go through one map, ``_fork_map(job, count)``, which
-returns ``[job(p) for p in range(count)]`` on every CPU in the process's
-affinity mask.  A job is one exact instance with its pure-sum instance, or
-one entropy instance, and returns the ``(check, violation, seed)`` events of
-its checks.  One forked worker per CPU takes the next job position off a
-shared pipe whenever it is free and sends its results back, pickled over a
-pipe of its own.  The parent replays every job's events into the
-accumulators in job order, so the report is the serial loop's byte for
-byte, with the same first witness seed and the same error if a job raises.
-Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or one CPU is
-available, the map is the serial loop in-process.
+Every check of the suite runs in a job of one map, ``_fork_map(job,
+count)``, which returns ``[job(p) for p in range(count)]`` on every CPU in
+the process's affinity mask.  A job is one exact instance with its pure-sum
+instance, one entropy instance, or, last, the scalar lemmas, and returns the
+``(check, violation, seed)`` events of its checks.  One forked worker per CPU
+takes the next job position off a shared pipe whenever it is free and sends
+its results back, pickled over a pipe of its own.  The parent computes no
+check: it replays every job's events into the accumulators in job order, so
+the report is the serial loop's byte for byte, with the same first witness
+seed and the same error if a job raises.  Where ``os.fork`` or
+``os.sched_getaffinity`` is missing, or one CPU is available, the map is the
+serial loop in-process.
 """
 
 from __future__ import annotations
@@ -331,14 +332,14 @@ def run_property_suite(
     produces an empty report.  ``inject_bug`` negates the Efron-Stein check,
     as a self-test that failures surface with a witness seed.
 
-    The instance pairs and entropy instances run through ``_fork_map``, one
-    forked worker per CPU and at most one per job (see the module
-    docstring); the parent replays their events in instance order and then
-    runs the scalar lemmas, so the report, and an error raised by an
-    instance, do not depend on the number of CPUs or on which worker ran
-    what.  A worker that ends without a result, for example killed by a
-    signal, raises ``WorkerError`` once every worker is reaped.  Each worker
-    holds its own copy of what its instances build.
+    The instance pairs, the entropy instances and then the scalar lemmas run
+    as jobs of ``_fork_map``, one forked worker per CPU and at most one per
+    job (see the module docstring); the parent replays their events in job
+    order, so the report, and an error raised by a job, do not depend on the
+    number of CPUs or on which worker ran what.  A worker that ends without
+    a result, for example killed by a signal, raises ``WorkerError`` once
+    every worker is reaped.  Each worker holds its own copy of what its
+    instances build.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -347,13 +348,12 @@ def run_property_suite(
     if entropy_count is None:
         entropy_count = max(1, count // 4)
     jobs = [(1, i) for i in range(count)] + [(3, i) for i in range(entropy_count)]
+    jobs.append((_SCALAR_STREAM, scalar_count))
     acc = {name: _Accumulator(name, tol) for name, tol in CHECKS}
     job = functools.partial(_suite_job, spec, jobs, tail_points, inject_bug)
     for events in _fork_map(job, len(jobs)):
         for name, violation, seed in events:
             acc[name].add(violation, seed)
-    for name, violation in _scalar_checks(substream(spec.seed, 0x0C), scalar_count):
-        acc[name].add(violation, spec.seed)
 
     return SuiteReport(
         checks=tuple(acc[name].result() for name, _ in CHECKS),
@@ -369,6 +369,9 @@ def run_property_suite(
 
 #: One event of a job: check name, violation, instance seed.
 _Event = tuple[str, float, int]
+
+#: Substream of the scalar lemmas' random triples, and the tag of their job.
+_SCALAR_STREAM = 0x0C
 
 
 class WorkerError(RuntimeError):
@@ -482,11 +485,19 @@ def _suite_job(
     inject_bug: bool,
     position: int,
 ) -> list[_Event]:
-    """The events of ``jobs[position]``, instance pair ``(1, i)`` or entropy instance ``(3, i)``."""
+    """The events of ``jobs[position]``.
+
+    That is instance pair ``(1, i)``, entropy instance ``(3, i)``, or the
+    scalar lemmas with ``scalar_count`` random triples, ``(_SCALAR_STREAM,
+    scalar_count)``, whose events carry the suite's seed.
+    """
     stream, i = jobs[position]
     if stream == 1:
         return _pair_job(spec, i, tail_points, inject_bug)
-    return _entropy_job(spec, i)
+    if stream == 3:
+        return _entropy_job(spec, i)
+    rng = substream(spec.seed, _SCALAR_STREAM)
+    return [(name, violation, spec.seed) for name, violation in _scalar_checks(rng, i)]
 
 
 def _pair_job(

@@ -39,6 +39,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -128,6 +129,15 @@ def _lapack():
     ``scipy.linalg``'s package init never runs.  The routines are the very
     objects ``scipy.linalg.lapack`` exports.  Raises SolverError if scipy or
     the extension cannot be found or loaded.
+
+    The extension loads with ``OPENBLAS_NUM_THREADS=1``, and the variable, or
+    its absence, is restored right after: scipy's OpenBLAS then starts no
+    thread pool, whose idle worker spins for about 0.1 s after the load and
+    slows the Python code around it.  The systems are ``d x d`` with ``d``
+    the input dimension, and OpenBLAS splits ``dpotrf`` between threads only
+    from ``d = 128`` (``dpotrs`` on one right-hand side did not up to 256), so
+    below that no bit moves.  numpy's own BLAS, loaded before, keeps its
+    threads.
     """
     name = "scipy.linalg._flapack"
     scipy = importlib.util.find_spec("scipy")
@@ -137,11 +147,18 @@ def _lapack():
         spec = importlib.machinery.PathFinder.find_spec(name, linalg)
     if spec is None:
         raise SolverError(f"LAPACK unavailable: cannot find {name}")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     except ImportError as exc:
         raise SolverError(f"LAPACK unavailable: cannot load {name}: {exc}") from exc
+    finally:
+        if threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = threads
     return module.dpotrf, module.dpotrs
 
 

@@ -18,8 +18,9 @@ A ``UStatProblem`` is a kernel on a base measure, the U-statistic at every
 sample size.  It holds its kernel table: the ``exchangeable.MultisetTable`` of
 the ``m``-multisets of base points and the kernel at each, built on first use
 and shared by every sample size.  ``u`` is evaluated on the count rows of the
-``MultisetTable`` of the sample size, and ``sigma1^2`` and ``E[u]`` on the
-kernel table and its ``(m-1)``-level.
+``MultisetTable`` of the sample size, and ``sigma1^2`` and ``E[u]``, which
+no sample size changes, on the kernel table and its ``(m-1)``-level, once per
+problem (``sigma1sq``, ``u_mean``).
 
 The counting identity behind the first bound: the number of ordered pairs of
 ``m``-subsets of ``{1..n}`` that intersect equals
@@ -180,6 +181,16 @@ class UStatProblem:
                 raise ValueError(f"kernel value {value} at {points} outside [-1, 1]")
             values.append(value)
         return table, np.array(values)
+
+    @functools.cached_property
+    def sigma1sq(self) -> float:
+        """``sigma1_squared`` of this problem, computed on first use and held."""
+        return sigma1_squared(self)
+
+    @functools.cached_property
+    def u_mean(self) -> float:
+        """``exact_u_mean`` of this problem, computed on first use and held."""
+        return exact_u_mean(self)
 
 
 def sigma1_squared(problem: UStatProblem) -> float:

@@ -18,9 +18,11 @@ one ``rng.choice`` call, and ``mc_tails_of`` counts its tails with one
 ``exchangeable.mc_tails`` must reproduce bit for bit.  ``neighbours`` calls
 the library's ``rank`` once on a ``(rows, s, s)`` gather of every
 one-more-draw row, the form that the per-point ``exchangeable.neighbours``
-must reproduce bit for bit.  ``scv_envelope_terms`` is the other exception
-to independence: it composes library paths, to check an inequality of the
-paper rather than a path.  The
+must reproduce bit for bit; ``occupancy_by_point`` and ``rank_fresh_table``
+are the per-point counting and the per-call binomial table that
+``exchangeable.occupancy`` and ``rank`` must reproduce exactly.
+``scv_envelope_terms`` is the other exception to independence: it composes
+library paths, to check an inequality of the paper rather than a path.  The
 ``*_table_formula`` references form every term of a mean or variance as one
 table and sum it with ``math.fsum``, the form the blocked library sums must
 reproduce bit for bit.
@@ -546,6 +548,25 @@ def scv_envelope_terms(problem, n):
 def neighbours(counts):
     """``exchangeable.neighbours`` as one ``rank`` call on a ``(rows, s, s)`` gather."""
     return rank(counts[:, None, :] + np.eye(counts.shape[-1], dtype=np.intp))
+
+
+def occupancy_by_point(samples, s):
+    """``exchangeable.occupancy`` as one compare-and-count pass per point."""
+    samples = np.asarray(samples)
+    counts = np.empty((*samples.shape[:-1], s), dtype=np.intp)
+    for i in range(s):
+        counts[..., i] = np.count_nonzero(samples == i, axis=-1)
+    return counts
+
+
+def rank_fresh_table(counts):
+    """``exchangeable.rank`` with its binomial table built anew on every call."""
+    counts = np.asarray(counts, dtype=np.intp)
+    s = counts.shape[-1]
+    after = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+    top = int(after.max(initial=0))
+    table = [[math.comb(d + q - 1, q) if d else 0 for q in range(s)] for d in range(top + 1)]
+    return np.array(table, dtype=np.intp)[after, np.arange(s - 1, 0, -1)].sum(axis=-1)
 
 
 def rls_gap_1d(xs, ys, lam, pop_xs, pop_ys, pop_ps):

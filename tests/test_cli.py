@@ -299,6 +299,34 @@ def test_rls_loads_lapack_without_scipy_linalg():
     assert got["same"]
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_lapack_starts_no_thread_pool(threads):
+    # A fresh interpreter: loading scipy's LAPACK adds no thread, and leaves
+    # OPENBLAS_NUM_THREADS as it found it.
+    script = textwrap.dedent("""
+        import json, os
+        from interaction_bounds import rls
+
+        before = len(os.listdir("/proc/self/task"))
+        rls._lapack()
+        after = len(os.listdir("/proc/self/task"))
+        print(json.dumps([before, after, os.environ.get("OPENBLAS_NUM_THREADS")]))
+    """)
+    src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    before, after, variable = json.loads(done.stdout)
+    assert after == before
+    assert variable == threads
+
+
 @pytest.mark.parametrize("scipy_dir", ["missing", "broken"])
 def test_missing_lapack_is_one_solver_failure_line(scipy_dir, tmp_path, monkeypatch, capsys):
     spec = None
@@ -554,6 +582,18 @@ class TestUstatCommand:
         assert main(["ustat", "--out", os.devnull]) == 0
         assert problems == [2, 3, 4]
         assert len(evals) == 12
+
+    def test_sigma1_and_mean_once_per_kernel_order(self, monkeypatch):
+        # neither depends on the sample size: three each for the nine cells
+        calls = {"sigma1_squared": [], "exact_u_mean": []}
+        for name, seen in calls.items():
+            real = getattr(usmod, name)
+            monkeypatch.setattr(
+                usmod, name, lambda problem, _real=real, _seen=seen: _seen.append(problem.m)
+                or _real(problem)
+            )
+        assert main(["ustat", "--out", os.devnull]) == 0
+        assert calls == {"sigma1_squared": [2, 3, 4], "exact_u_mean": [2, 3, 4]}
 
     def test_cell_over_the_kernel_term_budget_enumerates_no_sample_multisets(
         self, tmp_path, monkeypatch, capsys

@@ -65,6 +65,39 @@ def test_neighbours_are_the_gathered_ranks(counts):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@given(
+    st.integers(1, 6).flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            st.lists(st.integers(0, 4), max_size=3).flatmap(
+                lambda lead: st.integers(0, 20).flatmap(
+                    lambda n: st.lists(
+                        st.integers(0, s - 1),
+                        min_size=math.prod(lead) * n,
+                        max_size=math.prod(lead) * n,
+                    ).map(lambda flat: np.array(flat, dtype=np.intp).reshape(*lead, n))
+                )
+            ),
+        )
+    )
+)
+def test_occupancy_and_rank_are_the_per_point_forms(case):
+    # exact integers: the one-pass counts and the cached binomial table
+    s, samples = case
+    counts = occupancy(samples, s)
+    want = oracles.occupancy_by_point(samples, s)
+    assert counts.shape == want.shape and counts.dtype == want.dtype
+    assert np.array_equal(counts, want)
+    got, want = rank(counts), oracles.rank_fresh_table(counts)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_occupancy_refuses_points_outside_the_base():
+    for samples in ([0, 3], [[-1, 0]]):
+        with pytest.raises(ValueError, match=r"point indices must lie in \[0, 3\)"):
+            occupancy(np.array(samples), 3)
+
+
 def test_making_a_table_enumerates_nothing(monkeypatch):
     sizes = []
     real = exchangeable.multisets

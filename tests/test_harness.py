@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,8 +328,74 @@ class TestWorkers:
         run_property_suite(
             RandomInstanceSpec(seed=4), count=3, entropy_count=2, scalar_count=1
         )
-        jobs = [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1)]
+        jobs = [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (harness._SCALAR_STREAM, 1)]
         assert ran == [(job, os.getpid()) for job in jobs]
+
+    @pytest.mark.parametrize("params, code", [
+        ({}, 0),
+        ({"scalar_count": 0}, 0),
+        ({"inject_bug": True}, 1),
+    ], ids=["defaults", "no-scalar-triples", "inject-bug"])
+    def test_scalar_job_bytes_do_not_depend_on_cpus(
+        self, monkeypatch, tmp_path, capsys, params, code
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "verify", "params": params}))
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_cpu_count", lambda cpus=cpus: cpus)
+            out = tmp_path / f"out-{cpus}.csv"
+            assert main(["--config", str(config), "--count", "5", "--out", str(out)]) == code
+            runs.append((capsys.readouterr(), out.read_text()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        rows = {row[0]: row for row in csv.reader(runs[0][1].splitlines()[2:])}
+        assert rows["psi_ratio_grid"][1] == str(len(harness.A_GRID) * 99)
+        assert rows["chernoff_infimum"][1] == str(params.get("scalar_count", 100))
+        if params.get("inject_bug"):
+            assert rows["efron_stein"][4:] == ["false", str(derive_seed(0, 1, 0))]
+
+    def test_instance_error_wins_over_the_scalar_job(self, monkeypatch):
+        spec = RandomInstanceSpec(seed=22)
+        over = derive_seed(spec.seed, 1, 1)
+        real = harness.generate_instance
+
+        def capped(s):
+            if s.seed == over:
+                raise CapacityError(f"instance {s.seed} has too many configurations")
+            return real(s)
+
+        def failing(rng, scalar_count):
+            raise ValueError("scalar lemmas failed")
+
+        monkeypatch.setattr(harness, "generate_instance", capped)
+        monkeypatch.setattr(harness, "_scalar_checks", failing)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_cpu_count", lambda cpus=cpus: cpus)
+            with pytest.raises(CapacityError, match=f"^instance {over} has"):
+                run_property_suite(spec, count=3, scalar_count=1)
+        monkeypatch.setattr(harness, "generate_instance", real)
+        with pytest.raises(ValueError, match="^scalar lemmas failed$"):
+            run_property_suite(spec, count=3, scalar_count=1)
+
+    @pytest.mark.skipif(harness._cpu_count() < 2, reason="needs two CPUs to fork workers")
+    def test_coordinator_loads_no_numpy_random(self):
+        # A fresh interpreter: on two or more CPUs every check, and so every
+        # seeded stream, runs in a worker.
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from interaction_bounds.cli import main
+
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                assert main(["verify", "--count", "4"]) == 0
+            print("numpy.random" in sys.modules)
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout == "False\n"
 
     def test_earliest_instance_error_wins(self, monkeypatch, capsys):
         # Jobs (1, 0) .. (1, 4), (3, 0): pairs 2 and 4 and the entropy

@@ -16,20 +16,14 @@ from .space import (
     FiniteAxis,
     FiniteProductSpace,
     TabulatedFunction,
-    enumerate_configurations,
     expectation,
-    measure_of,
-    tabulated_from_json,
-    tabulated_to_json,
     variance,
 )
 from .operators import (
     cond_expectation,
     cond_variance,
     cond_variance_pairs,
-    difference,
     scv,
-    second_difference,
     self_bounding_operator,
     substitute,
 )
@@ -37,7 +31,6 @@ from .functionals import (
     GibbsState,
     InteractionReport,
     conditional_entropy,
-    crude_interaction_bound,
     entropy,
     gibbs,
     gibbs_expectation,
@@ -45,7 +38,6 @@ from .functionals import (
     interaction,
     interaction_report,
     log_mgf,
-    tilted_variance,
     weighted_interaction,
 )
 from .bounds import (

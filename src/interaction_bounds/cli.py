@@ -11,6 +11,8 @@ Subcommands::
 Common flags: ``--config <json>``, ``--seed <u64>``, ``--out <path>``,
 ``--format csv|json``, ``--count <int>``, ``--cap <int>``.  A config file
 mirrors the flags plus a per-command ``params`` block; flags override it.
+``verify`` and ``bounds-table`` read ``--count`` and not ``--cap``; the other
+three read ``--cap`` and not ``--count``.
 ``_SCHEMA`` declares each params field once (converter, default, allowed
 range), and ``RunConfig`` checks a config against it before dispatch.
 
@@ -18,9 +20,10 @@ Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
 digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation,
 solver failure or a ``verify`` worker that ended without a result (for
-example killed by a signal), 2 configuration error, including an enumeration over
-``--cap``, a run that exhausts memory within ``--cap`` and an ``--out`` path
-that cannot be written; each error is one line on stderr.
+example killed by a signal), 2 configuration error, including a ``--count``
+or ``--cap`` that the command does not read, an enumeration over ``--cap``,
+a run that exhausts memory within ``--cap`` and an ``--out`` path that
+cannot be written; each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from . import bounds as bnd
 from . import rls as rlsmod
 from . import ustat as usmod
-from .exchangeable import MultisetTable, mc_tails, rank
+from .exchangeable import MultisetTable, mc_tails, multiset_count, rank
 from .harness import (
     _INEQ_TOL,
     RandomInstanceSpec,
@@ -66,7 +69,7 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     count: int | None = None
-    cap: int = DEFAULT_CAP
+    cap: int | None = None
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -78,8 +81,10 @@ class RunConfig:
             raise ConfigError(f"'out' must be a path string, got {self.out!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
-        if self.count is None:
-            self.count = _SCHEMA[self.command].count
+        schema = _SCHEMA[self.command]
+        given = [name for name in ("count", "cap") if getattr(self, name) is not None]
+        self.count = schema.count if self.count is None else self.count
+        self.cap = DEFAULT_CAP if self.cap is None else self.cap
         try:
             self.seed, self.cap, self.count = map(_integer, (self.seed, self.cap, self.count))
         except (TypeError, ValueError) as exc:
@@ -88,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"count must be nonnegative, got {self.count}")
         if self.cap < 1:
             raise ConfigError(f"cap must be at least 1, got {self.cap}")
+        if ignored := [name for name in given if name not in schema.reads]:
+            raise ConfigError(f"--{ignored[0]} is not read by {self.command}")
         self.params = _read_params(self.command, self.params, self.seed)
 
 
@@ -124,7 +131,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         out=args.out if args.out is not None else doc.get("out"),
         format=args.format if args.format is not None else doc.get("format", "csv"),
         count=args.count if args.count is not None else doc.get("count"),
-        cap=args.cap if args.cap is not None else doc.get("cap", DEFAULT_CAP),
+        cap=args.cap if args.cap is not None else doc.get("cap"),
         params={} if doc.get("params") is None else doc["params"],
     )
 
@@ -248,7 +255,7 @@ def _ustat_tails(problem, table, t_values, mc_samples, seed):
     """
     center = problem.u_mean
     try:
-        if (rows := math.comb(table.n + len(table.weights) - 1, table.n)) <= table.cap:
+        if (rows := multiset_count(table.n, len(table.weights))) <= table.cap:
             usmod.check_kernel_terms(problem, rows)
         deviations = np.abs(usmod.u_at_counts(problem, table.counts) - center)
         return [(p, 0.0) for p in tail_probabilities(deviations, table.probs, t_values)], "exact", ""
@@ -263,6 +270,10 @@ def _ustat_tails(problem, table, t_values, mc_samples, seed):
         lambda counts: np.abs(usmod.u_at_counts(problem, counts) - center), t_values,
     )
     return tails, "mc", note
+
+
+#: The ``MultisetTable.ingredients`` key of each ingredient ``rls`` prints, by printed name.
+_RLS_INGREDIENTS = {"e_scv": "E_scv", "b": "b", "crude_j": "crude"}
 
 
 def cmd_rls(config: RunConfig) -> int:
@@ -300,12 +311,12 @@ def cmd_rls(config: RunConfig) -> int:
     # lambda, shared by every section below.
     multiset_table = MultisetTable(population.probs, n, config.cap)
     gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, multiset_table))
-    measured_at = functools.cache(lambda at: rlsmod.measured_ingredients(gap_table(at)))
+    measured_at = functools.cache(lambda at: multiset_table.ingredients(gap_table(at).gaps))
     table, measured = gap_table(lam), measured_at(lam)
-    for key in ("e_scv", "b", "crude_j"):
-        rows.append(["scv", key, lam, "", measured[key], "", "", ""])
+    for key, name in _RLS_INGREDIENTS.items():
+        rows.append(["scv", key, lam, "", measured[name], "", "", ""])
 
-    mean_gap = rlsmod.exact_gap_mean(table)
+    mean_gap = multiset_table.mean(table.gaps)
     tmax = float(table.gaps.max()) - mean_gap
     if tmax > 0.0:
         t_values = np.linspace(0.0, tmax, p["t_points"] + 1)[1:].tolist()
@@ -316,14 +327,14 @@ def cmd_rls(config: RunConfig) -> int:
         for t, (tail, stderr) in zip(t_values, tails):
             bound_c = rlsmod.gap_tail_bound(scv_mean, n, lam, p["c"], t)
             bound_measured = bnd.main_bound(
-                measured["e_scv"], measured["b"], measured["crude_j"], t
+                measured["E_scv"], measured["b"], measured["crude"], t
             ).value
             rows.append(["bound_curve", "tail", lam, t, tail, stderr, bound_c, bound_measured])
 
     for lam_s in p["lambda_sweep"]:
         m_s = measured_at(lam_s)
-        for key in ("crude_j", "b", "e_scv"):
-            rows.append(["lambda_sweep", key, lam_s, "", m_s[key], "", "", ""])
+        for key, name in reversed(_RLS_INGREDIENTS.items()):
+            rows.append(["lambda_sweep", key, lam_s, "", m_s[name], "", "", ""])
 
     _emit_table(config, header, rows)
     return 0
@@ -533,16 +544,19 @@ def _rls_params(p: dict, seed: int) -> None:
 
 @dataclass(frozen=True)
 class _Command:
-    """A command: its runner, params fields, build step and default ``--count``.
+    """A command: its runner, params fields, build step, default ``--count`` and flags read.
 
     ``build(params, seed)`` checks across fields and replaces fields by the
     objects the library checks itself (instance spec, base axis, documents).
+    ``reads`` names which of ``--count`` and ``--cap`` the command reads; the
+    other one, given as a flag or a config field, is a config error.
     """
 
     run: Callable[[RunConfig], int]
     fields: dict[str, _Field]
     build: Callable[[dict, int], None]
     count: int = 0
+    reads: tuple[str, ...] = ()
 
 
 _SCHEMA = {
@@ -552,7 +566,7 @@ _SCHEMA = {
         "scalar_count": _Field(_integer, 100, *_at_least(0)),
         "inject_bug": _Field(lambda v: v, False, lambda v: isinstance(v, bool), "true or false"),
         **_INSTANCE_FIELDS,
-    }, _instance_spec, count=200),
+    }, _instance_spec, count=200, reads=("count",)),
     "ustat": _Command(cmd_ustat, {
         **_KERNEL_FIELDS,
         "kernel_path": _Field(str, None),
@@ -560,7 +574,7 @@ _SCHEMA = {
         "n_values": _Field(_list_of(_integer), (10, 50, 200)),
         "t_values": _Field(_list_of(_real), (0.05, 0.1, 0.2, 0.5, 1.0), *_between(0, math.inf)),
         "mc_samples": _Field(_integer, 2000, *_at_least(1)),
-    }, lambda p, seed: _kernel_and_base(p, p["m_values"])),
+    }, lambda p, seed: _kernel_and_base(p, p["m_values"]), reads=("cap",)),
     "rls": _Command(cmd_rls, {
         "path": _Field(str, None),
         "c": _Field(_real, 1.0, *_between(0, math.inf)),
@@ -570,17 +584,17 @@ _SCHEMA = {
         "grid": _Field(_integer, 3, *_at_least(1)),
         "h": _Field(_real, 1e-4, *_between(0, 0.25)),
         "lambda_sweep": _Field(_list_of(_real), tuple(np.arange(1, 10) / 10.0), *_between(0, 1)),
-    }, _rls_params),
+    }, _rls_params, reads=("cap",)),
     "bounds-table": _Command(cmd_bounds_table, {
         "t_points": _Field(_integer, 20, *_at_least(1)),
         **_INSTANCE_FIELDS,
-    }, _instance_spec, count=20),
+    }, _instance_spec, count=20, reads=("count",)),
     "normal-limit-demo": _Command(cmd_normal_limit_demo, {
         **_KERNEL_FIELDS,
         "m": _Field(_integer, 2, *_at_least(2)),
         "n_values": _Field(_list_of(_integer), lambda p: tuple(range(p["m"] + 2, 13))),
         "t": _Field(_real, 1.0, *_between(0, math.inf)),
-    }, _normal_limit_params),
+    }, _normal_limit_params, reads=("cap",)),
 }
 
 

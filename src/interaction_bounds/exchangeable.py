@@ -35,6 +35,11 @@ from .space import DEFAULT_CAP, CapacityError, fsum
 MC_BLOCK = 8192
 
 
+def multiset_count(n: int, s: int) -> int:
+    """The number of count vectors of ``n`` draws from ``s`` points, ``C(n + s - 1, s - 1)``."""
+    return math.comb(n + s - 1, s - 1)
+
+
 def multisets(n: int, s: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Every count vector of ``n`` draws from ``s`` points, one per row.
 
@@ -42,7 +47,7 @@ def multisets(n: int, s: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     ``itertools.combinations_with_replacement(range(s), n)``.  Raises
     CapacityError when the rows would exceed ``cap``.
     """
-    total = math.comb(n + s - 1, s - 1)
+    total = multiset_count(n, s)
     if total > cap:
         raise CapacityError(f"{total} sample multisets exceed the cap of {cap}")
     # Stars and bars: the positions of s - 1 bars among n + s - 1 slots, in
@@ -208,6 +213,16 @@ class MultisetTable:
     @functools.cached_property
     def probs(self) -> np.ndarray:
         return multiset_probabilities(self.counts, self.weights)
+
+    def mean(self, values: np.ndarray) -> float:
+        """Exact mean of a symmetric function with ``values[r]`` on count row ``r``."""
+        return fsum(self.probs * values)
+
+    def samples(self) -> np.ndarray:
+        """The point indices of each count row's sample in base order, one row each."""
+        counts = self.counts
+        points = np.tile(np.arange(counts.shape[1]), len(counts))
+        return np.repeat(points, counts.ravel()).reshape(len(counts), self.n)
 
     @functools.cached_property
     def rest_level(self) -> tuple[np.ndarray, np.ndarray]:

@@ -53,7 +53,6 @@ from .space import (
     TabulatedFunction,
     expectation,
     fsum,
-    variance,
 )
 
 _CHAIN_TOL = 1e-10
@@ -160,12 +159,6 @@ def interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """Worst-case interaction functional of ``f``."""
     f.space.check_capacity(cap)
     return math.sqrt(max(float(_interaction_tables(f)[0].max()), 0.0))
-
-
-def crude_interaction_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
-    """``n`` times the largest absolute mixed second difference of ``f``."""
-    f.space.check_capacity(cap)
-    return f.space.n * _interaction_tables(f)[1]
 
 
 def _weighted_objective_tables(f: TabulatedFunction) -> np.ndarray:
@@ -338,7 +331,7 @@ def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
 
 
 def interaction_report(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> InteractionReport:
-    """``interaction``, ``weighted_interaction`` and ``crude_interaction_bound`` of ``f``.
+    """``interaction``, ``weighted_interaction`` and the crude bound of ``f``.
 
     One pass over the axis pairs gives ``j`` and ``crude``, and its summed
     table is dropped before ``j_mu`` builds its own.  Raises
@@ -432,14 +425,6 @@ def conditional_entropy(
     log_zk = np.squeeze(shift, axis=k) + np.log(z)
     s = beta * (num / z) - log_zk
     return _constant_along(space, s, k)
-
-
-def tilted_variance(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:
-    """Variance of ``f`` under the tilted state at ``beta``."""
-    state = gibbs(f, beta, cap)
-    m = gibbs_expectation(state, f)
-    d = f.values - m
-    return fsum(state.tilted * d * d)
 
 
 def log_mgf(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:

@@ -1,10 +1,9 @@
 """Coordinate operators on tabulated functions.
 
 The calculus needed for jackknife-style variance analysis: substitution of a
-coordinate by a fixed point, first differences along a coordinate, conditional
-expectation and conditional variance over a coordinate, the sum of conditional
-variances (the Efron-Stein surrogate for the variance), second (mixed)
-differences, and the self-bounding operator
+coordinate by a fixed point, conditional expectation and conditional variance
+over a coordinate, the sum of conditional variances (the Efron-Stein
+surrogate for the variance), and the self-bounding operator
 ``Dg = sum_k (g - inf over axis k of g)^2``.
 
 Every operator returns a fresh dense table; there is no in-place mutation and
@@ -59,19 +58,6 @@ def substitute(f: TabulatedFunction, k: int, y: int) -> TabulatedFunction:
     space = f.space
     space.check_point(k, y)
     return _constant_along(space, np.take(f.values, y, axis=k), k)
-
-
-def difference(f: TabulatedFunction, k: int, y: int, y2: int) -> TabulatedFunction:
-    """First difference along coordinate ``k``: value at ``y`` minus at ``y2``.
-
-    Antisymmetric in ``(y, y2)``, zero when ``y == y2`` or when ``f`` does not
-    depend on coordinate ``k``.
-    """
-    space = f.space
-    space.check_point(k, y)
-    space.check_point(k, y2)
-    reduced = np.take(f.values, y, axis=k) - np.take(f.values, y2, axis=k)
-    return _constant_along(space, reduced, k)
 
 
 def cond_expectation(f: TabulatedFunction, k: int) -> TabulatedFunction:
@@ -139,16 +125,3 @@ def self_bounding_operator(g: TabulatedFunction) -> TabulatedFunction:
         total += drop * drop
     return TabulatedFunction(g.space, total)
 
-
-def second_difference(
-    f: TabulatedFunction, k: int, l: int, y: int, y2: int, z: int, z2: int
-) -> TabulatedFunction:
-    """Mixed second difference: difference along ``l`` of the difference along ``k``.
-
-    Requires ``k != l``.  The result is independent of both coordinates and is
-    symmetric under swapping the roles ``(k, y, y2)`` and ``(l, z, z2)``; it
-    vanishes whenever ``f`` splits as a sum of functions of single coordinates.
-    """
-    if k == l:
-        raise ValueError("second difference needs two distinct axes")
-    return difference(difference(f, k, y, y2), l, z, z2)

@@ -19,9 +19,9 @@ differences with a Richardson step-halving consistency flag.
 
 The generalization gap ``true risk - empirical risk`` for a finite population
 is exactly computable on every sample multiset (``GapTable``), on one
-``exchangeable.MultisetTable`` that the gaps at every ``lam`` share;
-``measured_ingredients`` gives the exact variance-sum, range, and interaction
-inputs for tail bounds on the centered gap from that table, and
+``exchangeable.MultisetTable`` that the gaps at every ``lam`` share; its
+``mean`` and ``ingredients`` give the exact mean and the exact variance-sum,
+range, and interaction inputs for tail bounds on the centered gap, and
 ``empirical_scv`` is the seeded Monte Carlo counterpart of the variance sum.
 
 Every family of problems (the lattice of a derivative check, the multisets of
@@ -94,10 +94,6 @@ class RlsProblem:
     @property
     def n(self) -> int:
         return self.xs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,10 +267,6 @@ class Population:
     @property
     def size(self) -> int:
         return self.xs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
 
 
 def true_risk(solution: RlsSolution, population: Population) -> float:
@@ -468,7 +460,7 @@ def gap_tail_bound(e_scv: float, n: int, lam: float, c: float, t: float) -> floa
     constant: the analysis only fixes the ``lam^{-3}/n`` shape of the linear
     term, not its absolute constant, so experiments either configure ``c`` or
     replace the whole linear term by measured range and interaction values
-    (see ``measured_ingredients``).
+    (see ``exchangeable.MultisetTable.ingredients``).
     """
     if e_scv < 0.0 or n < 1 or not (0.0 < lam < 1.0) or c <= 0.0 or t <= 0.0:
         raise ValueError("invalid tail-bound arguments")
@@ -495,9 +487,7 @@ class GapTable:
             raise ValueError("the multiset table is not of the population's atom probabilities")
         self.population = population
         self.table = table
-        atoms = np.tile(np.arange(population.size), len(table.counts))
-        samples = np.repeat(atoms, table.counts.ravel()).reshape(-1, table.n)
-        self.gaps = sample_gaps(population, samples, lam)
+        self.gaps = sample_gaps(population, table.samples(), lam)
 
     def value(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Gap of each sample given by atom indices along the last axis, in any order."""
@@ -507,20 +497,6 @@ class GapTable:
         if indices.size and (indices.min() < 0 or indices.max() >= self.population.size):
             raise ValueError(f"atom indices must lie in [0, {self.population.size})")
         return self.gaps[rank(occupancy(indices, self.population.size))]
-
-
-def measured_ingredients(table: GapTable) -> dict[str, float]:
-    """Exact tail-bound inputs for the gap on a finite population.
-
-    Returns ``e_scv`` (expected variance sum), ``b`` (largest one-sided
-    deviation of the gap from its per-coordinate conditional mean),
-    ``crude_j`` (``n`` times the largest absolute mixed second difference)
-    and ``j_mu`` (the weighted interaction functional), from
-    ``MultisetTable.ingredients`` on the table's gaps, within the cap of
-    its multiset table.
-    """
-    ing = table.table.ingredients(table.gaps)
-    return {"e_scv": ing["E_scv"], "b": ing["b"], "crude_j": ing["crude"], "j_mu": ing["j_mu"]}
 
 
 def population_sampler(
@@ -575,11 +551,6 @@ def empirical_scv(
     mean = math.fsum(values) / replications
     var = math.fsum((v - mean) ** 2 for v in values) / (replications - 1)
     return mean, math.sqrt(var / replications)
-
-
-def exact_gap_mean(table: GapTable) -> float:
-    """Exact ``E[gap]`` by multiset enumeration."""
-    return fsum(table.table.probs * table.gaps)
 
 
 # ---------------------------------------------------------------------------

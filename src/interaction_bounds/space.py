@@ -26,7 +26,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -360,24 +360,6 @@ def memo_scalar(f: TabulatedFunction, key: str, compute: Callable[[], float]) ->
     return scalars[key]
 
 
-def enumerate_configurations(
-    space: FiniteProductSpace, cap: int = DEFAULT_CAP
-) -> Iterator[Configuration]:
-    """All configurations in row-major order (last axis fastest)."""
-    space.check_capacity(cap)
-    yield from np.ndindex(space.shape)
-
-
-def measure_of(space: FiniteProductSpace, config: Sequence[int]) -> float:
-    """Product-measure probability of a single configuration."""
-    config = tuple(config)
-    if len(config) != space.n:
-        raise ValueError(f"configuration of length {len(config)} on {space.n} axes")
-    for k, c in enumerate(config):
-        space.check_point(k, c)
-    return math.prod(space.axes[k].weights[c] for k, c in enumerate(config))
-
-
 def expectation(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
     """Exact mean of ``f`` under the product measure: ``fsum(w * f)``, bit for bit.
 
@@ -412,50 +394,8 @@ def tail_probabilities(
     return [fsum(weights[deviations > t]) for t in t_values]
 
 
-# ---------------------------------------------------------------------------
-# JSON interchange:  {"axes": [{"weights": [...]}, ...], "values": [...]}
-# with values in enumeration order.
-# ---------------------------------------------------------------------------
-
-
 def _integer(value) -> int:
     """``value`` as an int if it is integral; a bool or a fraction is an error."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
-
-
-def space_from_json(doc: dict) -> FiniteProductSpace:
-    axes_doc = doc.get("axes")
-    if not isinstance(axes_doc, list) or not axes_doc:
-        raise ValueError("'axes' must be a non-empty list")
-    axes = []
-    for i, ax in enumerate(axes_doc):
-        if not isinstance(ax, dict):
-            raise ValueError(f"axis {i} must be an object")
-        unknown = set(ax) - {"weights"}
-        if unknown:
-            raise ValueError(f"axis {i} has unknown fields {sorted(unknown)}")
-        axes.append(FiniteAxis(weights=tuple(ax["weights"])))
-    return FiniteProductSpace(axes=tuple(axes))
-
-
-def tabulated_from_json(doc: dict) -> TabulatedFunction:
-    """Load a space plus value table from its JSON document form."""
-    if not isinstance(doc, dict):
-        raise ValueError("document must be an object")
-    unknown = set(doc) - {"axes", "values"}
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}")
-    space = space_from_json(doc)
-    values = doc.get("values")
-    if not isinstance(values, list):
-        raise ValueError("'values' must be a list in enumeration order")
-    return TabulatedFunction(space, np.asarray(values, dtype=np.float64))
-
-
-def tabulated_to_json(f: TabulatedFunction) -> dict:
-    return {
-        "axes": [{"weights": list(a.weights)} for a in f.space.axes],
-        "values": [float(v) for v in f.values.ravel()],
-    }

@@ -20,7 +20,7 @@ the ``m``-multisets of base points and the kernel at each, built on first use
 and shared by every sample size.  ``u`` is evaluated on the count rows of the
 ``MultisetTable`` of the sample size, and ``sigma1^2`` and ``E[u]``, which
 no sample size changes, on the kernel table and its ``(m-1)``-level, once per
-problem (``sigma1sq``, ``u_mean``).
+problem (the properties ``sigma1sq`` and ``u_mean``).
 
 The counting identity behind the first bound: the number of ordered pairs of
 ``m``-subsets of ``{1..n}`` that intersect equals
@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import MultisetTable
+from .exchangeable import MultisetTable, multiset_count
 from .space import CapacityError, FiniteAxis, _integer, fsum
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
@@ -174,8 +174,8 @@ class UStatProblem:
         """
         table = MultisetTable(self.base_axis.weights, self.m, KERNEL_TABLE_CAP)
         values = []
-        for kappa in table.counts.tolist():
-            points = tuple(p for p, k in zip(self.base_points, kappa) for _ in range(k))
+        for sample in table.samples().tolist():
+            points = tuple(self.base_points[i] for i in sample)
             value = float(self.kernel.fn(points))
             if not (-1.0 - 1e-12 <= value <= 1.0 + 1e-12):
                 raise ValueError(f"kernel value {value} at {points} outside [-1, 1]")
@@ -184,29 +184,26 @@ class UStatProblem:
 
     @functools.cached_property
     def sigma1sq(self) -> float:
-        """``sigma1_squared`` of this problem, computed on first use and held."""
-        return sigma1_squared(self)
+        """Variance of the one-argument conditional mean of the kernel, exactly.
+
+        The conditional mean at ``y`` weights the kernel at ``y`` plus each
+        ``(m-1)``-multiset of base points by that multiset's probability, from
+        the ``(m-1)``-level of the kernel table.  Always lies in ``[0, 1]``.
+        Computed on first use and held.
+        """
+        table, g = self.kernel_table
+        rest_probs, up = table.rest_level
+        w = self.base_axis.weights
+        terms = rest_probs[:, None] * g[up]
+        cond_mean = [fsum(column) for column in terms.T]
+        mean = math.fsum(wy * h for wy, h in zip(w, cond_mean))
+        return math.fsum(wy * (h - mean) ** 2 for wy, h in zip(w, cond_mean))
 
     @functools.cached_property
     def u_mean(self) -> float:
-        """``exact_u_mean`` of this problem, computed on first use and held."""
-        return exact_u_mean(self)
-
-
-def sigma1_squared(problem: UStatProblem) -> float:
-    """Variance of the one-argument conditional mean of the kernel, exactly.
-
-    The conditional mean at ``y`` weights the kernel at ``y`` plus each
-    ``(m-1)``-multiset of base points by that multiset's probability, from
-    the ``(m-1)``-level of the kernel table.  Always lies in ``[0, 1]``.
-    """
-    table, g = problem.kernel_table
-    rest_probs, up = table.rest_level
-    w = problem.base_axis.weights
-    terms = rest_probs[:, None] * g[up]
-    cond_mean = [fsum(column) for column in terms.T]
-    mean = math.fsum(wy * h for wy, h in zip(w, cond_mean))
-    return math.fsum(wy * (h - mean) ** 2 for wy, h in zip(w, cond_mean))
+        """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-multiset; held after first use."""
+        table, g = self.kernel_table
+        return table.mean(g)
 
 
 def ustat_bound(n: int, m: int, sigma1sq: float, t: float) -> float:
@@ -297,7 +294,7 @@ def crossover(m: int, sigma1sq: float, n: int) -> CrossoverResult:
 
 def check_kernel_terms(problem: UStatProblem, rows: int, eval_cap: int = DEFAULT_EVAL_CAP) -> None:
     """CapacityError if ``u_at_counts`` on ``rows`` count rows passes ``eval_cap`` terms."""
-    terms = rows * math.comb(problem.m + problem.base_axis.size - 1, problem.m)
+    terms = rows * multiset_count(problem.m, problem.base_axis.size)
     if terms > eval_cap:
         raise CapacityError(f"{terms} kernel terms exceed the cap of {eval_cap}")
 
@@ -340,9 +337,3 @@ def u_at_counts(
         except OverflowError:  # C(n, m) is beyond the float range
             out[r] = total / (scale * ncm)
     return out
-
-
-def exact_u_mean(problem: UStatProblem) -> float:
-    """``E[u]``, which equals ``E[g]`` over one i.i.d. ``m``-multiset."""
-    table, g = problem.kernel_table
-    return fsum(table.probs * g)

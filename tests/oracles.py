@@ -22,7 +22,11 @@ must reproduce bit for bit; ``occupancy_by_point`` and ``rank_fresh_table``
 are the per-point counting and the per-call binomial table that
 ``exchangeable.occupancy`` and ``rank`` must reproduce exactly.
 ``scv_envelope_terms`` is the other exception to independence: it composes
-library paths, to check an inequality of the paper rather than a path.  The
+library paths, to check an inequality of the paper rather than a path.  So do
+the whole-table helpers that only tests read (``enumerate_configurations``,
+``measure_of``, ``difference``, ``second_difference``,
+``crude_interaction_bound`` and ``tilted_variance``), built on the library's
+``_constant_along``, ``_interaction_tables`` and ``gibbs``.  The
 ``*_table_formula`` references form every term of a mean or variance as one
 table and sum it with ``math.fsum``, the form the blocked library sums must
 reproduce bit for bit.
@@ -39,7 +43,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from interaction_bounds.exchangeable import MultisetTable, occupancy, rank
-from interaction_bounds.operators import _center
+from interaction_bounds.functionals import _interaction_tables, gibbs, gibbs_expectation
+from interaction_bounds.operators import _center, _constant_along
 from interaction_bounds.rls import (
     DerivativeCheckReport,
     RlsProblem,
@@ -55,7 +60,7 @@ from interaction_bounds.space import (
     TabulatedFunction,
     fsum,
 )
-from interaction_bounds.ustat import DEFAULT_EVAL_CAP, sigma1_squared, u_at_counts
+from interaction_bounds.ustat import DEFAULT_EVAL_CAP, u_at_counts
 
 
 def configs(space):
@@ -182,6 +187,64 @@ def weighted_interaction(f):
             total += inner_best
         best = max(best, total)
     return 2.0 * math.sqrt(best)
+
+
+# --- whole-table helpers read only by tests -----------------------------------
+
+
+def enumerate_configurations(space, cap=DEFAULT_CAP):
+    """All configurations in row-major order (last axis fastest)."""
+    space.check_capacity(cap)
+    yield from np.ndindex(space.shape)
+
+
+def measure_of(space, config):
+    """Product-measure probability of a single configuration."""
+    config = tuple(config)
+    if len(config) != space.n:
+        raise ValueError(f"configuration of length {len(config)} on {space.n} axes")
+    for k, c in enumerate(config):
+        space.check_point(k, c)
+    return math.prod(space.axes[k].weights[c] for k, c in enumerate(config))
+
+
+def difference(f, k, y, y2):
+    """First difference along coordinate ``k``: value at ``y`` minus at ``y2``.
+
+    Antisymmetric in ``(y, y2)``, zero when ``y == y2`` or when ``f`` does not
+    depend on coordinate ``k``.
+    """
+    space = f.space
+    space.check_point(k, y)
+    space.check_point(k, y2)
+    reduced = np.take(f.values, y, axis=k) - np.take(f.values, y2, axis=k)
+    return _constant_along(space, reduced, k)
+
+
+def second_difference(f, k, l, y, y2, z, z2):
+    """Mixed second difference: difference along ``l`` of the difference along ``k``.
+
+    Requires ``k != l``.  The result is independent of both coordinates and is
+    symmetric under swapping the roles ``(k, y, y2)`` and ``(l, z, z2)``; it
+    vanishes whenever ``f`` splits as a sum of functions of single coordinates.
+    """
+    if k == l:
+        raise ValueError("second difference needs two distinct axes")
+    return difference(difference(f, k, y, y2), l, z, z2)
+
+
+def crude_interaction_bound(f, cap=DEFAULT_CAP):
+    """``n`` times the largest absolute mixed second difference of ``f``."""
+    f.space.check_capacity(cap)
+    return f.space.n * _interaction_tables(f)[1]
+
+
+def tilted_variance(f, beta, cap=DEFAULT_CAP):
+    """Variance of ``f`` under the tilted state at ``beta``."""
+    state = gibbs(f, beta, cap)
+    m = gibbs_expectation(state, f)
+    d = f.values - m
+    return fsum(state.tilted * d * d)
 
 
 # --- the full mixed-second-difference stencil ----------------------------------
@@ -536,7 +599,7 @@ def scv_envelope_terms(problem, n):
     m = problem.m
     table = MultisetTable(problem.base_axis.weights, n)
     lhs = table.ingredients(u_at_counts(problem, table.counts))["E_scv"]
-    base = (m * m / n) * sigma1_squared(problem)
+    base = (m * m / n) * problem.sigma1sq
     half_term = m * m * (m - 1) ** 2 / (2.0 * n * (n - m))
     return {
         "lhs": lhs,
@@ -606,7 +669,7 @@ def rls_measured_ingredients(population, n, lam):
     crude = 0.0
     for rest in itertools.product(range(size), repeat=n - 2):
         for y, y2, z, z2 in itertools.product(range(size), repeat=4):
-            # the arithmetic of operators.second_difference
+            # the arithmetic of second_difference above
             second = (gap((y, z, *rest)) - gap((y2, z, *rest))) - (
                 gap((y, z2, *rest)) - gap((y2, z2, *rest))
             )
@@ -641,7 +704,7 @@ def replace_point(problem, k, x, y):
 
 def rls_solve(problem):
     """``(G + lam I) w = g`` by ``cho_factor``/``cho_solve`` on one sample."""
-    n, d = problem.n, problem.dim
+    n, d = problem.xs.shape
     gram = problem.xs.T @ problem.xs / n
     moment = problem.xs.T @ problem.ys / n
     system = gram + problem.lam * np.eye(d)

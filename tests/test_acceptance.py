@@ -46,8 +46,6 @@ from interaction_bounds.rls import (
     RlsProblem,
     derivative_bound_check,
     empirical_risk,
-    exact_gap_mean,
-    measured_ingredients,
     solve,
 )
 from interaction_bounds.rng import substream
@@ -303,8 +301,8 @@ def test_criterion_6_regularized_least_squares():
         p0 = float(tail_rng.uniform(0.2, 0.8))
         pop = Population(xs=xs, ys=ys, probs=[p0, 1.0 - p0])
         table = GapTable(pop, MultisetTable(pop.probs, n), lam)
-        meas = measured_ingredients(table)
-        mean_gap = exact_gap_mean(table)
+        meas = table.table.ingredients(table.gaps)
+        mean_gap = table.table.mean(table.gaps)
         tmax = max(table.gaps - mean_gap)
         if tmax <= 0.0 or meas["b"] <= 0.0:
             continue
@@ -312,7 +310,7 @@ def test_criterion_6_regularized_least_squares():
         for t in np.linspace(0.0, tmax, 11)[1:]:
             p_hat = float(np.mean(values - mean_gap > t))
             stderr = math.sqrt(p_hat * (1.0 - p_hat) / len(values))
-            bound = main_bound(meas["e_scv"], meas["b"], meas["crude_j"], float(t))
+            bound = main_bound(meas["E_scv"], meas["b"], meas["crude"], float(t))
             if p_hat > bound.value + 4.0 * stderr:
                 problems.append(("mc tail", rep_i, float(t), p_hat, bound.value))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -23,7 +24,7 @@ from interaction_bounds import ustat as usmod
 from interaction_bounds.cli import main
 from interaction_bounds.rng import derive_seed
 from interaction_bounds.space import FiniteAxis
-from interaction_bounds.ustat import UStatProblem, exact_u_mean, product_kernel
+from interaction_bounds.ustat import UStatProblem, product_kernel
 
 
 def read(path):
@@ -222,6 +223,15 @@ class TestConfigHandling:
         # an empty out, from the config and from the flag
         ("normal-limit-demo", {}, {"out": ""}, "'out' must be a path string, got ''"),
         ("normal-limit-demo", {}, {"--out": ""}, "'out' must be a path string, got ''"),
+        # a --count or --cap that the command does not read, from the flag and from the config
+        ("rls", {}, {"--count": "7"}, "--count is not read by rls"),
+        ("ustat", {}, {"count": 0}, "--count is not read by ustat"),
+        ("normal-limit-demo", {}, {"--count": "3"}, "--count is not read by normal-limit-demo"),
+        ("verify", {}, {"--cap": "5"}, "--cap is not read by verify"),
+        ("verify", {}, {"cap": 10_000_000}, "--cap is not read by verify"),
+        # the dense path keeps its own cap, so a --cap that would admit 4^12 is refused
+        ("bounds-table", {"n_axes": [12, 12], "axis_size": [4, 4]}, {"--cap": "20000000"},
+         "--cap is not read by bounds-table"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 
@@ -504,7 +514,7 @@ class TestUstatCommand:
         assert {row["tail_kind"] for row in rows} == {"mc"}
         problem = UStatProblem(product_kernel(2), FiniteAxis.uniform(2), (-1.0, 1.0))
         values = oracles.sample_u_values(problem, 40, samples, seed=2)
-        want = oracles.mc_tails_of(np.abs(values - exact_u_mean(problem)), params["t_values"])
+        want = oracles.mc_tails_of(np.abs(values - problem.u_mean), params["t_values"])
         assert [(row["tail"], row["tail_stderr"]) for row in rows] == want
 
     def test_mc_budget_counts_the_whole_sample_before_drawing(self, tmp_path, monkeypatch):
@@ -585,15 +595,16 @@ class TestUstatCommand:
 
     def test_sigma1_and_mean_once_per_kernel_order(self, monkeypatch):
         # neither depends on the sample size: three each for the nine cells
-        calls = {"sigma1_squared": [], "exact_u_mean": []}
+        calls = {"sigma1sq": [], "u_mean": []}
         for name, seen in calls.items():
-            real = getattr(usmod, name)
-            monkeypatch.setattr(
-                usmod, name, lambda problem, _real=real, _seen=seen: _seen.append(problem.m)
-                or _real(problem)
+            real = getattr(UStatProblem, name).func
+            counted = functools.cached_property(
+                lambda problem, _real=real, _seen=seen: _seen.append(problem.m) or _real(problem)
             )
+            counted.__set_name__(UStatProblem, name)
+            monkeypatch.setattr(UStatProblem, name, counted)
         assert main(["ustat", "--out", os.devnull]) == 0
-        assert calls == {"sigma1_squared": [2, 3, 4], "exact_u_mean": [2, 3, 4]}
+        assert calls == {"sigma1sq": [2, 3, 4], "u_mean": [2, 3, 4]}
 
     def test_cell_over_the_kernel_term_budget_enumerates_no_sample_multisets(
         self, tmp_path, monkeypatch, capsys
@@ -782,22 +793,22 @@ class TestRlsCommand:
         rows = [row for row in rows if row["section"] == "bound_curve"]
         population, n, lam = rls.rls_config_from_json(cli._DEMO_RLS)
         table = rls.GapTable(population, exchangeable.MultisetTable(population.probs, n), lam)
-        mean = rls.exact_gap_mean(table)
+        mean = table.table.mean(table.gaps)
         values = oracles.mc_gap_values(table, samples, derive_seed(3, 0xA3))
         want = oracles.mc_tails_of(values - mean, [row["t"] for row in rows])
         assert len(rows) == 10 and [(row["value"], row["stderr"]) for row in rows] == want
 
-    def test_cap_reaches_measured_ingredients(self, monkeypatch):
+    def test_cap_reaches_every_ingredients_call(self, monkeypatch):
         # --cap reaches the one multiset table, and the ingredients of every
         # lambda read that table
         caps = []
-        real = rls.measured_ingredients
+        real = exchangeable.MultisetTable.ingredients
 
-        def recording(table):
-            caps.append(table.table.cap)
-            return real(table)
+        def recording(table, values):
+            caps.append(table.cap)
+            return real(table, values)
 
-        monkeypatch.setattr(rls, "measured_ingredients", recording)
+        monkeypatch.setattr(exchangeable.MultisetTable, "ingredients", recording)
         assert main(["rls", "--cap", "50"]) == 0
         assert len(caps) == 9 and set(caps) == {50}
 

@@ -14,6 +14,7 @@ from interaction_bounds.exchangeable import (
     MC_BLOCK,
     MultisetTable,
     mc_tails,
+    multiset_count,
     multiset_probabilities,
     multisets,
     neighbours,
@@ -50,6 +51,16 @@ def test_rows_follow_combinations_with_replacement(n, s):
     assert rank(counts).tolist() == list(range(len(want)))
     more = multisets(n + 1, s)
     assert np.array_equal(more[neighbours(counts)], counts[:, None, :] + np.eye(s, dtype=int))
+
+
+@given(st.integers(0, 12), st.integers(1, 6))
+def test_samples_and_count_of_a_table(n, s):
+    table = MultisetTable([1.0 / s] * s, n)
+    samples = table.samples()
+    assert samples.shape == (len(table.counts), n)
+    for got, row in zip(samples.tolist(), table.counts.tolist()):
+        assert got == [i for i, c in enumerate(row) for _ in range(c)]
+    assert multiset_count(n, s) == len(multisets(n, s))
 
 
 @given(

@@ -22,9 +22,7 @@ from interaction_bounds.operators import (
     cond_expectation,
     cond_variance,
     cond_variance_pairs,
-    difference,
     scv,
-    second_difference,
     self_bounding_operator,
     substitute,
 )
@@ -86,23 +84,23 @@ class TestSubstitute:
 class TestDifference:
     def test_product_gives_other_coordinate(self):
         f = coordinate_product(uniform_space(2, 2))
-        got = difference(f, 0, 1, 0)
+        got = oracles.difference(f, 0, 1, 0)
         want = table(f.space, lambda c: float(c[1]))
         assert np.allclose(got.values, want.values)
 
     def test_equal_points_zero(self):
         f = random_table((3, 2), seed=2)
-        assert np.all(difference(f, 0, 1, 1).values == 0.0)
+        assert np.all(oracles.difference(f, 0, 1, 1).values == 0.0)
 
     def test_independent_axis_zero(self):
         space = uniform_space(2, 3)
         f = table(space, lambda c: float(c[0]))
-        assert np.all(difference(f, 1, 2, 0).values == 0.0)
+        assert np.all(oracles.difference(f, 1, 2, 0).values == 0.0)
 
     def test_antisymmetry(self):
         f = random_table((3, 3), seed=3)
-        a = difference(f, 0, 2, 1)
-        b = difference(f, 0, 1, 2)
+        a = oracles.difference(f, 0, 2, 1)
+        b = oracles.difference(f, 0, 1, 2)
         assert np.allclose(a.values, -b.values)
 
 
@@ -113,7 +111,7 @@ class TestConstantAlongEliminatedAxis:
             last = axis.size - 1
             for out in (
                 substitute(f, k, last),
-                difference(f, k, last, 0),
+                oracles.difference(f, k, last, 0),
                 cond_expectation(f, k),
                 cond_variance(f, k),
                 cond_variance_pairs(f, k),
@@ -268,28 +266,28 @@ class TestSelfBoundingOperator:
 class TestSecondDifference:
     def test_product_constant_one(self):
         f = coordinate_product(uniform_space(2, 2))
-        got = second_difference(f, 0, 1, 1, 0, 1, 0)
+        got = oracles.second_difference(f, 0, 1, 1, 0, 1, 0)
         assert np.allclose(got.values, 1.0)
 
     def test_sum_vanishes(self):
         f = coordinate_sum(uniform_space(3, 3))
-        got = second_difference(f, 0, 1, 2, 0, 1, 0)
+        got = oracles.second_difference(f, 0, 1, 2, 0, 1, 0)
         assert np.allclose(got.values, 0.0, atol=1e-15)
 
     def test_independent_axis_vanishes(self):
         space = uniform_space(2, 3)
         f = table(space, lambda c: float(c[0] ** 2))
-        assert np.allclose(second_difference(f, 0, 1, 1, 0, 2, 1).values, 0.0)
+        assert np.allclose(oracles.second_difference(f, 0, 1, 1, 0, 2, 1).values, 0.0)
 
     def test_rejects_equal_axes(self):
         f = coordinate_sum(uniform_space(2, 2))
         with pytest.raises(ValueError):
-            second_difference(f, 1, 1, 0, 1, 0, 1)
+            oracles.second_difference(f, 1, 1, 0, 1, 0, 1)
 
     def test_swap_symmetry(self):
         f = random_table((3, 4, 2), seed=8)
-        a = second_difference(f, 0, 1, 2, 1, 3, 0)
-        b = second_difference(f, 1, 0, 3, 0, 2, 1)
+        a = oracles.second_difference(f, 0, 1, 2, 1, 3, 0)
+        b = oracles.second_difference(f, 1, 0, 3, 0, 2, 1)
         assert np.allclose(a.values, b.values, atol=1e-12)
 
     @given(tabulated_strategy(max_axes=3))

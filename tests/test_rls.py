@@ -19,9 +19,7 @@ from interaction_bounds.rls import (
     derivative_bound_check,
     empirical_risk,
     empirical_scv,
-    exact_gap_mean,
     gap_tail_bound,
-    measured_ingredients,
     population_sampler,
     rls_config_from_json,
     sample_gaps,
@@ -53,6 +51,11 @@ def random_problem(rng, d=None, n=None, lam=None):
 def gap_table(population, n, lam, cap=DEFAULT_CAP):
     """The gaps at ``lam`` on the multiset table of ``n`` draws from the population."""
     return GapTable(population, MultisetTable(population.probs, n, cap), lam)
+
+
+def ingredients(table):
+    """``MultisetTable.ingredients`` of the gaps of a gap table."""
+    return table.table.ingredients(table.gaps)
 
 
 def random_population(rng, d, size):
@@ -203,7 +206,7 @@ class TestDerivativeBoundCheck:
         prob = random_problem(rng, n=max(4, int(rng.integers(4, 13))))
 
         def draw_z():
-            x = rng.normal(size=prob.dim)
+            x = rng.normal(size=prob.xs.shape[1])
             x = x / max(np.linalg.norm(x), 1.0) * rng.uniform(0.1, 1.0)
             return (x, float(rng.uniform(-1, 1)))
 
@@ -266,7 +269,7 @@ class TestScvEstimators:
         pop = Population(xs=[[0.9], [-0.7]], ys=[0.0, 0.0], probs=[0.5, 0.5])
         mean, stderr = empirical_scv(pop, 4, 0.5, replications=20, seed=1)
         assert mean == 0.0
-        assert measured_ingredients(gap_table(pop, 4, 0.5))["e_scv"] == 0.0
+        assert ingredients(gap_table(pop, 4, 0.5))["E_scv"] == 0.0
 
     def test_deterministic_in_seed(self):
         a = empirical_scv(TWO_ATOM, 4, 0.5, replications=50, seed=9)
@@ -306,12 +309,12 @@ class TestScvEstimators:
                         * (gap(sa) - gap(sb)) ** 2
                     )
         want = total
-        got = measured_ingredients(gap_table(pop, n, lam))["e_scv"]
+        got = ingredients(gap_table(pop, n, lam))["E_scv"]
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_monte_carlo_matches_exhaustive(self):
         n, lam = 4, 0.5
-        exact = measured_ingredients(gap_table(TWO_ATOM, n, lam))["e_scv"]
+        exact = ingredients(gap_table(TWO_ATOM, n, lam))["E_scv"]
         mean, stderr = empirical_scv(TWO_ATOM, n, lam, replications=600, seed=2)
         assert abs(mean - exact) <= 3.0 * stderr
 
@@ -346,14 +349,14 @@ class TestGapDistribution:
 
     def test_exact_tail_monotone(self):
         table = gap_table(TWO_ATOM, 5, 0.3)
-        deviations = table.gaps - exact_gap_mean(table)
+        deviations = table.gaps - table.table.mean(table.gaps)
         tails = tail_probabilities(deviations, table.table.probs, (0.0, 0.005, 0.01, 0.05))
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
     def test_mc_matches_exact_tail(self):
         n, lam = 6, 0.4
         table = gap_table(TWO_ATOM, n, lam)
-        mean = exact_gap_mean(table)
+        mean = table.table.mean(table.gaps)
         values = oracles.mc_gap_values(table, 40_000, seed=4)
         assert np.mean(values) == pytest.approx(mean, abs=5e-4)
         t_values = (0.002, 0.005, 0.01)
@@ -367,7 +370,7 @@ class TestGapDistribution:
     def test_blocked_tails_are_the_one_shot_tails(self, samples):
         n, lam = 5, 0.3
         table = gap_table(PLANE_ATOM, n, lam)
-        mean = exact_gap_mean(table)
+        mean = table.table.mean(table.gaps)
         deviations = table.gaps - mean
         # a grid, every deviation itself (never exceeded), and both ends
         t_values = [*np.linspace(0.0, deviations.max(), 7).tolist(), *deviations.tolist(), -1.0]
@@ -383,7 +386,7 @@ class TestGapDistribution:
         # uniforms and 56 MB of indices; blocks of 8,192 rows hold 0.46 MB each.
         n, samples = 7, 10**6
         table = gap_table(PLANE_ATOM, n, 0.5)
-        mean = exact_gap_mean(table)
+        mean = table.table.mean(table.gaps)
         t_values = np.linspace(0.0, float(table.gaps.max()) - mean, 11)[1:].tolist()
         tracemalloc.start()
         try:
@@ -400,13 +403,13 @@ class TestGapDistribution:
     def test_measured_ingredients_give_valid_main_bound(self):
         n, lam = 5, 0.35
         table = gap_table(TWO_ATOM, n, lam)
-        meas = measured_ingredients(table)
-        assert meas["b"] >= 0.0 and 0.0 <= meas["j_mu"] <= meas["crude_j"]
-        deviations = table.gaps - exact_gap_mean(table)
+        meas = ingredients(table)
+        assert meas["b"] >= 0.0 and 0.0 <= meas["j_mu"] <= meas["crude"]
+        deviations = table.gaps - table.table.mean(table.gaps)
         t_values = np.linspace(0.0, max(deviations), 9)[1:].tolist()
         for t, tail in zip(t_values, tail_probabilities(deviations, table.table.probs, t_values)):
-            for j in (meas["j_mu"], meas["crude_j"]):
-                assert tail <= main_bound(meas["e_scv"], meas["b"], j, t).value + 1e-12
+            for j in (meas["j_mu"], meas["crude"]):
+                assert tail <= main_bound(meas["E_scv"], meas["b"], j, t).value + 1e-12
 
 
 class TestMultisetEngine:
@@ -415,11 +418,11 @@ class TestMultisetEngine:
         [(TWO_ATOM, 5, 0.35), (SKEW_ATOM, 6, 0.45), (PLANE_ATOM, 4, 0.3)],
     )
     def test_measured_ingredients_match_configuration_loops(self, population, n, lam):
-        got = measured_ingredients(gap_table(population, n, lam))
+        got = ingredients(gap_table(population, n, lam))
         want = oracles.rls_measured_ingredients(population, n, lam)
         assert got["b"] == want["b"]
-        assert got["crude_j"] == want["crude_j"]
-        assert got["e_scv"] == pytest.approx(want["e_scv"], rel=1e-15, abs=0.0)
+        assert got["crude"] == want["crude_j"]
+        assert got["E_scv"] == pytest.approx(want["e_scv"], rel=1e-15, abs=0.0)
 
     def test_mc_values_are_gaps_of_the_drawn_samples(self):
         n, lam = 5, 0.3
@@ -439,7 +442,7 @@ class TestMultisetEngine:
         # 3 atoms, n = 6: 28 sample multisets, and 21 and 15 of the rest-samples;
         # the table's cap bounds them all, so the ingredients need no cap of their own
         table = gap_table(PLANE_ATOM, 6, 0.5, cap=28)
-        assert measured_ingredients(table) == measured_ingredients(gap_table(PLANE_ATOM, 6, 0.5))
+        assert ingredients(table) == ingredients(gap_table(PLANE_ATOM, 6, 0.5))
         with pytest.raises(CapacityError, match="cap of 27"):
             gap_table(PLANE_ATOM, 6, 0.5, cap=27)
 
@@ -454,7 +457,7 @@ class TestMultisetEngine:
             gaps = GapTable(PLANE_ATOM, table, lam)
             assert gaps.table is table
             assert gaps.gaps.tobytes() == gap_table(PLANE_ATOM, 5, lam).gaps.tobytes()
-            assert measured_ingredients(gaps) == measured_ingredients(gap_table(PLANE_ATOM, 5, lam))
+            assert ingredients(gaps) == ingredients(gap_table(PLANE_ATOM, 5, lam))
 
 
 class TestStackedSolvesMatchPerProblemLoops:

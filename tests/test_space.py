@@ -24,13 +24,9 @@ from interaction_bounds.space import (
     FiniteAxis,
     FiniteProductSpace,
     TabulatedFunction,
-    enumerate_configurations,
     expectation,
     fsum,
-    measure_of,
     memo_scalar,
-    tabulated_from_json,
-    tabulated_to_json,
     tail_probabilities,
     variance,
 )
@@ -89,14 +85,14 @@ class TestCachedGeometry:
 class TestEnumeration:
     def test_two_by_two(self):
         space = uniform_space(2, 2)
-        got = list(enumerate_configurations(space))
+        got = list(oracles.enumerate_configurations(space))
         assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_single_axis(self):
-        assert list(enumerate_configurations(uniform_space(3))) == [(0,), (1,), (2,)]
+        assert list(oracles.enumerate_configurations(uniform_space(3))) == [(0,), (1,), (2,)]
 
     def test_row_major_order(self):
-        got = list(enumerate_configurations(uniform_space(2, 3, 2)))
+        got = list(oracles.enumerate_configurations(uniform_space(2, 3, 2)))
         assert len(got) == 12
         assert got[0] == (0, 0, 0)
         assert got[-1] == (1, 2, 1)
@@ -105,31 +101,31 @@ class TestEnumeration:
     def test_capacity_error(self):
         space = uniform_space(4, 4, 4)
         with pytest.raises(CapacityError):
-            list(enumerate_configurations(space, cap=63))
+            list(oracles.enumerate_configurations(space, cap=63))
 
 
 class TestMeasure:
     def test_uniform(self):
         space = uniform_space(2, 2)
-        for c in enumerate_configurations(space):
-            assert measure_of(space, c) == pytest.approx(0.25)
+        for c in oracles.enumerate_configurations(space):
+            assert oracles.measure_of(space, c) == pytest.approx(0.25)
 
     def test_product_weights(self):
         space = FiniteProductSpace(
             axes=(FiniteAxis(weights=(0.3, 0.7)), FiniteAxis(weights=(0.5, 0.5)))
         )
-        assert measure_of(space, (1, 0)) == pytest.approx(0.35)
+        assert oracles.measure_of(space, (1, 0)) == pytest.approx(0.35)
 
     def test_single_point(self):
         space = FiniteProductSpace(axes=(FiniteAxis(weights=(1.0,)),))
-        assert measure_of(space, (0,)) == 1.0
+        assert oracles.measure_of(space, (0,)) == 1.0
 
     def test_out_of_range(self):
         space = uniform_space(2, 2)
         with pytest.raises(IndexError):
-            measure_of(space, (0, 2))
+            oracles.measure_of(space, (0, 2))
         with pytest.raises(ValueError):
-            measure_of(space, (0,))
+            oracles.measure_of(space, (0,))
 
     @given(tabulated_strategy())
     def test_weights_sum_to_one(self, f):
@@ -140,8 +136,8 @@ class TestMeasure:
     def test_measure_matches_weight_table(self, f):
         space = f.space
         table = space.weight_table()
-        for c in enumerate_configurations(space):
-            assert measure_of(space, c) == pytest.approx(float(table[c]), abs=1e-15)
+        for c in oracles.enumerate_configurations(space):
+            assert oracles.measure_of(space, c) == pytest.approx(float(table[c]), abs=1e-15)
 
 
 class TestExpectationVariance:
@@ -404,29 +400,3 @@ class TestMemoScalar:
         del f
         gc.collect()
         assert ref() is None
-
-
-class TestJson:
-    def test_round_trip(self):
-        space = FiniteProductSpace(
-            axes=(FiniteAxis(weights=(0.25, 0.75)), FiniteAxis.uniform(3))
-        )
-        rng = np.random.default_rng(0)
-        f = TabulatedFunction(space, rng.uniform(-1, 1, space.size))
-        doc = tabulated_to_json(f)
-        g = tabulated_from_json(doc)
-        assert g.space == f.space
-        assert np.array_equal(g.values, f.values)
-
-    def test_unknown_fields_rejected(self):
-        doc = {"axes": [{"weights": [1.0]}], "values": [0.0], "extra": 1}
-        with pytest.raises(ValueError, match="extra"):
-            tabulated_from_json(doc)
-        doc = {"axes": [{"weights": [1.0], "size": 1}], "values": [0.0]}
-        with pytest.raises(ValueError, match="size"):
-            tabulated_from_json(doc)
-
-    def test_values_must_match_enumeration(self):
-        doc = {"axes": [{"weights": [0.5, 0.5]}], "values": [0.0]}
-        with pytest.raises(ValueError):
-            tabulated_from_json(doc)

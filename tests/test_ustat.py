@@ -23,11 +23,9 @@ from interaction_bounds.ustat import (
     arcones_bound,
     check_kernel_terms,
     crossover,
-    exact_u_mean,
     kernel_from_json,
     mean_kernel,
     product_kernel,
-    sigma1_squared,
     sign_agreement_kernel,
     tabulated_kernel,
     u_at_counts,
@@ -143,15 +141,15 @@ class TestEvaluateU:
 class TestSigma1:
     def test_degenerate_product_kernel(self):
         # conditional mean of y*x over x on uniform {-1,1} vanishes identically
-        assert sigma1_squared(problem(product_kernel(2))) == pytest.approx(0.0)
+        assert problem(product_kernel(2)).sigma1sq == pytest.approx(0.0)
 
     def test_mean_pair_kernel(self):
         # conditional mean is y/2, variance of y/2 over uniform {-1,1} is 1/4
-        assert sigma1_squared(problem(mean_kernel(2))) == pytest.approx(0.25)
+        assert problem(mean_kernel(2)).sigma1sq == pytest.approx(0.25)
 
     def test_constant_kernel(self):
         const = Kernel(m=2, fn=lambda _: -0.3, name="const")
-        assert sigma1_squared(problem(const)) == pytest.approx(0.0)
+        assert problem(const).sigma1sq == pytest.approx(0.0)
 
     def test_reads_no_pair_level(self, monkeypatch):
         # the kernel table of m = 4 on 5 points and its 3-multisets, no 2-multisets
@@ -165,13 +163,13 @@ class TestSigma1:
         monkeypatch.setattr(exchangeable, "multisets", counting)
         p = problem(mean_kernel(4), FiniteAxis.uniform(5), (-1.0, -0.5, 0.0, 0.5, 1.0))
         # conditional mean y / 4, and the points have variance 1/2
-        assert sigma1_squared(p) == pytest.approx(0.5 / 16)
+        assert p.sigma1sq == pytest.approx(0.5 / 16)
         assert sorted(sizes) == [3, 4]
 
     def test_capacity(self, monkeypatch):
         monkeypatch.setattr(usmod, "KERNEL_TABLE_CAP", 1)
         with pytest.raises(CapacityError):
-            sigma1_squared(problem(mean_kernel(3)))
+            problem(mean_kernel(3)).sigma1sq
 
 
 class TestBoundFormulas:
@@ -321,7 +319,7 @@ class TestProofChain:
     def test_exact_tail_below_bound(self, kernel, n, axis, points):
         p = UStatProblem(kernel=kernel, base_axis=axis, base_points=points)
         u = oracles.tabulate_u(p, n)
-        s1 = sigma1_squared(p)
+        s1 = p.sigma1sq
         center = expectation(u)
         w = u.space.weight_table()
         deviations = np.abs(u.values - center)
@@ -348,7 +346,7 @@ class TestSampling:
     def test_exact_mean_matches_table(self):
         p = problem(mean_kernel(2))
         u = oracles.tabulate_u(p, 5)
-        assert exact_u_mean(p) == pytest.approx(expectation(u), abs=1e-12)
+        assert p.u_mean == pytest.approx(expectation(u), abs=1e-12)
 
     def test_sampled_values_deterministic(self):
         p = problem(product_kernel(2))
@@ -371,7 +369,7 @@ class TestSampling:
     @pytest.mark.parametrize("samples", [50, MC_BLOCK + 1])
     def test_blocked_tails_are_the_one_shot_tails(self, samples):
         p = problem(_tabulated_quadratic(WEIGHTED_POINTS), WEIGHTED_AXIS, WEIGHTED_POINTS)
-        center = exact_u_mean(p)
+        center = p.u_mean
         t_values = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 2.0]
         got = mc_tails(
             substream(3, 0x0E), WEIGHTED_AXIS.weights, 9, samples,
@@ -447,7 +445,7 @@ class TestCountsEvaluator:
         with pytest.raises(ValueError, match="outside"):
             oracles.sample_u_values(problem(wild), 4, 10, seed=1)
         with pytest.raises(ValueError, match="outside"):
-            sigma1_squared(problem(wild))
+            problem(wild).sigma1sq
 
     def test_term_cap_names_the_cap(self):
         p = problem(mean_kernel(2), WEIGHTED_AXIS, WEIGHTED_POINTS)

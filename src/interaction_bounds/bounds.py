@@ -31,7 +31,6 @@ import numpy as np
 from .functionals import interaction, interaction_report
 from .operators import _center, cond_expectation, cond_variance, scv
 from .space import (
-    DEFAULT_CAP,
     TabulatedFunction,
     expectation,
     fsum,
@@ -204,7 +203,7 @@ def efron_stein_gap(
     return gap, 0.25 * j * j
 
 
-def bias_second_difference_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
+def bias_second_difference_bound(f: TabulatedFunction) -> float:
     """Exact second-difference bound on the Efron-Stein gap.
 
     One quarter of the sum, over ordered coordinate pairs, of the expected
@@ -226,7 +225,6 @@ def bias_second_difference_bound(f: TabulatedFunction, cap: int = DEFAULT_CAP) -
     so the bits would move.
     """
     space = f.space
-    space.check_capacity(cap)
     weights = [axis.weight_array() for axis in space.axes]
     terms = []
     for k in range(space.n):

@@ -20,10 +20,12 @@ Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
 digits (round-trip exact).  Exit codes: 0 success, 1 inequality violation,
 solver failure or a ``verify`` worker that ended without a result (for
-example killed by a signal), 2 configuration error, including a ``--count``
-or ``--cap`` that the command does not read, an enumeration over ``--cap``,
-a run that exhausts memory within ``--cap`` and an ``--out`` path that
-cannot be written; each error is one line on stderr.
+example killed by a signal), 2 configuration error, including a seed
+outside ``0..2^64-1``, a ``--count`` or ``--cap`` that the command does not
+read, an enumeration over ``--cap``, a product space over
+``space.DEFAULT_CAP`` configurations, a run that exhausts memory (its line
+ends ``; lower --cap`` where the command reads ``--cap``) and an ``--out``
+path that cannot be written; each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class RunConfig:
             self.seed, self.cap, self.count = map(_integer, (self.seed, self.cap, self.count))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed, cap and count must be integers: {exc}") from exc
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
         if self.count < 0:
             raise ConfigError(f"count must be nonnegative, got {self.count}")
         if self.cap < 1:
@@ -637,6 +641,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    config = None
     try:
         config = _build_config(args)
         return _SCHEMA[config.command].run(config)
@@ -645,7 +650,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         detail = " ".join(str(exc).split()) or "no detail"
-        print(f"config error: out of memory ({detail}); lower --cap", file=sys.stderr)
+        hint = "; lower --cap" if config and "cap" in _SCHEMA[config.command].reads else ""
+        print(f"config error: out of memory ({detail}){hint}", file=sys.stderr)
         return 2
     except rlsmod.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -64,12 +64,13 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
     occupied points, in that order of operations.  A row where that
     arithmetic overflows or ends below the normal range (large samples) is
     recomputed from mantissa-exponent pairs, in which nothing overflows or
-    underflows before the final ``ldexp``.
+    underflows before the final ``ldexp``.  The rows become Python lists
+    ``MC_BLOCK`` at a time.
     """
     p = [float(x) for x in probs]
-    rows = np.asarray(counts).tolist()
-    out = np.empty(len(rows))
-    for r, (row, weight) in enumerate(zip(rows, _multinomials(rows))):
+    counts = np.asarray(counts)
+    out = np.empty(len(counts))
+    for r, (row, weight) in enumerate(_multinomials(counts)):
         try:
             value = weight * math.prod(p[i] ** c for i, c in enumerate(row) if c)
         except OverflowError:
@@ -80,8 +81,8 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
     return out
 
 
-def _multinomials(rows: list[list[int]]) -> Iterator[int]:
-    """``n! / prod(c_i!)`` of each row, exactly.
+def _multinomials(counts: np.ndarray) -> Iterator[tuple[list[int], int]]:
+    """Each count row as a list, with its ``n! / prod(c_i!)``, exactly.
 
     A row with the total of the one before is reached from its coefficient
     by the factorial ratios of the counts that changed; along ``multisets``
@@ -89,7 +90,8 @@ def _multinomials(rows: list[list[int]]) -> Iterator[int]:
     """
     prev: list[int] = []
     weight = 1
-    for row in rows:
+    blocks = (counts[i : i + MC_BLOCK].tolist() for i in range(0, len(counts), MC_BLOCK))
+    for row in itertools.chain.from_iterable(blocks):
         if sum(row) != sum(prev) or not prev:
             weight = math.factorial(sum(row))
             for c in row:
@@ -103,7 +105,7 @@ def _multinomials(rows: list[list[int]]) -> Iterator[int]:
                     den *= math.prod(range(a + 1, b + 1))
             weight = weight * num // den
         prev = row
-        yield weight
+        yield row, weight
 
 
 def _scaled_probability(weight: int, row: Sequence[int], p: Sequence[float]) -> float:

@@ -32,9 +32,11 @@ a constant times the integrand's bound on that ellipse times ``rho^(-2N)``
 (Trefethen, SIAM Review 2008).  ``N = ceil(16 / log(rho))`` makes that factor
 at most ``e^-32``, about ``1.3e-14``.  The nodes are interior, so the
 singularity is never evaluated, and each costs one ``entropy`` over every
-configuration, which the cap limits.  They come from Newton's method on the
-Legendre recurrence: numpy's ``leggauss`` solves an eigenproblem, which is
-slower per call and loads LAPACK into runs that otherwise never call it.
+configuration: nodes times configurations may not exceed ``DEFAULT_CAP``,
+the cap every product space is built within.  The nodes come from Newton's
+method on the Legendre recurrence: numpy's ``leggauss`` solves an
+eigenproblem, which is slower per call and loads LAPACK into runs that
+otherwise never call it.
 """
 
 from __future__ import annotations
@@ -155,9 +157,8 @@ def _largest_second_differences(fkl: np.ndarray) -> np.ndarray:
     return spread
 
 
-def interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
+def interaction(f: TabulatedFunction) -> float:
     """Worst-case interaction functional of ``f``."""
-    f.space.check_capacity(cap)
     return math.sqrt(max(float(_interaction_tables(f)[0].max()), 0.0))
 
 
@@ -318,32 +319,29 @@ def _blas_layout(shape: tuple[int, ...], k: int) -> list[int]:
     return [a for a in range(len(shape)) if a != k] + [k]
 
 
-def weighted_interaction(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
+def weighted_interaction(f: TabulatedFunction) -> float:
     """Distribution-dependent interaction functional of ``f``.
 
     ``2 * sqrt(sup_x sum_l max_z sum_{k != l} cond_variance(f - f@z, k)(x))``
     where ``f@z`` substitutes point ``z`` on axis ``l``.  Always at most
-    ``interaction(f)``.  Raises ``CapacityError`` above ``cap`` configurations.
+    ``interaction(f)``.
     """
-    f.space.check_capacity(cap)
     table = _weighted_objective_tables(f)
     return 2.0 * math.sqrt(max(float(table.max()), 0.0))
 
 
-def interaction_report(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> InteractionReport:
+def interaction_report(f: TabulatedFunction) -> InteractionReport:
     """``interaction``, ``weighted_interaction`` and the crude bound of ``f``.
 
     One pass over the axis pairs gives ``j`` and ``crude``, and its summed
-    table is dropped before ``j_mu`` builds its own.  Raises
-    ``CapacityError`` above ``cap`` configurations.
+    table is dropped before ``j_mu`` builds its own.
     """
-    f.space.check_capacity(cap)
     total, max_abs = _interaction_tables(f)
     j = math.sqrt(max(float(total.max()), 0.0))
     del total
     return InteractionReport(
         j=j,
-        j_mu=weighted_interaction(f, cap),
+        j_mu=weighted_interaction(f),
         crude=f.space.n * max_abs,
         scale=max(-f.min(), f.max()),
     )
@@ -370,11 +368,11 @@ class GibbsState:
     tilted: np.ndarray
 
 
-def gibbs(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> GibbsState:
+def gibbs(f: TabulatedFunction, beta: float) -> GibbsState:
     """Tilted state with density proportional to ``exp(beta * f)``."""
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    w = f.space.weight_table(cap)
+    w = f.space.weight_table()
     a = beta * f.values
     shift = float(a.max())
     q = w * np.exp(a - shift)
@@ -391,20 +389,18 @@ def gibbs_expectation(state: GibbsState, g: TabulatedFunction) -> float:
     return fsum(state.tilted * g.values)
 
 
-def entropy(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:
+def entropy(f: TabulatedFunction, beta: float) -> float:
     """``beta * E_tilted[f] - log Z``: the KL divergence of the tilt.
 
     Nonnegative, zero at ``beta == 0`` and for constant ``f``.  Equals the
     double integral of the tilted variance over ``0 <= t <= s <= beta``
     (checked by the test suite with a Gauss-Legendre rule).
     """
-    state = gibbs(f, beta, cap)
+    state = gibbs(f, beta)
     return beta * gibbs_expectation(state, f) - state.log_z
 
 
-def conditional_entropy(
-    f: TabulatedFunction, k: int, beta: float, cap: int = DEFAULT_CAP
-) -> TabulatedFunction:
+def conditional_entropy(f: TabulatedFunction, k: int, beta: float) -> TabulatedFunction:
     """Per-fiber entropy of the tilt along coordinate ``k``.
 
     The conditional analogue of ``entropy``: the base expectation is replaced
@@ -415,7 +411,6 @@ def conditional_entropy(
         raise ValueError("beta must be nonnegative")
     space = f.space
     space.check_axis(k)
-    space.check_capacity(cap)
     w = space.axes[k].weight_array()
     a = beta * f.values
     shift = a.max(axis=k, keepdims=True)
@@ -427,15 +422,15 @@ def conditional_entropy(
     return _constant_along(space, s, k)
 
 
-def log_mgf(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:
+def log_mgf(f: TabulatedFunction, beta: float) -> float:
     """Directly computed ``log E[exp(beta (f - Ef))]`` (max-shifted)."""
-    w = f.space.weight_table(cap)
-    a = beta * (f.values - expectation(f, cap))
+    w = f.space.weight_table()
+    a = beta * (f.values - expectation(f))
     shift = float(a.max())
     return shift + math.log(fsum(w * np.exp(a - shift)))
 
 
-def herbst_log_mgf(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) -> float:
+def herbst_log_mgf(f: TabulatedFunction, beta: float) -> float:
     """``beta * integral_0^beta entropy(f, gamma) / gamma^2 dgamma``.
 
     Equals ``log_mgf(f, beta)`` up to rounding; the test suite asserts the
@@ -444,25 +439,24 @@ def herbst_log_mgf(f: TabulatedFunction, beta: float, cap: int = DEFAULT_CAP) ->
     node when ``width`` is zero, and errs by order ``e^-32`` relative to the
     integrand on the strip where it is analytic (module docstring).  Raises
     ``CapacityError``, before evaluating anything, when ``N`` times the number
-    of configurations exceeds ``cap``.  The nodes need no LAPACK call
+    of configurations exceeds ``DEFAULT_CAP``.  The nodes need no LAPACK call
     (``_gauss_legendre``).
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    space = f.space
-    space.check_capacity(cap)
+    size, cap = f.space.size, DEFAULT_CAP
     width = beta * (f.max() - f.min())
     log_rho = math.asinh(math.pi / width) if width > 0.0 else math.inf
     # ceil(16 / log_rho) > cap // size exactly when 16 / log_rho does.
-    if 16.0 > log_rho * (cap // space.size):
+    if 16.0 > log_rho * (cap // size):
         raise CapacityError(
             f"the Herbst rule at beta * (max f - min f) = {width:.6g} needs more than "
-            f"{cap // space.size} entropy evaluations of {space.size} configurations, "
+            f"{cap // size} entropy evaluations of {size} configurations, "
             f"over the cap of {cap}"
         )
     x, w = map(np.array, _gauss_legendre(max(1, math.ceil(16.0 / log_rho))))
     gammas = 0.5 * beta * (x + 1.0)
-    s = np.array([entropy(f, gamma, cap) for gamma in gammas.tolist()])
+    s = np.array([entropy(f, gamma) for gamma in gammas.tolist()])
     return 0.5 * beta * beta * fsum(w * s / (gammas * gammas))
 
 

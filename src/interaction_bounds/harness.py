@@ -57,7 +57,6 @@ from .operators import (
 )
 from .rng import derive_seed, substream
 from .space import (
-    DEFAULT_CAP,
     FiniteAxis,
     FiniteProductSpace,
     TabulatedFunction,
@@ -117,7 +116,7 @@ def generate_instance(
     """Deterministically generate the instance described by ``spec``.
 
     Raises CapacityError before drawing the table when the space has more
-    configurations than the default cap.
+    configurations than ``DEFAULT_CAP`` (``FiniteProductSpace`` refuses it).
     """
     rng = substream(spec.seed, 0x01)
     n = int(rng.integers(spec.n_axes[0], spec.n_axes[1] + 1))
@@ -131,7 +130,6 @@ def generate_instance(
             w = raw / math.fsum(raw.tolist())
             axes.append(FiniteAxis(weights=tuple(float(x) for x in w)))
     space = FiniteProductSpace(axes=tuple(axes))
-    space.check_capacity()
     count = space.size
     if spec.values == "uniform":
         table = rng.uniform(-1.0, 1.0, size=count)
@@ -153,10 +151,10 @@ def generate_instance(
 # ---------------------------------------------------------------------------
 
 
-def exact_tail(f: TabulatedFunction, t: float, cap: int = DEFAULT_CAP) -> float:
+def exact_tail(f: TabulatedFunction, t: float) -> float:
     """``Pr{f - Ef > t}`` by exact enumeration (strict inequality)."""
-    centered = f.values - memo_scalar(f, "mean", lambda: expectation(f, cap))
-    return tail_probabilities(centered, f.space.weight_table(cap), [t])[0]
+    centered = f.values - memo_scalar(f, "mean", lambda: expectation(f))
+    return tail_probabilities(centered, f.space.weight_table(), [t])[0]
 
 
 def tail_curve(f: TabulatedFunction, ing: dict[str, float], points: int) -> list[tuple]:

@@ -30,7 +30,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-#: Default cap on the number of configurations an exact enumeration may touch.
+#: Cap on the configurations of a product space, checked when the space is
+#: built (so no dense table exceeds it), and the default cap of ``multisets``.
 DEFAULT_CAP = 10_000_000
 
 #: Axis weights must sum to one within this tolerance.
@@ -196,6 +197,10 @@ class FiniteAxis:
 class FiniteProductSpace:
     """A product of finite weighted axes carrying the product measure.
 
+    A space of more than ``DEFAULT_CAP`` configurations raises
+    ``CapacityError`` when it is built, so every dense table over a space,
+    and every exact enumeration of one, stays within the cap.
+
     ``n``, ``shape``, ``size`` and the hash are computed once per instance:
     operators on small tables read them many times per call.  They live in
     the instance ``__dict__``, outside the fields, so equality still compares
@@ -211,6 +216,8 @@ class FiniteProductSpace:
             raise ValueError("space needs at least one axis")
         if not all(isinstance(a, FiniteAxis) for a in axes):
             raise TypeError("axes must be FiniteAxis instances")
+        if self.size > DEFAULT_CAP:
+            raise CapacityError(f"{self.size} configurations exceed the cap of {DEFAULT_CAP}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -248,15 +255,8 @@ class FiniteProductSpace:
             raise IndexError(f"point {y} out of range for axis {k}")
         return y
 
-    def check_capacity(self, cap: int = DEFAULT_CAP) -> None:
-        if self.size > cap:
-            raise CapacityError(
-                f"{self.size} configurations exceed the cap of {cap}"
-            )
-
-    def weight_table(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+    def weight_table(self) -> np.ndarray:
         """Dense table of the product measure, one weight per configuration."""
-        self.check_capacity(cap)
         return _weight_table(self)
 
 
@@ -351,8 +351,7 @@ def memo_scalar(f: TabulatedFunction, key: str, compute: Callable[[], float]) ->
 
     For scalars that callers sweeping a deviation grid would otherwise
     re-derive at every point.  ``compute`` must depend on ``f`` alone; checks
-    that depend on other arguments, such as a capacity cap, stay with the
-    caller and run on every call.
+    that depend on other arguments stay with the caller and run on every call.
     """
     scalars = _SCALARS.setdefault(f, {})
     if key not in scalars:
@@ -360,22 +359,22 @@ def memo_scalar(f: TabulatedFunction, key: str, compute: Callable[[], float]) ->
     return scalars[key]
 
 
-def expectation(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
+def expectation(f: TabulatedFunction) -> float:
     """Exact mean of ``f`` under the product measure: ``fsum(w * f)``, bit for bit.
 
     The products are formed one ``fsum`` block at a time (``_fsum_blocks``).
     """
-    w, v = f.space.weight_table(cap).ravel(), f.values.ravel()
+    w, v = f.space.weight_table().ravel(), f.values.ravel()
     return _fsum_blocks(v.size, lambda start, stop: w[start:stop] * v[start:stop])
 
 
-def variance(f: TabulatedFunction, cap: int = DEFAULT_CAP) -> float:
+def variance(f: TabulatedFunction) -> float:
     """Exact variance of ``f``; zero iff ``f`` is a.s. constant.
 
     ``fsum(w * d * d)`` with ``d = f - E f``, bit for bit, with the terms
     formed one ``fsum`` block at a time (``_fsum_blocks``).
     """
-    w, v = f.space.weight_table(cap).ravel(), f.values.ravel()
+    w, v = f.space.weight_table().ravel(), f.values.ravel()
     mu = _fsum_blocks(v.size, lambda start, stop: w[start:stop] * v[start:stop])
 
     def terms(start: int, stop: int) -> np.ndarray:

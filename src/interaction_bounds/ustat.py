@@ -292,16 +292,14 @@ def crossover(m: int, sigma1sq: float, n: int) -> CrossoverResult:
     return CrossoverResult(t_star, (n - m) * t_star, True)
 
 
-def check_kernel_terms(problem: UStatProblem, rows: int, eval_cap: int = DEFAULT_EVAL_CAP) -> None:
-    """CapacityError if ``u_at_counts`` on ``rows`` count rows passes ``eval_cap`` terms."""
+def check_kernel_terms(problem: UStatProblem, rows: int) -> None:
+    """CapacityError if ``u_at_counts`` on ``rows`` count rows passes ``DEFAULT_EVAL_CAP`` terms."""
     terms = rows * multiset_count(problem.m, problem.base_axis.size)
-    if terms > eval_cap:
-        raise CapacityError(f"{terms} kernel terms exceed the cap of {eval_cap}")
+    if terms > DEFAULT_EVAL_CAP:
+        raise CapacityError(f"{terms} kernel terms exceed the cap of {DEFAULT_EVAL_CAP}")
 
 
-def u_at_counts(
-    problem: UStatProblem, counts: np.ndarray, eval_cap: int = DEFAULT_EVAL_CAP
-) -> np.ndarray:
+def u_at_counts(problem: UStatProblem, counts: np.ndarray) -> np.ndarray:
     """``u`` of a sample holding base point ``i`` ``counts[r, i]`` times, per row ``r``.
 
     The kernel sum ``sum_k g(k) prod_i C(c_i, k_i)`` over the ``m``-multisets
@@ -311,7 +309,7 @@ def u_at_counts(
     rounds differently in another argument order (a product of three
     non-dyadic points).  Where ``C(n, m)`` is beyond the float range, the
     exact sum is divided by it exactly and rounded once.  The rows share
-    one sample size ``n > m``; ``eval_cap`` bounds the terms.
+    one sample size ``n > m``; ``DEFAULT_EVAL_CAP`` bounds the terms.
     """
     m, counts = problem.m, np.asarray(counts)
     sizes = counts.sum(axis=1)
@@ -320,7 +318,7 @@ def u_at_counts(
         raise ValueError(f"count rows must share one sample size above the kernel order {m}")
     table, values = problem.kernel_table
     kappas = table.counts.tolist()
-    check_kernel_terms(problem, len(counts), eval_cap)
+    check_kernel_terms(problem, len(counts))
     # Kernel values as integers over one power of two, so the sums are exact.
     ratios = [value.as_integer_ratio() for value in values.tolist()]
     scale = max(den for _, den in ratios)

@@ -60,7 +60,7 @@ from interaction_bounds.space import (
     TabulatedFunction,
     fsum,
 )
-from interaction_bounds.ustat import DEFAULT_EVAL_CAP, u_at_counts
+from interaction_bounds.ustat import u_at_counts
 
 
 def configs(space):
@@ -193,8 +193,9 @@ def weighted_interaction(f):
 
 
 def enumerate_configurations(space, cap=DEFAULT_CAP):
-    """All configurations in row-major order (last axis fastest)."""
-    space.check_capacity(cap)
+    """All configurations in row-major order (last axis fastest), at most ``cap``."""
+    if space.size > cap:
+        raise CapacityError(f"{space.size} configurations exceed the cap of {cap}")
     yield from np.ndindex(space.shape)
 
 
@@ -234,14 +235,15 @@ def second_difference(f, k, l, y, y2, z, z2):
 
 
 def crude_interaction_bound(f, cap=DEFAULT_CAP):
-    """``n`` times the largest absolute mixed second difference of ``f``."""
-    f.space.check_capacity(cap)
+    """``n`` times the largest absolute mixed second difference of ``f``, within ``cap``."""
+    if f.space.size > cap:
+        raise CapacityError(f"{f.space.size} configurations exceed the cap of {cap}")
     return f.space.n * _interaction_tables(f)[1]
 
 
-def tilted_variance(f, beta, cap=DEFAULT_CAP):
+def tilted_variance(f, beta):
     """Variance of ``f`` under the tilted state at ``beta``."""
-    state = gibbs(f, beta, cap)
+    state = gibbs(f, beta)
     m = gibbs_expectation(state, f)
     d = f.values - m
     return fsum(state.tilted * d * d)
@@ -851,12 +853,12 @@ def rls_derivative_bound_check(
     )
 
 
-def sample_u_values(problem, n, n_samples, seed=0, eval_cap=DEFAULT_EVAL_CAP):
+def sample_u_values(problem, n, n_samples, seed=0):
     """Seeded i.i.d. draws of the U-statistic of ``n`` draws, all in one ``rng.choice`` call."""
     rng = substream(seed, 0x0E)
     w = np.asarray(problem.base_axis.weights)
     idx = rng.choice(len(w), size=(n_samples, n), p=w)
-    return u_at_counts(problem, occupancy(idx, len(w)), eval_cap)
+    return u_at_counts(problem, occupancy(idx, len(w)))
 
 
 def mc_gap_values(table, n_samples, seed):

@@ -229,9 +229,15 @@ class TestConfigHandling:
         ("normal-limit-demo", {}, {"--count": "3"}, "--count is not read by normal-limit-demo"),
         ("verify", {}, {"--cap": "5"}, "--cap is not read by verify"),
         ("verify", {}, {"cap": 10_000_000}, "--cap is not read by verify"),
-        # the dense path keeps its own cap, so a --cap that would admit 4^12 is refused
+        # a product space holds at most 10^7 configurations, which --cap does not
+        # reach: a --cap that would admit 4^12 is refused, and so is the space
         ("bounds-table", {"n_axes": [12, 12], "axis_size": [4, 4]}, {"--cap": "20000000"},
          "--cap is not read by bounds-table"),
+        ("bounds-table", {"n_axes": [12, 12], "axis_size": [4, 4]}, {},
+         "16777216 configurations exceed the cap of 10000000"),
+        # a seed outside 64 bits, which the streams would wrap
+        ("rls", {}, {"--seed": "-1"}, "seed must be in 0..2^64-1, got -1"),
+        ("verify", {}, {"seed": 1 << 64}, "seed must be in 0..2^64-1, got 18446744073709551616"),
     ]
     PROBLEM = {"dim": 1, "lambda": 0.5, "n": 8, "population": [{"x": [0.9], "y": 0.8, "p": 1.0}]}
 
@@ -251,6 +257,23 @@ class TestConfigHandling:
         assert text in err, err
         if problem:
             assert "bad rls problem document" in err, err
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(["bounds-table", "--count", "1", "--seed", str((1 << 64) - 1)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, runner", [
+        ("verify", "run_property_suite"), ("bounds-table", "tail_curve"),
+    ])
+    def test_out_of_memory_hint_only_where_cap_is_read(self, command, runner, monkeypatch, capsys):
+        # both commands refuse --cap, so the out-of-memory line must not advise it
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, runner, exhausted)
+        assert main([command, "--count", "1"]) == 2
+        err = assert_one_config_error(capsys)
+        assert err == "config error: out of memory (Unable to allocate 74.5 GiB for an array)\n"
 
     @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
     def test_unwritable_out_is_one_config_error(self, tmp_path, capsys, missing_dir):

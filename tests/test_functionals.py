@@ -19,6 +19,7 @@ from conftest import (
     uniform_space,
 )
 from interaction_bounds import functionals
+from interaction_bounds import space as space_module
 from interaction_bounds.bounds import bias_second_difference_bound, bound_ingredients
 from interaction_bounds.functionals import (
     GibbsState,
@@ -252,17 +253,19 @@ class TestInteractionReport:
         with pytest.raises(ValueError, match="chain violated"):
             InteractionReport(j=1.0, j_mu=1.0 + 2e-10, crude=3.0, scale=0.5)
 
-    def test_cap_exceeded_raises(self):
+    def test_cap_exceeded_raises(self, monkeypatch):
+        # The cap is the space's: an 18-configuration table cannot be built
+        # under a cap of 17, and at 18 the functionals run as without it.
+        want = interaction_report(random_table((3, 3, 2), seed=100))
+        monkeypatch.setattr(space_module, "DEFAULT_CAP", 17)
+        with pytest.raises(CapacityError, match="^18 configurations exceed the cap of 17$"):
+            random_table((3, 3, 2), seed=100)
+        monkeypatch.setattr(space_module, "DEFAULT_CAP", 18)
         f = random_table((3, 3, 2), seed=100)
-        for functional in (
-            interaction_report,
-            weighted_interaction,
-            interaction,
-            oracles.crude_interaction_bound,
-        ):
-            with pytest.raises(CapacityError, match="cap of 17"):
-                functional(f, cap=17)
-        assert interaction_report(f, cap=18) == interaction_report(f)
+        assert interaction_report(f) == want
+        assert (weighted_interaction(f), interaction(f)) == (want.j_mu, want.j)
+        with pytest.raises(CapacityError, match="cap of 17"):
+            oracles.crude_interaction_bound(f, cap=17)
 
 
 class TestGibbs:
@@ -418,10 +421,12 @@ class TestHerbst:
             return entropy(*args)
 
         monkeypatch.setattr(functionals, "entropy", counting)
+        monkeypatch.setattr(functionals, "DEFAULT_CAP", 4 * order - 1)
         with pytest.raises(CapacityError, match=f"cap of {4 * order - 1}"):
-            herbst_log_mgf(f, 1.0, cap=4 * order - 1)
+            herbst_log_mgf(f, 1.0)
         assert calls == []
-        herbst_log_mgf(f, 1.0, cap=4 * order)
+        monkeypatch.setattr(functionals, "DEFAULT_CAP", 4 * order)
+        herbst_log_mgf(f, 1.0)
         assert len(calls) == order
 
     def test_rejects_nonpositive_beta(self):

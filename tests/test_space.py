@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import math
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from interaction_bounds import bounds, functionals, harness, operators, ustat
 from interaction_bounds import space as space_module
 from conftest import (
     coordinate_product,
@@ -80,6 +82,33 @@ class TestCachedGeometry:
         assert space.n == len(space.axes)
         assert space.shape == tuple(len(a.weights) for a in space.axes)
         assert space.size == math.prod(space.shape) == f.values.size
+
+
+class TestCapacity:
+    def test_space_over_the_cap_is_refused_when_built(self, monkeypatch):
+        monkeypatch.setattr(space_module, "DEFAULT_CAP", 63)
+        assert FiniteProductSpace.uniform([3, 3, 7]).size == 63
+        with pytest.raises(CapacityError, match="^64 configurations exceed the cap of 63$"):
+            FiniteProductSpace.uniform([4, 4, 4])
+
+    @pytest.mark.parametrize(
+        "module", [space_module, operators, functionals, bounds, harness, ustat],
+        ids=lambda module: module.__name__.rsplit(".", 1)[1],
+    )
+    def test_no_public_callable_takes_a_cap(self, module):
+        # The space holds the one dense cap, and the kernel-term budget is a constant.
+        public = [
+            obj for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+            and callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception))
+        ]
+        methods = [
+            meth for cls in public if inspect.isclass(cls)
+            for name, meth in vars(cls).items() if not name.startswith("_") and inspect.isfunction(meth)
+        ]
+        assert public
+        for fn in public + methods:
+            assert not {"cap", "eval_cap"} & set(inspect.signature(fn).parameters), fn
 
 
 class TestEnumeration:

@@ -379,15 +379,16 @@ class TestSampling:
         assert got == oracles.mc_tails_of(np.abs(values - center), t_values)
         assert got[-1] == (0.0, 0.0)
 
-    def test_kernel_terms_of_a_whole_sample(self):
+    def test_kernel_terms_of_a_whole_sample(self, monkeypatch):
         # 70 multisets of 4 of 5 points: u_at_counts' cap text, before any row is formed
         p = problem(mean_kernel(4), FiniteAxis.uniform(5), (-1.0, -0.5, 0.0, 0.5, 1.0))
         check_kernel_terms(p, 142_857)
         text = "^10000060 kernel terms exceed the cap of 10000000$"
         with pytest.raises(CapacityError, match=text):
             check_kernel_terms(p, 142_858)
+        monkeypatch.setattr(usmod, "DEFAULT_EVAL_CAP", 209)
         with pytest.raises(CapacityError, match="^210 kernel terms exceed the cap of 209$"):
-            u_at_counts(p, multisets(5, 5)[:3], eval_cap=209)
+            u_at_counts(p, multisets(5, 5)[:3])
 
 
 def _tabulated_quadratic(points):
@@ -447,12 +448,14 @@ class TestCountsEvaluator:
         with pytest.raises(ValueError, match="outside"):
             problem(wild).sigma1sq
 
-    def test_term_cap_names_the_cap(self):
+    def test_term_cap_names_the_cap(self, monkeypatch):
         p = problem(mean_kernel(2), WEIGHTED_AXIS, WEIGHTED_POINTS)
         counts = multisets(5, 3)
-        assert len(u_at_counts(p, counts, eval_cap=21 * 6)) == 21
+        monkeypatch.setattr(usmod, "DEFAULT_EVAL_CAP", 21 * 6)
+        assert len(u_at_counts(p, counts)) == 21
+        monkeypatch.setattr(usmod, "DEFAULT_EVAL_CAP", 125)
         with pytest.raises(CapacityError, match="cap of 125"):
-            u_at_counts(p, counts, eval_cap=125)
+            u_at_counts(p, counts)
 
     def test_rows_must_hold_n_draws(self):
         # one sample size n > m for every row

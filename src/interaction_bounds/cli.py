@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -311,12 +310,13 @@ def cmd_rls(config: RunConfig) -> int:
         population, n, lam, p["replications"], seed=derive_seed(config.seed, 0xA2)
     )
     rows.append(["scv", "empirical_scv", lam, "", scv_mean, scv_err, "", ""])
-    # One multiset table, and one gap table and its ingredients per distinct
-    # lambda, shared by every section below.
+    # One multiset table, shared by every section below, and the ingredients
+    # of each distinct lambda.  Only the main lambda's gap table, which the
+    # tail curve reads, is kept.
     multiset_table = MultisetTable(population.probs, n, config.cap)
-    gap_table = functools.cache(functools.partial(rlsmod.GapTable, population, multiset_table))
-    measured_at = functools.cache(lambda at: multiset_table.ingredients(gap_table(at).gaps))
-    table, measured = gap_table(lam), measured_at(lam)
+    table = rlsmod.GapTable(population, multiset_table, lam)
+    measured_at = {lam: multiset_table.ingredients(table.gaps)}
+    measured = measured_at[lam]
     for key, name in _RLS_INGREDIENTS.items():
         rows.append(["scv", key, lam, "", measured[name], "", "", ""])
 
@@ -336,7 +336,10 @@ def cmd_rls(config: RunConfig) -> int:
             rows.append(["bound_curve", "tail", lam, t, tail, stderr, bound_c, bound_measured])
 
     for lam_s in p["lambda_sweep"]:
-        m_s = measured_at(lam_s)
+        if lam_s not in measured_at:
+            gaps = rlsmod.GapTable(population, multiset_table, lam_s).gaps
+            measured_at[lam_s] = multiset_table.ingredients(gaps)
+        m_s = measured_at[lam_s]
         for key, name in reversed(_RLS_INGREDIENTS.items()):
             rows.append(["lambda_sweep", key, lam_s, "", m_s[name], "", "", ""])
 

@@ -16,6 +16,12 @@ term of one coordinate depends only on the multiset of the other ``n - 1``
 draws, and a term of a coordinate pair on that of the other ``n - 2``.  ``mc_tails``
 estimates tails from seeded samples, one block at a time, where the
 multisets exceed the cap.
+
+Every per-sample path (``mc_tails``' draws, the rows ``multiset_probabilities``
+turns into Python ints, and in ``rls`` the samples of a gap table, of
+``sample_gaps`` and of ``empirical_scv``) works on blocks of at most
+``BLOCK_POINTS`` sample points, ``block_rows(width)`` rows of ``width``
+points each, so its working memory does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -29,10 +35,15 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .functionals import _largest_second_differences
-from .space import DEFAULT_CAP, CapacityError, fsum
+from .space import DEFAULT_CAP, CapacityError, fsum, fsum_rows
 
-#: Samples drawn, evaluated and counted at a time by ``mc_tails``.
-MC_BLOCK = 8192
+#: Sample points per block of every per-sample path (see the module doc).
+BLOCK_POINTS = 1 << 14
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` sample points in one block of ``BLOCK_POINTS``; at least one."""
+    return max(1, BLOCK_POINTS // width)
 
 
 def multiset_count(n: int, s: int) -> int:
@@ -65,7 +76,7 @@ def multiset_probabilities(counts: np.ndarray, probs: Sequence[float]) -> np.nda
     arithmetic overflows or ends below the normal range (large samples) is
     recomputed from mantissa-exponent pairs, in which nothing overflows or
     underflows before the final ``ldexp``.  The rows become Python lists
-    ``MC_BLOCK`` at a time.
+    one block of ``block_rows(s)`` rows at a time.
     """
     p = [float(x) for x in probs]
     counts = np.asarray(counts)
@@ -90,7 +101,8 @@ def _multinomials(counts: np.ndarray) -> Iterator[tuple[list[int], int]]:
     """
     prev: list[int] = []
     weight = 1
-    blocks = (counts[i : i + MC_BLOCK].tolist() for i in range(0, len(counts), MC_BLOCK))
+    step = block_rows(counts.shape[-1])
+    blocks = (counts[i : i + step].tolist() for i in range(0, len(counts), step))
     for row in itertools.chain.from_iterable(blocks):
         if sum(row) != sum(prev) or not prev:
             weight = math.factorial(sum(row))
@@ -147,7 +159,7 @@ def mc_tails(
     """Monte Carlo ``Pr{deviation > t}`` and its standard error, for each ``t``.
 
     ``rng.choice`` draws ``samples`` samples of ``n`` points of ``probs``,
-    ``MC_BLOCK`` rows at a time, and ``deviation`` maps a block's
+    ``block_rows(n)`` samples at a time, and ``deviation`` maps a block's
     ``occupancy`` rows to one finite value each.  Memory is one block, time
     linear in ``samples``; the draws are those of one ``rng.choice`` call and
     each tail is the exact hit count over ``samples``, so the result is bit
@@ -155,8 +167,9 @@ def mc_tails(
     """
     s, t = len(probs), np.asarray(t_values, dtype=np.float64)
     hits = np.zeros(len(t), dtype=np.int64)
-    for start in range(0, samples, MC_BLOCK):
-        rows = min(MC_BLOCK, samples - start)
+    step = block_rows(n)
+    for start in range(0, samples, step):
+        rows = min(step, samples - start)
         d = np.sort(deviation(occupancy(rng.choice(s, size=(rows, n), p=probs), s)))
         hits += rows - np.searchsorted(d, t, side="right")
     tails = [h / samples for h in hits.tolist()]
@@ -220,9 +233,9 @@ class MultisetTable:
         """Exact mean of a symmetric function with ``values[r]`` on count row ``r``."""
         return fsum(self.probs * values)
 
-    def samples(self) -> np.ndarray:
-        """The point indices of each count row's sample in base order, one row each."""
-        counts = self.counts
+    def samples(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Point indices of the sample of each count row in ``[start, stop)``, in base order."""
+        counts = self.counts[start:stop]
         points = np.tile(np.arange(counts.shape[1]), len(counts))
         return np.repeat(points, counts.ravel()).reshape(len(counts), self.n)
 
@@ -273,7 +286,10 @@ class MultisetTable:
                 d = vals[:, y] - vals[:, y2]
                 acc += p[y] * p[y2] * d * d
         e_scv = n * fsum(rest_probs * 0.5 * acc)
-        cond_mean = np.array([math.fsum(row) for row in (p * vals).tolist()])
+        step = block_rows(s)
+        cond_mean = np.concatenate(
+            [fsum_rows(p * vals[i : i + step]) for i in range(0, len(vals), step)]
+        )
         centred = vals - cond_mean[:, None]
 
         # [y, z, q]: f at (n-2)-multiset q plus points y and z, C-contiguous.

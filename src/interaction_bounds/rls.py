@@ -26,7 +26,9 @@ range, and interaction inputs for tail bounds on the centered gap, and
 
 Every family of problems (the lattice of a derivative check, the multisets of
 a gap table, the replaced samples of ``empirical_scv``) is solved as a stack
-by ``solve_stack``, not one problem at a time.  Its factorization is scipy's
+by ``solve_stack``, not one problem at a time; the samples of a gap table, of
+``sample_gaps`` and of ``empirical_scv`` go in stacks of at most
+``exchangeable.BLOCK_POINTS`` sample points.  Its factorization is scipy's
 own LAPACK ``dpotrf``/``dpotrs``.  Their extension module,
 ``scipy.linalg._flapack``, is loaded on the first solve without running
 ``scipy.linalg``'s package init, so commands that solve nothing load no scipy
@@ -45,14 +47,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exchangeable import MultisetTable, occupancy, rank
+from .exchangeable import MultisetTable, block_rows, occupancy, rank
 from .rng import substream
-from .space import _integer, fsum
+from .space import _integer, fsum, fsum_rows
 
 _NORM_SLACK = 1e-12
-
-#: Samples per ``solve_stack`` call in ``sample_gaps``; bounds its working memory.
-_GAP_BLOCK = 4096
 
 #: Relative allowance on each derivative envelope for finite-difference truncation.
 _REL_TOL = 1e-3
@@ -197,15 +196,20 @@ def solve_stack(xs: np.ndarray, ys: np.ndarray, lam: float) -> RlsSolution:
     system = gram + lam * np.eye(d)
     if not (np.isfinite(system).all() and np.isfinite(moment).all()):
         raise ValueError("array must not contain infs or NaNs")
-    w = np.empty_like(moment)
-    for b in range(len(w)):
-        factor, info = dpotrf(system[b], lower=1, clean=0)
+    # Per system dpotrf(a, lower=1, clean=0, overwrite_a=1) and dpotrs(factor,
+    # b, lower=1, overwrite_b=1), with the flags passed by position, on
+    # Fortran-ordered copies of the systems and on the rows of w: the
+    # routines work in place, and no call parses keywords or copies an argument.
+    factors = np.swapaxes(system, 1, 2).copy().swapaxes(1, 2)
+    w = moment.copy()
+    for a, rhs in zip(factors, w):
+        factor, info = dpotrf(a, 1, 0, 1)
         if info != 0:  # pragma: no cover - lam > 0 prevents this
             raise SolverError(
                 f"factorization failed: {info}-th leading minor of the array is not "
                 "positive definite"
             )
-        w[b], _ = dpotrs(factor, moment[b], lower=1)
+        dpotrs(factor, rhs, 1, 1)
     residual_vec = (system @ w[..., None])[..., 0] - moment
     scale = _norms(moment)
     residual = np.divide(_norms(residual_vec), scale, out=np.zeros_like(scale), where=scale > 0.0)
@@ -275,19 +279,18 @@ def true_risk(solution: RlsSolution, population: Population) -> float:
     return fsum(population.probs * r * r)
 
 
-def _gap_stack(xs: np.ndarray, ys: np.ndarray, lam: float, population: Population) -> np.ndarray:
-    """``true_risk - empirical_risk`` of each solution of ``solve_stack(xs, ys, lam)``.
+def _gap_stack(population: Population, samples: np.ndarray, lam: float) -> np.ndarray:
+    """``true_risk - empirical_risk`` of the solution of each sample, one per row of atom indices.
 
-    Stacked matrix-vector products and one exactly rounded sum per risk, so
-    each gap equals that of its problem solved alone.
+    One ``solve_stack`` call, stacked matrix-vector products, and one exactly
+    rounded sum per risk (``fsum_rows``), so each gap equals that of its
+    problem solved alone.
     """
+    xs, ys = np.take(population.xs, samples, axis=0), np.take(population.ys, samples)
     w = solve_stack(xs, ys, lam).w[..., None]
     r_true = (population.xs @ w)[..., 0] - population.ys
     r_emp = (xs @ w)[..., 0] - ys
-    true_terms = (population.probs * r_true * r_true).tolist()
-    emp_terms = (r_emp * r_emp).tolist()
-    n = xs.shape[1]
-    return np.array([math.fsum(t) - math.fsum(e) / n for t, e in zip(true_terms, emp_terms)])
+    return fsum_rows(population.probs * r_true * r_true) - fsum_rows(r_emp * r_emp) / xs.shape[1]
 
 
 def sample_gaps(population: Population, samples: np.ndarray, lam: float) -> np.ndarray:
@@ -295,14 +298,14 @@ def sample_gaps(population: Population, samples: np.ndarray, lam: float) -> np.n
 
     The atoms stay in the order given, and each gap equals ``true_risk -
     empirical_risk`` of ``solve`` on that sample alone, bit for bit.  Samples
-    are solved in stacks of at most ``_GAP_BLOCK``.
+    are solved in stacks of ``block_rows(n)``, at most
+    ``exchangeable.BLOCK_POINTS`` sample points.
     """
     samples = np.asarray(samples)
     flat = samples.reshape(-1, samples.shape[-1])
-    gaps = [
-        _gap_stack(population.xs[block], population.ys[block], lam, population)
-        for block in np.split(flat, range(_GAP_BLOCK, len(flat), _GAP_BLOCK))
-    ]
+    step = block_rows(flat.shape[1])
+    blocks = np.split(flat, range(step, len(flat), step))
+    gaps = [_gap_stack(population, block, lam) for block in blocks]
     return np.concatenate(gaps).reshape(samples.shape[:-1])
 
 
@@ -479,7 +482,9 @@ class GapTable:
     counts (``exchangeable``): ``gaps[r]`` is the gap of the sample holding
     the atoms of row ``r`` of ``table.counts`` in index order.  ``table`` is
     the ``exchangeable.MultisetTable`` of the population's atom probabilities,
-    which the gaps at every ``lam`` share.
+    which the gaps at every ``lam`` share.  The count rows are expanded into
+    samples and solved one block of ``block_rows(n)`` rows at a time, so the
+    working memory is one block of sample points, not the whole table's.
     """
 
     def __init__(self, population: Population, table: MultisetTable, lam: float) -> None:
@@ -487,7 +492,11 @@ class GapTable:
             raise ValueError("the multiset table is not of the population's atom probabilities")
         self.population = population
         self.table = table
-        self.gaps = sample_gaps(population, table.samples(), lam)
+        step = block_rows(table.n)
+        self.gaps = np.concatenate([
+            _gap_stack(population, table.samples(start, start + step), lam)
+            for start in range(0, len(table.counts), step)
+        ])
 
     def value(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Gap of each sample given by atom indices along the last axis, in any order."""
@@ -525,32 +534,48 @@ def empirical_scv(
     ``(1/2) (gap difference under the two replacements)^2`` over coordinates.
     Deterministic in ``seed``: replication ``r`` uses stream ``(seed, r)``,
     first for the sample and then for all its replacements, ordered by
-    coordinate and side; results aggregate in replication order.  Every
-    distinct replaced sample is solved once, all in one ``sample_gaps`` call.
-    Returns (mean, stderr).
+    coordinate and side; results aggregate in replication order.  The
+    replications run in blocks of ``block_rows(2 n^2)``, at most
+    ``exchangeable.BLOCK_POINTS`` replaced sample points; every distinct
+    replaced sample of a block is solved once, in one ``sample_gaps`` call,
+    and the sums over coordinates are column operations in coordinate order,
+    with the arithmetic of a loop over Python floats.  Returns (mean, stderr).
     """
     if replications < 2:
         raise ValueError("need at least two replications")
     size, probs = population.size, population.probs
-    bases, swaps = [], []
-    for r in range(replications):
-        rng = substream(seed, 0xE5, r)
-        bases.append(rng.choice(size, size=n, p=probs))
-        swaps.append(rng.choice(size, size=(n, 2), p=probs))
     # replaced[r, k, a] is sample r with point k replaced by swap (k, a).
     on_k = np.eye(n, dtype=bool)[:, None, :]
-    replaced = np.where(on_k, np.array(swaps)[..., None], np.array(bases)[:, None, None, :])
-    distinct, inverse = np.unique(replaced.reshape(-1, n), axis=0, return_inverse=True)
-    gaps = sample_gaps(population, distinct, lam)[inverse.ravel()].reshape(replaced.shape[:-1])
-    values = []
-    for per_sample in gaps.tolist():
-        total = 0.0
-        for fa, fb in per_sample:
-            total += 0.5 * (fa - fb) ** 2
-        values.append(total)
-    mean = math.fsum(values) / replications
-    var = math.fsum((v - mean) ** 2 for v in values) / (replications - 1)
+    step = block_rows(2 * n * n)
+    values = np.empty(replications)
+    for start in range(0, replications, step):
+        bases, swaps = [], []
+        for r in range(start, min(start + step, replications)):
+            rng = substream(seed, 0xE5, r)
+            bases.append(rng.choice(size, size=n, p=probs))
+            swaps.append(rng.choice(size, size=(n, 2), p=probs))
+        replaced = np.where(on_k, np.array(swaps)[..., None], np.array(bases)[:, None, None, :])
+        distinct, inverse = np.unique(replaced.reshape(-1, n), axis=0, return_inverse=True)
+        gaps = sample_gaps(population, distinct, lam)[inverse.ravel()].reshape(replaced.shape[:-1])
+        halves = 0.5 * _python_squares(gaps[..., 0] - gaps[..., 1])
+        total = np.zeros(len(halves))
+        for k in range(n):
+            total += halves[:, k]
+        values[start : start + len(total)] = total
+    mean = fsum(values) / replications
+    var = fsum(_python_squares(values - mean)) / (replications - 1)
     return mean, math.sqrt(var / replications)
+
+
+def _python_squares(x: np.ndarray) -> np.ndarray:
+    """Python's ``v ** 2`` of each element, bit for bit.
+
+    That is C's ``pow(v, 2)``, which is not always the correctly rounded
+    ``v * v`` of ``np.square`` (the two differed on about 1 in 1,000 random
+    doubles under glibc 2.36), so each element goes through the float's own
+    ``__pow__``.
+    """
+    return np.power(x.astype(object), 2).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ integers per binary exponent rounded once, in chunks of 2^16 terms; a
 shorter or non-float64 input, or one with a non-finite term or a risk of
 overflow, goes to ``math.fsum`` as a list of Python floats.  ``expectation``
 and ``variance`` form their terms one such chunk at a time, with the same
-bits as ``fsum`` of the whole table of terms.
+bits as ``fsum`` of the whole table of terms.  ``fsum_rows`` gives
+``math.fsum`` of every row of an array at once, for the many short sums of
+the per-sample paths.
 
 All types are immutable after construction and all operations are pure, so
 evaluation over disjoint configuration ranges may run in parallel as long as
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -148,6 +150,67 @@ def _exact_blocks(blocks: Iterable[np.ndarray], limit: float) -> float | None:
     return float(total << power) if power >= 0 else total / (1 << -power)
 
 
+def fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-d float64 array, bit for bit.
+
+    Rump, Ogita and Oishi's error-free extraction ("Accurate floating-point
+    summation", 2008) splits each term of a row as ``p = q + p'``, with
+    ``q = (sigma + p) - sigma`` for a power of two ``sigma >= (width + 2)
+    max|p|``: the ``q`` are multiples of ``sigma * 2^-53`` whose sum is exact
+    in float64, and ``|p'| <= sigma * 2^-53``.  Two extractions leave the
+    row's exact sum as ``tau1 + tau2 + sum p''``.  TwoSum (Knuth) rounds
+    ``tau1 + tau2`` once to ``r``, with exact remainder ``t``.  If every
+    ``p''`` is 0, ``r`` is the correct rounding, ties to even included.
+    Otherwise ``fl(sum p'')`` is off by at most ``delta = width * 2^-52 *
+    fl(sum |p''|)`` in any order of summation, so the exact sum lies within
+    ``|t + fl(sum p'')|`` (plus its rounding error) plus ``delta`` of ``r``,
+    and ``r`` is the correct rounding when that stays, with a factor of two
+    to spare, inside half the gap from ``r`` to its neighbour towards zero.
+    A row that fails this, sums to 0 (whose sign is ``math.fsum``'s), holds a
+    term that is not finite, or has ``width * max|p| >= 2^1000`` (so nothing
+    overflows) or ``max|p| <= 2^-900`` goes to ``math.fsum`` on its own.  A
+    row of no terms sums to 0.0.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    count, width = rows.shape
+    if width == 0 or count == 0:
+        return np.zeros(count)
+    # One column per row, so that every reduction runs across rows.
+    rest = np.array(rows.T, order="C")
+    # Rows that overflow or hold a nan or an infinity go to math.fsum below.
+    with np.errstate(all="ignore"):
+        top = np.abs(rest).max(axis=0)
+        tau = [_extract(rest, top), _extract(rest, np.abs(rest).max(axis=0))]
+        c = rest.sum(axis=0)
+        mag = np.abs(rest, out=rest).sum(axis=0)
+        delta = mag * (width * 2.0**-52) + np.where(mag > 0.0, 2.0**-1074, 0.0)
+        r = tau[0] + tau[1]
+        back = r - tau[0]
+        d = ((tau[0] - (r - back)) + (tau[1] - back)) + c
+        size, d = np.abs(r), np.abs(d)
+        room = (size - np.nextafter(size, 0.0)) / 2.0 - d
+        sure = (
+            (2.0**-900 < top) & (top < _FSUM_SAFE / width) & (r != 0.0)
+            & ((mag == 0.0) | (2.0 * (delta + d * 2.0**-52) < room))
+        )
+    for i in np.flatnonzero(~sure).tolist():
+        r[i] = math.fsum(rows[i].tolist())
+    return r
+
+
+def _extract(cols: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rump's extraction along axis 0: the exact sums of the ``q``, leaving the ``p'`` in ``cols``.
+
+    ``scale`` bounds ``|p|`` in each column; ``sigma`` is the power of two
+    ``2^bit_length(width + 1) >= width + 2`` times the one at or above it.
+    """
+    sigma = np.ldexp(1.0, np.frexp(scale)[1] + (len(cols) + 1).bit_length())
+    q = cols + sigma
+    q -= sigma
+    cols -= q
+    return q.sum(axis=0)
+
+
 @dataclass(frozen=True)
 class FiniteAxis:
     """One coordinate of a product space: a finite set of weighted points.
@@ -201,10 +264,11 @@ class FiniteProductSpace:
     ``CapacityError`` when it is built, so every dense table over a space,
     and every exact enumeration of one, stays within the cap.
 
-    ``n``, ``shape``, ``size`` and the hash are computed once per instance:
-    operators on small tables read them many times per call.  They live in
-    the instance ``__dict__``, outside the fields, so equality still compares
-    the axes alone.
+    ``n``, ``shape``, ``size``, the hash and the weight table are computed
+    once per instance: operators on small tables read them many times per
+    call.  They live in the instance ``__dict__``, outside the fields, so
+    equality still compares the axes alone, and the weight table dies with
+    its space.
     """
 
     axes: tuple[FiniteAxis, ...]
@@ -256,16 +320,42 @@ class FiniteProductSpace:
         return y
 
     def weight_table(self) -> np.ndarray:
-        """Dense table of the product measure, one weight per configuration."""
+        """Dense table of the product measure, one weight per configuration, read-only.
+
+        Built on the first call and held by the space, as ``shape`` and
+        ``size`` are, so it lives as long as the space and no longer.
+        """
         return _weight_table(self)
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        table = reduce(np.multiply.outer, (a.weight_array() for a in self.axes))
+        table = np.asarray(table, dtype=np.float64).reshape(self.shape)
+        table.flags.writeable = False
+        return table
 
-@lru_cache(maxsize=128)
-def _weight_table(space: FiniteProductSpace) -> np.ndarray:
-    table = reduce(np.multiply.outer, (a.weight_array() for a in space.axes))
-    table = np.asarray(table, dtype=np.float64).reshape(space.shape)
-    table.flags.writeable = False
-    return table
+
+class _HeldWeightTables:
+    """Reads the weight table a space holds, and counts the reads.
+
+    ``cache_info()`` reports them in the fields of ``functools.lru_cache``'s:
+    ``hits`` found the table built, ``misses`` built it.
+    """
+
+    hits = misses = 0
+
+    def __call__(self, space: FiniteProductSpace) -> np.ndarray:
+        if "_weights" in vars(space):
+            self.hits += 1
+        else:
+            self.misses += 1
+        return space._weights
+
+    def cache_info(self) -> "_HeldWeightTables":
+        return self
+
+
+_weight_table = _HeldWeightTables()
 
 
 @dataclass(frozen=True, eq=False)

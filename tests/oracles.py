@@ -29,7 +29,9 @@ the whole-table helpers that only tests read (``enumerate_configurations``,
 ``_constant_along``, ``_interaction_tables`` and ``gibbs``.  The
 ``*_table_formula`` references form every term of a mean or variance as one
 table and sum it with ``math.fsum``, the form the blocked library sums must
-reproduce bit for bit.
+reproduce bit for bit.  ``row_fsums`` and ``rls_gap_stack_rows`` sum each row
+or risk with ``math.fsum`` over a Python list, the per-row form that
+``space.fsum_rows`` and ``rls._gap_stack`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from interaction_bounds.rls import (
     RlsProblem,
     RlsSolution,
     empirical_risk,
+    solve_stack,
     true_risk,
 )
 from interaction_bounds.rng import substream
@@ -731,6 +734,23 @@ def rls_gap_table_rows(population, n, lam):
             rls_gap(RlsProblem(xs=population.xs[idx], ys=population.ys[idx], lam=lam), population)
         )
     return np.array(gaps)
+
+
+def row_fsums(rows):
+    """``math.fsum`` of each row of a 2-d array, one list of Python floats per row."""
+    return np.array([math.fsum(row) for row in np.asarray(rows).tolist()], dtype=np.float64)
+
+
+def rls_gap_stack_rows(population, samples, lam):
+    """The gap of each sample of atom indices, one ``math.fsum`` per risk and sample."""
+    xs, ys = population.xs[samples], population.ys[samples]
+    w = solve_stack(xs, ys, lam).w[..., None]
+    r_true = (population.xs @ w)[..., 0] - population.ys
+    r_emp = (xs @ w)[..., 0] - ys
+    true_terms = (population.probs * r_true * r_true).tolist()
+    emp_terms = (r_emp * r_emp).tolist()
+    n = xs.shape[1]
+    return np.array([math.fsum(t) - math.fsum(e) / n for t, e in zip(true_terms, emp_terms)])
 
 
 def rls_empirical_scv(draw_problem, population, replications, seed, pairs_per_coordinate=1):

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -416,7 +417,7 @@ def test_monte_carlo_sample_beyond_one_draw_runs_in_blocks(tmp_path):
     # Monte Carlo budget of 10^7 sample points allows: one rng.choice call
     # holds 76 MB of uniforms and 76 MB of indices at once, more than the
     # 272 MiB of address space here leave beside the interpreter (a one-shot
-    # draw fails below about 350 MiB); blocks of 8,192 samples fit.
+    # draw fails below about 350 MiB); blocks of 2^14 sample points fit.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"command": "rls", "params": {"mc_samples": 1_250_000}}))
     src = str(Path(interaction_bounds.__file__).resolve().parents[1])
@@ -429,6 +430,27 @@ def test_monte_carlo_sample_beyond_one_draw_runs_in_blocks(tmp_path):
     )
     assert done.returncode == 0 and done.stderr == "", done.stderr
     assert done.stdout.count("bound_curve,tail,") == 10
+
+
+def test_monte_carlo_cell_holds_one_block_of_sample_points(tmp_path):
+    # 2,000 samples of n = 5,000 points from 20 base points: drawn at once
+    # they are 76 MB of indices and as much again of uniforms, over the
+    # 200 MiB of address space here; blocks of 2^14 sample points fit.
+    base = np.linspace(-1.0, 1.0, 20).tolist()
+    params = {"kernel": "mean", "base_points": base, "m_values": [2], "n_values": [5000]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"command": "ustat", "params": params}))
+    src = str(Path(interaction_bounds.__file__).resolve().parents[1])
+    limit = 200 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "interaction_bounds.cli", "--config", str(config), "--format", "json"],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    rows = json.loads(done.stdout)["rows"]
+    assert rows and {row["tail_kind"] for row in rows} == {"mc"}
 
 
 def test_order_twelve_kernel_file_is_checked_in_seconds(tmp_path):
@@ -527,7 +549,7 @@ class TestUstatCommand:
         }
 
     def test_mc_fallback_tails_are_the_one_shot_tails(self, tmp_path, capsys):
-        samples = exchangeable.MC_BLOCK + 1
+        samples = exchangeable.block_rows(40) + 1
         params = {"m_values": [2], "n_values": [40], "t_values": [0.05, 0.1, 0.2, 0.5],
                   "mc_samples": samples}
         config = tmp_path / "cfg.json"
@@ -542,7 +564,7 @@ class TestUstatCommand:
 
     def test_mc_budget_counts_the_whole_sample_before_drawing(self, tmp_path, monkeypatch):
         # 142,858 samples times 70 kernel multisets exceed the 10^7 term budget,
-        # though every block of 8,192 samples would fit it
+        # though every block of 2^14 sample points would fit it
         def no_draws(*args):
             raise AssertionError("drew samples over the Monte Carlo budget")
 
@@ -807,7 +829,7 @@ class TestRlsCommand:
         assert {"summary", "derivative_check", "scv", "bound_curve"} <= sections
 
     def test_bound_curve_tails_are_the_one_shot_tails(self, tmp_path, capsys):
-        samples = 3 * exchangeable.MC_BLOCK + 1
+        samples = 3 * exchangeable.block_rows(8) + 1  # the demo problem has n = 8
         params = {"mc_samples": samples, "replications": 2, "lambda_sweep": []}
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"command": "rls", "seed": 3, "params": params}))
@@ -834,6 +856,22 @@ class TestRlsCommand:
         monkeypatch.setattr(exchangeable.MultisetTable, "ingredients", recording)
         assert main(["rls", "--cap", "50"]) == 0
         assert len(caps) == 9 and set(caps) == {50}
+
+    def test_sweep_keeps_only_the_main_gap_table(self, monkeypatch, capsys):
+        # the default run: the main lambda (0.5) and 8 more in the sweep; each
+        # sweep table is gone before the next one is built
+        alive = []
+        real = rls.GapTable
+
+        class Recording(real):
+            def __init__(self, *args):
+                assert sum(ref() is not None for ref in alive) <= 1
+                super().__init__(*args)
+                alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(rls, "GapTable", Recording)
+        assert main(["rls"]) == 0
+        assert len(alive) == 9
 
     def test_one_multiset_table_for_every_lambda(self, monkeypatch, capsys):
         # the default run: 9 distinct lambdas, lambda = 0.5 among them

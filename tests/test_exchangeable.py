@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from interaction_bounds import bounds, exchangeable
 from interaction_bounds.exchangeable import (
-    MC_BLOCK,
     MultisetTable,
+    block_rows,
     mc_tails,
     multiset_count,
     multiset_probabilities,
@@ -135,9 +135,9 @@ def test_occupancy_of_samples():
     assert occupancy(samples[0, 0], 4).tolist() == want[0][0]
 
 
-@pytest.mark.parametrize("samples", [100, 2 * MC_BLOCK, 2 * MC_BLOCK + 1])
+@pytest.mark.parametrize("samples", [100, 2 * block_rows(7), 2 * block_rows(7) + 1])
 def test_monte_carlo_blocks_draw_the_one_shot_samples(samples):
-    probs = (0.2, 0.5, 0.3)
+    probs, rows = (0.2, 0.5, 0.3), block_rows(7)
     blocks = []
 
     def record(counts):
@@ -148,8 +148,8 @@ def test_monte_carlo_blocks_draw_the_one_shot_samples(samples):
         (1.0, 0.0),
         (0.0, 0.0),
     ]
-    assert [len(b) for b in blocks] == [MC_BLOCK] * (samples // MC_BLOCK) + (
-        [samples % MC_BLOCK] if samples % MC_BLOCK else []
+    assert [len(b) for b in blocks] == [rows] * (samples // rows) + (
+        [samples % rows] if samples % rows else []
     )
     draws = substream(5, 0xF0).choice(3, size=(samples, 7), p=probs)
     assert np.array_equal(np.concatenate(blocks), occupancy(draws, 3))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from interaction_bounds.bounds import main_bound
-from interaction_bounds.exchangeable import MC_BLOCK, MultisetTable, mc_tails, rank
+from interaction_bounds import exchangeable, rls
+from interaction_bounds.exchangeable import MultisetTable, block_rows, mc_tails, rank
 from interaction_bounds.rls import (
     GapTable,
     Population,
@@ -366,7 +367,7 @@ class TestGapDistribution:
             stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
             assert abs(mc - exact) <= 4.0 * stderr
 
-    @pytest.mark.parametrize("samples", [300, MC_BLOCK, 3 * MC_BLOCK + 1])
+    @pytest.mark.parametrize("samples", [300, block_rows(5), 3 * block_rows(5) + 1])
     def test_blocked_tails_are_the_one_shot_tails(self, samples):
         n, lam = 5, 0.3
         table = gap_table(PLANE_ATOM, n, lam)
@@ -383,7 +384,8 @@ class TestGapDistribution:
 
     def test_tail_memory_is_a_few_blocks(self):
         # 10^6 samples of n = 7 in one rng.choice call would hold 56 MB of
-        # uniforms and 56 MB of indices; blocks of 8,192 rows hold 0.46 MB each.
+        # uniforms and 56 MB of indices; blocks of BLOCK_POINTS sample points
+        # (2^14) hold 0.13 MB each.
         n, samples = 7, 10**6
         table = gap_table(PLANE_ATOM, n, 0.5)
         mean = table.table.mean(table.gaps)
@@ -503,7 +505,8 @@ class TestStackedSolvesMatchPerProblemLoops:
         assert got.to_json() == want.to_json()
 
     def test_sample_gaps_keep_sample_order_across_blocks(self, monkeypatch):
-        monkeypatch.setattr("interaction_bounds.rls._GAP_BLOCK", 7)
+        # stacks of 7 samples of 5 points
+        monkeypatch.setattr(exchangeable, "BLOCK_POINTS", 7 * 5)
         samples = np.random.default_rng(5).integers(0, 3, size=(4, 6, 5))
         got = sample_gaps(PLANE_ATOM, samples, 0.4)
         assert got.shape == (4, 6)
@@ -511,6 +514,55 @@ class TestStackedSolvesMatchPerProblemLoops:
             row = samples[idx]
             problem = RlsProblem(xs=PLANE_ATOM.xs[row], ys=PLANE_ATOM.ys[row], lam=0.4)
             assert got[idx] == oracles.rls_gap(problem, PLANE_ATOM)
+
+
+class TestBlocks:
+    """``exchangeable.BLOCK_POINTS`` sets the working memory of the per-sample paths, never a bit."""
+
+    # 1 point: one row per block; 70 points: 14 samples of 5 (21 multisets,
+    # 300 draws and 24 samples split unevenly) and 8 replications of n = 2
+    # (31 split unevenly); None: the default.
+    @pytest.mark.parametrize("points", [1, 70, None])
+    def test_block_size_moves_no_bit(self, points, monkeypatch):
+        if points is not None:
+            monkeypatch.setattr(exchangeable, "BLOCK_POINTS", points)
+        n, lam = 5, 0.3
+        table = gap_table(PLANE_ATOM, n, lam)
+        assert table.gaps.tobytes() == oracles.rls_gap_table_rows(PLANE_ATOM, n, lam).tobytes()
+
+        mean = table.table.mean(table.gaps)
+        t_values = np.linspace(-0.01, float(table.gaps.max()) - mean, 9).tolist()
+        got = mc_tails(
+            substream(6, 0xF0), PLANE_ATOM.probs, n, 300,
+            lambda counts: table.gaps[rank(counts)] - mean, t_values,
+        )
+        values = oracles.mc_gap_values(table, 300, seed=6)
+        assert got == oracles.mc_tails_of(values - mean, t_values)
+
+        samples = np.random.default_rng(5).integers(0, 3, size=(4, 6, n))
+        want = [oracles.rls_gap(RlsProblem(xs=PLANE_ATOM.xs[row], ys=PLANE_ATOM.ys[row], lam=lam),
+                                PLANE_ATOM) for row in samples.reshape(-1, n)]
+        assert sample_gaps(PLANE_ATOM, samples, lam).ravel().tolist() == want
+
+        want = oracles.rls_empirical_scv(population_sampler(PLANE_ATOM, 2, lam), PLANE_ATOM, 31, 8)
+        assert empirical_scv(PLANE_ATOM, 2, lam, 31, 8) == want
+
+    @given(DIMS, SIZES, st.integers(1, 4), LAMBDAS, SEEDS)
+    def test_gap_stack_is_one_fsum_per_risk(self, d, n, size, lam, seed):
+        rng = np.random.default_rng(seed)
+        population = random_population(rng, d, size)
+        samples = rng.integers(0, size, size=(int(rng.integers(1, 40)), n))
+        got = rls._gap_stack(population, samples, lam)
+        assert got.tobytes() == oracles.rls_gap_stack_rows(population, samples, lam).tobytes()
+
+    @given(DIMS, st.integers(2, 6), st.integers(2, 4), LAMBDAS, SEEDS)
+    def test_ingredients_take_one_fsum_per_conditional_mean(self, d, n, size, lam, seed):
+        population = random_population(np.random.default_rng(seed), d, size)
+        table = gap_table(population, n, lam)
+        got = ingredients(table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exchangeable, "fsum_rows", oracles.row_fsums)
+            assert ingredients(table) == got
 
 
 class TestJson:

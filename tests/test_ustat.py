@@ -13,7 +13,7 @@ import oracles
 from interaction_bounds import exchangeable
 from interaction_bounds import ustat as usmod
 from interaction_bounds.functionals import interaction
-from interaction_bounds.exchangeable import MC_BLOCK, mc_tails, multisets, occupancy, rank
+from interaction_bounds.exchangeable import block_rows, mc_tails, multisets, occupancy, rank
 from interaction_bounds.operators import cond_expectation
 from interaction_bounds.rng import substream
 from interaction_bounds.space import CapacityError, FiniteAxis, expectation, tail_probabilities
@@ -366,7 +366,7 @@ class TestSampling:
         stderr = math.sqrt(max(mc * (1 - mc), 1e-9) / len(values))
         assert abs(mc - exact) <= 4 * stderr
 
-    @pytest.mark.parametrize("samples", [50, MC_BLOCK + 1])
+    @pytest.mark.parametrize("samples", [50, block_rows(9) + 1])
     def test_blocked_tails_are_the_one_shot_tails(self, samples):
         p = problem(_tabulated_quadratic(WEIGHTED_POINTS), WEIGHTED_AXIS, WEIGHTED_POINTS)
         center = p.u_mean

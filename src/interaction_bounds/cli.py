@@ -13,8 +13,10 @@ Common flags: ``--config <json>``, ``--seed <u64>``, ``--out <path>``,
 mirrors the flags plus a per-command ``params`` block; flags override it.
 ``verify`` and ``bounds-table`` read ``--count`` and not ``--cap``; the other
 three read ``--cap`` and not ``--count``.
-``_SCHEMA`` declares each params field once (converter, default, allowed
-range), and ``RunConfig`` checks a config against it before dispatch.
+Each document the CLI takes (the run config, each command's params, the rls
+problem and the tabulated kernel) is a table of ``_Field``s, which declares
+each field once (converter, default, allowed range), and ``_read_fields``
+checks a document against its table before dispatch.
 
 Output is deterministic for a fixed config and seed: CSV carries a
 ``#schema=1`` comment line and every float is printed with 17 significant
@@ -37,7 +39,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -65,78 +67,32 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """One run, as ``_build_config`` reads it: every field checked and defaulted."""
+
     command: str
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    count: int | None = None
-    cap: int | None = None
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.command, str) or self.command not in _SCHEMA:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
-        if self.out is not None and not (isinstance(self.out, str) and self.out):
-            raise ConfigError(f"'out' must be a path string, got {self.out!r}")
-        if not isinstance(self.params, dict):
-            raise ConfigError("'params' must be an object")
-        schema = _SCHEMA[self.command]
-        given = [name for name in ("count", "cap") if getattr(self, name) is not None]
-        self.count = schema.count if self.count is None else self.count
-        self.cap = DEFAULT_CAP if self.cap is None else self.cap
-        try:
-            self.seed, self.cap, self.count = map(_integer, (self.seed, self.cap, self.count))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed, cap and count must be integers: {exc}") from exc
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
-        if self.count < 0:
-            raise ConfigError(f"count must be nonnegative, got {self.count}")
-        if self.cap < 1:
-            raise ConfigError(f"cap must be at least 1, got {self.cap}")
-        if ignored := [name for name in given if name not in schema.reads]:
-            raise ConfigError(f"--{ignored[0]} is not read by {self.command}")
-        self.params = _read_params(self.command, self.params, self.seed)
+    seed: int
+    out: str | None
+    format: str
+    count: int
+    cap: int
+    params: dict[str, Any]
 
 
-def _read_json(path: str, what: str, parse: Callable[[Any], Any] = lambda doc: doc) -> Any:
-    """The JSON document at ``path``, through ``parse``; a config error if either fails."""
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document at ``path``; a config error if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return parse(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad {what} document {path}: {exc}") from exc
-
-
-def _config_document(doc: Any) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError("config file must contain a JSON object")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(RunConfig)}
-    if unknown:
-        raise ValueError(f"unknown config field(s): {sorted(unknown)}")
-    return doc
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    doc = _read_json(args.config, "config", _config_document) if args.config else {}
-    command = args.command or doc.get("command")
-    if command is None:
-        raise ConfigError("no command given (flag or config 'command')")
-    return RunConfig(
-        command=command,
-        seed=args.seed if args.seed is not None else doc.get("seed", 0),
-        out=args.out if args.out is not None else doc.get("out"),
-        format=args.format if args.format is not None else doc.get("format", "csv"),
-        count=args.count if args.count is not None else doc.get("count"),
-        cap=args.cap if args.cap is not None else doc.get("cap"),
-        params={} if doc.get("params") is None else doc["params"],
-    )
+    """The run of ``args``: the flags given, over the config file's fields."""
+    doc = _read_json(args.config, "config") if args.config else {}
+    if isinstance(doc, dict):
+        doc = {**doc, **{k: v for k, v in vars(args).items() if v is not None and k != "config"}}
+    return _read_fields(doc, _CONFIG_FIELDS, "config", _run_config)
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +359,21 @@ def cmd_normal_limit_demo(config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Params schema
+# Document schemas: the run config, each command's params, the rls problem
+# and the tabulated kernel
 # ---------------------------------------------------------------------------
+
+
+#: The default of a field that a document must give.
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
 class _Field:
-    """One params field: converter, default, and allowed range of each entry.
+    """One document field: converter, default, and allowed range of each entry.
 
-    ``default`` is a value, or a function of the fields declared before it.  A
-    field whose default is null may be null.
+    ``default`` is a value, ``_REQUIRED``, or a function of the fields
+    declared before it.  A field whose default is null may be null.
     """
 
     convert: Callable[[Any], Any]
@@ -421,17 +382,50 @@ class _Field:
     rule: str = ""
 
     def read(self, name: str, value: Any) -> Any:
+        if value is _REQUIRED:
+            raise ValueError(f"{name} is required")
         if value is None and self.default is None:
             return None
         try:
             value = self.convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
         is_list = isinstance(value, tuple)
         for v in value if is_list else (value,):
             if not self.ok(v):
                 raise ValueError(f"{name}{' entries' * is_list} must be {self.rule}, got {v!r}")
         return value
+
+
+def _read_fields(
+    doc: Any, fields: dict[str, _Field], what: str, build: Callable[[dict], Any] = lambda d: d
+) -> Any:
+    """``build`` of the fields of ``doc``, a JSON object, read against ``fields``.
+
+    The one place where the CLI converts or checks an input value.  A key
+    not in ``fields`` is refused; each field, in table order, is converted,
+    range-checked and defaulted.  ``build`` checks across fields and makes
+    the objects that the library checks itself.  Any error is one
+    ``ConfigError`` that names ``what`` and the field.
+    """
+    try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected an object, got {type(doc).__name__}")
+        if unknown := sorted(set(doc) - set(fields)):
+            raise ValueError(f"unknown field(s) {unknown}")
+        read: dict[str, Any] = {}
+        for name, fld in fields.items():
+            value = doc.get(name, fld.default)
+            read[name] = fld.read(name, value(read) if callable(value) else value)
+        return build(read)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _real(value: Any) -> float:
@@ -473,33 +467,73 @@ _KERNELS = {
     "sign-agreement": "sign_agreement_kernel",
 }
 
-_DEMO_RLS = {
-    "dim": 1, "lambda": 0.5, "n": 8,
-    "population": [{"x": [0.9], "y": 0.8, "p": 0.5}, {"x": [-0.7], "y": -0.6, "p": 0.5}],
-}
-
 # Shared by verify and bounds-table; ``RandomInstanceSpec`` checks them.
 _INSTANCE_FIELDS = {
     "n_axes": _Field(_list_of(_integer, 2, 2), (2, 4)),
     "axis_size": _Field(_list_of(_integer, 2, 2), (2, 4)),
-    "values": _Field(str, "uniform"),
-    "weights": _Field(str, "uniform"),
+    "values": _Field(_text, "uniform"),
+    "weights": _Field(_text, "uniform"),
     "epsilon": _Field(_real, 0.1),
 }
 
 # Shared by ustat and normal-limit-demo; ``FiniteAxis`` checks the weights.
 _KERNEL_FIELDS = {
-    "kernel": _Field(str, "product", _KERNELS.__contains__, f"one of {sorted(_KERNELS)}"),
+    "kernel": _Field(_text, "product", _KERNELS.__contains__, f"one of {sorted(_KERNELS)}"),
     "base_points": _Field(_list_of(_real, 1), (-1.0, 1.0)),
     "base_weights": _Field(_list_of(_real, 1), None),
 }
 
+# The tabulated kernel document; ``ustat.tabulated_kernel`` checks the table.
+_KERNEL_DOCUMENT = {
+    "points": _Field(_list_of(_real, 1), _REQUIRED),
+    "table": _Field(_list_of(_real), _REQUIRED),
+    "m": _Field(_integer, _REQUIRED, *_at_least(2)),
+}
 
-def _instance_spec(p: dict, seed: int) -> None:
+# The rls problem document, whose atoms are read against ``_atom_fields``;
+# ``rls.Population`` checks the atoms together.
+_PROBLEM_DOCUMENT = {
+    "dim": _Field(_integer, _REQUIRED, *_at_least(1)),
+    "lambda": _Field(_real, _REQUIRED, *_between(0, 1)),
+    "n": _Field(_integer, _REQUIRED, *_at_least(2)),
+    "population": _Field(_list_of(lambda atom: atom, 1), _REQUIRED),
+}
+
+_DEMO_RLS = {
+    "dim": 1, "lambda": 0.5, "n": 8,
+    "population": [{"x": [0.9], "y": 0.8, "p": 0.5}, {"x": [-0.7], "y": -0.6, "p": 0.5}],
+}
+
+
+def _atom_fields(dim: int) -> dict[str, _Field]:
+    """The fields of one atom of an rls problem of dimension ``dim``."""
+    return {
+        "x": _Field(_list_of(_real, dim, dim), _REQUIRED),
+        "y": _Field(_real, _REQUIRED),
+        "p": _Field(_real, _REQUIRED),
+    }
+
+
+def _rls_problem(doc: Any, what: str) -> tuple[rlsmod.Population, int, float]:
+    """The population, ``n`` and ``lambda`` of the rls problem document ``doc``."""
+
+    def build(d: dict) -> tuple[rlsmod.Population, int, float]:
+        fields = _atom_fields(d["dim"])
+        atoms = [
+            _read_fields(atom, fields, f"{what}, atom {i}") for i, atom in enumerate(d["population"])
+        ]
+        population = rlsmod.Population(*(np.array([a[key] for a in atoms]) for key in "xyp"))
+        return population, d["n"], d["lambda"]
+
+    return _read_fields(doc, _PROBLEM_DOCUMENT, what, build)
+
+
+def _instance_spec(p: dict, seed: int) -> dict:
     p["spec"] = RandomInstanceSpec(**{k: p.pop(k) for k in _INSTANCE_FIELDS}, seed=seed)
+    return p
 
 
-def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
+def _kernel_and_base(p: dict, orders: Sequence[int]) -> dict:
     """Replace the kernel fields by ``p["axis"]`` and ``p["problems"]`` (order to problem).
 
     The problems built here, one per order, are the ones the command reuses,
@@ -507,7 +541,10 @@ def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
     """
     factory = getattr(usmod, _KERNELS[p.pop("kernel")])
     if path := p.pop("kernel_path", None):
-        kernel = _read_json(path, "kernel", usmod.kernel_from_json)
+        kernel = _read_fields(
+            _read_json(path, "kernel"), _KERNEL_DOCUMENT, f"kernel document {path!r}",
+            lambda k: usmod.tabulated_kernel(k["points"], k["table"], k["m"]),
+        )
         if any(m != kernel.m for m in orders):
             raise ValueError(f"kernel order {kernel.m} does not match m_values {orders}")
         factory = lambda m: kernel
@@ -520,17 +557,22 @@ def _kernel_and_base(p: dict, orders: Sequence[int]) -> None:
     for m in dict.fromkeys(orders):
         p["problems"][m] = problem = usmod.UStatProblem(factory(m), p["axis"], points)
         problem.u_mean
+    return p
 
 
-def _normal_limit_params(p: dict, seed: int) -> None:
+def _normal_limit_params(p: dict, seed: int) -> dict:
     _kernel_and_base(p, (p["m"],))
     if any(n <= p["m"] for n in p["n_values"]):
         raise ValueError(f"n_values {p['n_values']} must all exceed m = {p['m']}")
+    return p
 
 
-def _rls_params(p: dict, seed: int) -> None:
-    path, parse = p.pop("path"), rlsmod.rls_config_from_json
-    p["problem"] = _read_json(path, "rls problem", parse) if path else parse(_DEMO_RLS)
+def _rls_params(p: dict, seed: int) -> dict:
+    if path := p.pop("path"):
+        doc, what = _read_json(path, "rls problem"), f"rls problem document {path!r}"
+    else:
+        doc, what = _DEMO_RLS, "rls demo problem"
+    p["problem"] = _rls_problem(doc, what)
     # Refuse, before any solve or draw and against the budget of ustat's
     # Monte Carlo fallback, the sample points of the tail curve's samples of
     # n points, of the derivative lattice (14 perturbed samples of n points
@@ -547,6 +589,7 @@ def _rls_params(p: dict, seed: int) -> None:
                 f"{name} {p[name]} at n {n} is {points} sample points, "
                 f"over the budget of {budget}"
             )
+    return p
 
 
 @dataclass(frozen=True)
@@ -561,7 +604,7 @@ class _Command:
 
     run: Callable[[RunConfig], int]
     fields: dict[str, _Field]
-    build: Callable[[dict, int], None]
+    build: Callable[[dict, int], dict]
     count: int = 0
     reads: tuple[str, ...] = ()
 
@@ -576,14 +619,14 @@ _SCHEMA = {
     }, _instance_spec, count=200, reads=("count",)),
     "ustat": _Command(cmd_ustat, {
         **_KERNEL_FIELDS,
-        "kernel_path": _Field(str, None),
+        "kernel_path": _Field(_text, None),
         "m_values": _Field(_list_of(_integer), (2, 3, 4), *_at_least(2)),
         "n_values": _Field(_list_of(_integer), (10, 50, 200)),
         "t_values": _Field(_list_of(_real), (0.05, 0.1, 0.2, 0.5, 1.0), *_between(0, math.inf)),
         "mc_samples": _Field(_integer, 2000, *_at_least(1)),
     }, lambda p, seed: _kernel_and_base(p, p["m_values"]), reads=("cap",)),
     "rls": _Command(cmd_rls, {
-        "path": _Field(str, None),
+        "path": _Field(_text, None),
         "c": _Field(_real, 1.0, *_between(0, math.inf)),
         "t_points": _Field(_integer, 10, *_at_least(1)),
         "mc_samples": _Field(_integer, 100_000, *_at_least(1)),
@@ -604,22 +647,39 @@ _SCHEMA = {
     }, _normal_limit_params, reads=("cap",)),
 }
 
+# The run config: the flags, over the config file's top level.
+_CONFIG_FIELDS = {
+    "command": _Field(_text, None, _SCHEMA.__contains__, f"one of {sorted(_SCHEMA)}"),
+    "seed": _Field(_integer, 0, lambda v: 0 <= v < 1 << 64, "in 0..2^64-1"),
+    "out": _Field(_text, None, bool, "a nonempty path"),
+    "format": _Field(_text, "csv", ("csv", "json").__contains__, "csv or json"),
+    "count": _Field(_integer, None, *_at_least(0)),
+    "cap": _Field(_integer, None, *_at_least(1)),
+    "params": _Field(lambda v: v, None, lambda v: isinstance(v, dict), "an object"),
+}
 
-def _read_params(command: str, given: dict, seed: int) -> dict[str, Any]:
-    """The params of ``command``: ``given`` checked, converted and defaulted."""
-    schema = _SCHEMA[command]
-    unknown = set(given) - set(schema.fields)
-    if unknown:
-        raise ConfigError(f"unknown params field(s) for {command}: {sorted(unknown)}")
-    params: dict[str, Any] = {}
-    try:
-        for name, fld in schema.fields.items():
-            value = given.get(name, fld.default)
-            params[name] = fld.read(name, value(params) if callable(value) else value)
-        schema.build(params, seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {command} params: {exc}") from exc
-    return params
+
+def _run_config(c: dict) -> RunConfig:
+    """The run of the config fields ``c``: a command, only the flags it reads, and its params.
+
+    An absent ``--count`` or ``--cap`` takes the command's default; only an
+    absent or null params block means ``{}``.
+    """
+    if c["command"] is None:
+        raise ValueError("no command given (flag or config 'command')")
+    command = _SCHEMA[c["command"]]
+    given = [name for name in ("count", "cap") if c[name] is not None]
+    if ignored := [name for name in given if name not in command.reads]:
+        raise ValueError(f"--{ignored[0]} is not read by {c['command']}")
+    return RunConfig(**{
+        **c,
+        "count": command.count if c["count"] is None else c["count"],
+        "cap": DEFAULT_CAP if c["cap"] is None else c["cap"],
+        "params": _read_fields(
+            c["params"] or {}, command.fields, f"{c['command']} params",
+            lambda p: command.build(p, c["seed"]),
+        ),
+    })
 
 
 # ---------------------------------------------------------------------------

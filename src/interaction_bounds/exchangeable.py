@@ -249,16 +249,15 @@ class MultisetTable:
         return multiset_probabilities(rest, self.weights), neighbours(rest)
 
     @functools.cached_property
-    def pair_level(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(low, pair_rows, top)`` of the ``(n-2)``-multisets ``low``.
+    def pair_level(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(low, pair_rows)`` of the ``(n-2)``-multisets ``low``.
 
-        Their neighbour ranks ``pair_rows = neighbours(low)``, and
-        ``top[q, a, b]``, the row of ``q`` plus ``a`` and ``b`` among the
-        ``n``-multisets.
+        Their neighbour ranks ``pair_rows = neighbours(low)``: the row of
+        ``q`` plus ``a`` and ``b`` among the ``n``-multisets is
+        ``up[pair_rows[q, a], b]``, with ``up`` from ``rest_level``.
         """
         low = multisets(self.n - 2, len(self.weights), self.cap)
-        pair_rows = neighbours(low)
-        return low, pair_rows, self.rest_level[1][pair_rows]
+        return low, neighbours(low)
 
     def ingredients(self, values: np.ndarray) -> dict[str, float]:
         """Exact ``E_scv``, ``b``, ``crude`` and ``j_mu`` of a symmetric function.
@@ -277,7 +276,7 @@ class MultisetTable:
         p, n, s, counts = self.weights, self.n, len(self.weights), self.counts
         if n < 2 or len(values) != len(counts):
             raise ValueError(f"need one value per {n}-multiset of {s} points, n >= 2")
-        (rest_probs, up), (low, pair_rows, top) = self.rest_level, self.pair_level
+        (rest_probs, up), (low, pair_rows) = self.rest_level, self.pair_level
         # vals[r, y]: f at (n-1)-multiset r plus point y.
         vals = np.asarray(values, dtype=np.float64)[up]
         acc = np.zeros(len(vals))
@@ -301,8 +300,9 @@ class MultisetTable:
             diff = cpair[:, a, None, :] - cpair
             t_az = (diff * diff) @ p
             by_z = np.zeros((len(values), s))
+            top = up[pair_rows[:, a]]  # top[q, b]: the row of q plus a and b
             for b in range(s):
-                by_z[top[:, a, b]] += (low[:, b, None] + 1) * t_az
+                by_z[top[:, b]] += (low[:, b, None] + 1) * t_az
             objective += counts[:, a] * by_z.max(axis=1)
         return {
             "E_scv": e_scv,

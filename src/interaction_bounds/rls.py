@@ -49,7 +49,7 @@ import numpy as np
 
 from .exchangeable import MultisetTable, block_rows, occupancy, rank
 from .rng import substream
-from .space import _integer, fsum, fsum_rows
+from .space import fsum, fsum_rows
 
 _NORM_SLACK = 1e-12
 
@@ -576,40 +576,3 @@ def _python_squares(x: np.ndarray) -> np.ndarray:
     ``__pow__``.
     """
     return np.power(x.astype(object), 2).astype(np.float64)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange:
-# {"dim": d, "lambda": l, "n": n, "population": [{"x": [...], "y": ..., "p": ...}]}
-# ---------------------------------------------------------------------------
-
-
-def rls_config_from_json(doc: dict) -> tuple[Population, int, float]:
-    if not isinstance(doc, dict):
-        raise ValueError("document must be an object")
-    unknown = set(doc) - {"dim", "lambda", "n", "population"}
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}")
-    dim = _integer(doc["dim"])
-    lam = float(doc["lambda"])
-    n = _integer(doc["n"])
-    if not (0.0 < lam < 1.0) or n < 2:
-        raise ValueError(f"need lambda in (0, 1) and n >= 2, got lambda={lam}, n={n}")
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    atoms = doc["population"]
-    if not isinstance(atoms, list) or not atoms:
-        raise ValueError("'population' must be a non-empty list")
-    xs, ys, ps = [], [], []
-    for i, atom in enumerate(atoms):
-        unknown = set(atom) - {"x", "y", "p"}
-        if unknown:
-            raise ValueError(f"atom {i} has unknown fields {sorted(unknown)}")
-        x = list(atom["x"])
-        if len(x) != dim:
-            raise ValueError(f"atom {i} has dimension {len(x)}, expected {dim}")
-        xs.append(x)
-        ys.append(float(atom["y"]))
-        ps.append(float(atom["p"]))
-    population = Population(xs=np.array(xs), ys=np.array(ys), probs=np.array(ps))
-    return population, n, lam

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exchangeable import MultisetTable, multiset_count
-from .space import CapacityError, FiniteAxis, _integer, fsum
+from .space import CapacityError, FiniteAxis, fsum
 
 #: Cap on the kernel terms of one computation: the (count row, kernel
 #: multiset) products in ``u_at_counts``.
@@ -96,15 +96,17 @@ def tabulated_kernel(points: Sequence[float], table: Sequence[float], m: int) ->
     ``table`` is indexed in row-major order over point indices.  Symmetry and
     the ``[-1, 1]`` range are validated exhaustively at construction, the
     symmetry orbit by orbit, in time linear in the table.
-    JSON form: ``{"points": [...], "table": [...], "m": ...}``.
+    The CLI's kernel document holds the arguments: ``{"points": [...],
+    "table": [...], "m": ...}``.
     """
     pts = tuple(float(p) for p in points)
     if len(set(pts)) != len(pts):
         raise ValueError("kernel points must be distinct")
     size = len(pts)
     arr = np.asarray(table, dtype=np.float64)
-    if arr.size != size**m:
-        raise ValueError(f"table needs {size ** m} entries, got {arr.size}")
+    # Below two points the power is cheap; from two on, m bounds it by the table.
+    if (size > 1 and m > arr.size.bit_length()) or arr.size != size**m:
+        raise ValueError(f"table needs {size}^{m} entries, got {arr.size}")
     arr = arr.reshape((size,) * m)
     if not np.all(np.isfinite(arr)):
         raise ValueError("kernel table must be finite")
@@ -135,13 +137,6 @@ def tabulated_kernel(points: Sequence[float], table: Sequence[float], m: int) ->
     return Kernel(m=m, fn=fn, name="tabulated")
 
 
-def kernel_from_json(doc: dict) -> Kernel:
-    unknown = set(doc) - {"points", "table", "m"}
-    if unknown:
-        raise ValueError(f"unknown kernel fields {sorted(unknown)}")
-    return tabulated_kernel(doc["points"], doc["table"], _integer(doc["m"]))
-
-
 @dataclass(frozen=True)
 class UStatProblem:
     """A kernel on a base measure: the U-statistic of i.i.d. samples of any size.
@@ -168,10 +163,16 @@ class UStatProblem:
     def kernel_table(self) -> tuple[MultisetTable, np.ndarray]:
         """The table of ``m``-multisets of base points and the kernel at each.
 
-        Refuses more than ``KERNEL_TABLE_CAP`` multisets before any work.
-        ``g`` is evaluated once per multiset, at its points in base order, and
-        checked against ``[-1, 1]``.
+        Refuses more than ``KERNEL_TABLE_CAP`` multisets before any work,
+        naming that limit, which no ``cap`` argument raises.  ``g`` is
+        evaluated once per multiset, at its points in base order, and checked
+        against ``[-1, 1]``.
         """
+        if (rows := multiset_count(self.m, self.base_axis.size)) > KERNEL_TABLE_CAP:
+            raise CapacityError(
+                f"the kernel table of order {self.m} holds {rows} multisets of base points, "
+                f"over ustat.KERNEL_TABLE_CAP = {KERNEL_TABLE_CAP}, which --cap does not raise"
+            )
         table = MultisetTable(self.base_axis.weights, self.m, KERNEL_TABLE_CAP)
         values = []
         for sample in table.samples().tolist():

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import textwrap
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import interaction_bounds
 import oracles
@@ -24,7 +30,7 @@ from interaction_bounds import bounds, cli, exchangeable, rls
 from interaction_bounds import ustat as usmod
 from interaction_bounds.cli import main
 from interaction_bounds.rng import derive_seed
-from interaction_bounds.space import FiniteAxis
+from interaction_bounds.space import CapacityError, FiniteAxis
 from interaction_bounds.ustat import UStatProblem, product_kernel
 
 
@@ -176,8 +182,8 @@ class TestConfigHandling:
         ("rls", {"h": 1}, {}, "h must be in (0, 0.25)"),
         ("rls", {"c": 0}, {}, "c must be in (0, inf)"),
         ("rls", {"lambda_sweep": [0.5, 1.5]}, {}, "lambda_sweep entries must be in (0, 1)"),
-        ("rls", {"path": {"lambda": 1.5}}, {}, "need lambda in (0, 1) and n >= 2, got lambda=1.5"),
-        ("rls", {"path": {"n": 1}}, {}, "need lambda in (0, 1) and n >= 2, got lambda=0.5, n=1"),
+        ("rls", {"path": {"lambda": 1.5}}, {}, "lambda must be in (0, 1), got 1.5"),
+        ("rls", {"path": {"n": 1}}, {}, "n must be >= 2, got 1"),
         ("ustat", {"m_values": [1]}, {}, "m_values entries must be >= 2"),
         ("ustat", {"t_values": [-1]}, {}, "t_values entries must be in (0, inf)"),
         ("ustat", {"mc_samples": 0}, {}, "mc_samples must be >= 1"),
@@ -189,8 +195,8 @@ class TestConfigHandling:
         ("normal-limit-demo", {"m": 1}, {}, "m must be >= 2"),
         ("normal-limit-demo", {"t": -1}, {}, "t must be in (0, inf)"),
         ("normal-limit-demo", {"n_values": [30]}, {"cap": 30}, "exceed the cap of 30"),
-        ("normal-limit-demo", {}, {"cap": -1}, "cap must be at least 1"),
-        ("verify", {}, {"cap": 0}, "cap must be at least 1"),
+        ("normal-limit-demo", {}, {"cap": -1}, "cap must be >= 1, got -1"),
+        ("verify", {}, {"cap": 0}, "cap must be >= 1, got 0"),
         ("bounds-table", {"t_points": 2.7}, {}, "t_points: expected an integer, got 2.7"),
         ("bounds-table", {"t_points": True}, {}, "t_points: expected an integer, got True"),
         ("ustat", {"m_values": [2, 2.5]}, {}, "m_values: expected an integer, got 2.5"),
@@ -204,26 +210,32 @@ class TestConfigHandling:
         ("normal-limit-demo", {"base_points": [math.nan, 0.5]}, {}, "base_points: expected a finite number, got nan"),
         ("verify", {"epsilon": math.nan}, {}, "epsilon: expected a finite number, got nan"),
         ("bounds-table", {"epsilon": -math.inf}, {}, "epsilon: expected a finite number, got -inf"),
-        ("rls", {"path": {"population": [{"x": [math.nan], "y": 0.8, "p": 1.0}]}}, {}, "must be finite"),
-        ("rls", {"path": {"population": [{"x": [0.9], "y": math.nan, "p": 1.0}]}}, {}, "must be finite"),
-        ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8, "p": math.nan}]}}, {}, "must be finite"),
+        ("rls", {"path": {"population": [{"x": [math.nan], "y": 0.8, "p": 1.0}]}}, {},
+         "atom 0: x: expected a finite number, got nan"),
+        ("rls", {"path": {"population": [{"x": [0.9], "y": math.nan, "p": 1.0}]}}, {},
+         "atom 0: y: expected a finite number, got nan"),
+        ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8, "p": math.nan}]}}, {},
+         "atom 0: p: expected a finite number, got nan"),
+        ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8, "p": 1.0, "q": 0}]}}, {},
+         "atom 0: unknown field(s) ['q']"),
+        ("rls", {"path": {"population": [{"x": [0.9], "y": 0.8}]}}, {}, "atom 0: p is required"),
         ("rls", {}, {"cap": 3}, "9 sample multisets exceed the cap of 3"),
         ("verify", {"epsilon": 2}, {"count": 1}, "epsilon must be in [0, 1], got 2.0"),
         ("verify", {"epsilon": -0.5}, {"count": 1}, "epsilon must be in [0, 1], got -0.5"),
         ("bounds-table", {"values": "sum_plus_perturbation", "epsilon": 1e160}, {"count": 1},
          "epsilon must be in [0, 1], got 1e+160"),
-        ("verify", {}, {"command": ["verify"]}, "unknown command ['verify']"),
-        ("verify", {}, {"command": {}}, "unknown command {}"),
-        ("normal-limit-demo", {}, {"out": True}, "'out' must be a path string, got True"),
-        ("normal-limit-demo", {}, {"out": 7}, "'out' must be a path string, got 7"),
+        ("verify", {}, {"command": ["verify"]}, "command: expected a string, got ['verify']"),
+        ("verify", {}, {"command": {}}, "command: expected a string, got {}"),
+        ("normal-limit-demo", {}, {"out": True}, "out: expected a string, got True"),
+        ("normal-limit-demo", {}, {"out": 7}, "out: expected a string, got 7"),
         # only an absent or null params block means {}
-        ("verify", {}, {"params": []}, "'params' must be an object"),
-        ("verify", {}, {"params": False}, "'params' must be an object"),
-        ("verify", {}, {"params": 0}, "'params' must be an object"),
-        ("verify", {}, {"params": ""}, "'params' must be an object"),
+        ("verify", {}, {"params": []}, "params must be an object, got []"),
+        ("verify", {}, {"params": False}, "params must be an object, got False"),
+        ("verify", {}, {"params": 0}, "params must be an object, got 0"),
+        ("verify", {}, {"params": ""}, "params must be an object, got ''"),
         # an empty out, from the config and from the flag
-        ("normal-limit-demo", {}, {"out": ""}, "'out' must be a path string, got ''"),
-        ("normal-limit-demo", {}, {"--out": ""}, "'out' must be a path string, got ''"),
+        ("normal-limit-demo", {}, {"out": ""}, "out must be a nonempty path, got ''"),
+        ("normal-limit-demo", {}, {"--out": ""}, "out must be a nonempty path, got ''"),
         # a --count or --cap that the command does not read, from the flag and from the config
         ("rls", {}, {"--count": "7"}, "--count is not read by rls"),
         ("ustat", {}, {"count": 0}, "--count is not read by ustat"),
@@ -298,6 +310,114 @@ class TestConfigHandling:
         doc = json.loads(read(out))
         assert doc["count"] == 2
         assert doc["seed"] == 9
+
+
+class TestProblemDocument:
+    """The rls problem document, read by ``cli._rls_problem``."""
+
+    DOC = {
+        "dim": 1,
+        "lambda": 0.5,
+        "n": 8,
+        "population": [{"x": [0.9], "y": 0.8, "p": 0.5}, {"x": [-0.7], "y": -0.6, "p": 0.5}],
+    }
+
+    def test_round_trip(self):
+        pop, n, lam = cli._rls_problem(self.DOC, "problem")
+        assert n == 8 and lam == 0.5 and pop.size == 2
+        assert pop.xs.tolist() == [[0.9], [-0.7]] and pop.ys.tolist() == [0.8, -0.6]
+
+    def test_unknown_fields_rejected(self):
+        with pytest.raises(cli.ConfigError, match="bogus"):
+            cli._rls_problem({**self.DOC, "bogus": 1}, "problem")
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(cli.ConfigError, match="atom 0: x: got 1 entries, expected 2"):
+            cli._rls_problem({**self.DOC, "dim": 2}, "problem")
+
+    @pytest.mark.parametrize("field, value", [("lambda", 1.5), ("lambda", 0.0), ("n", 1)])
+    def test_out_of_range_lambda_and_n_rejected(self, field, value):
+        with pytest.raises(cli.ConfigError, match=f"{field} must be .*, got {value}"):
+            cli._rls_problem({**self.DOC, field: value}, "problem")
+
+
+#: A valid tabulated kernel document: the product kernel on {-1, 1}.
+KERNEL_DOC = {"points": [-1.0, 1.0], "table": [1.0, -1.0, -1.0, 1.0], "m": 2}
+
+
+@pytest.mark.parametrize("change, text", [
+    ({"scale": 2}, "unknown field(s) ['scale']"),
+    ({"m": None}, "m: int() argument must be"),
+    ({"table": [1.0, -1.0, -1.0, math.nan]}, "table: expected a finite number, got nan"),
+    ({"points": []}, "points: got 0 entries, expected at least 1"),
+    ({"m": 1}, "m must be >= 2, got 1"),
+    # 2^(2^63) entries: refused from the table's length, without the power
+    ({"m": 1 << 63}, f"table needs 2^{1 << 63} entries, got 4"),
+])
+def test_bad_kernel_document_is_one_config_error(tmp_path, capsys, change, text):
+    kernel_path = tmp_path / "kernel.json"
+    kernel_path.write_text(json.dumps({**KERNEL_DOC, **change}))
+    config = tmp_path / "cfg.json"
+    params = {"kernel_path": str(kernel_path), "m_values": [2], "n_values": [10]}
+    config.write_text(json.dumps({"command": "ustat", "params": params}))
+    assert main(["--config", str(config)]) == 2
+    err = assert_one_config_error(capsys)
+    assert f"bad kernel document {str(kernel_path)!r}: {text}" in err, err
+
+
+#: Any JSON value, with lists and objects of at most 8 entries, so that no
+#: kernel table grows large.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=8)
+    | st.sampled_from([1 << 63, 1 << 64, -(1 << 64), 10**400]),
+    lambda inner: (
+        st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=8), inner, max_size=8)
+    ),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize("document", ["config", "params", "problem", "atom", "kernel"])
+@given(data=st.data())
+def test_one_field_of_any_value_is_read_or_one_config_error(document, data):
+    # A valid run whose config, params, rls problem (or one of its atoms) or
+    # tabulated kernel has one field replaced by any JSON value.
+    config = {"command": "ustat", "seed": 3, "out": "out.csv", "format": "json", "params": {}}
+    problem, kernel = copy.deepcopy(TestProblemDocument.DOC), dict(KERNEL_DOC)
+    if document == "config":
+        target, fields = config, cli._CONFIG_FIELDS
+    elif document == "params":
+        config["command"] = data.draw(st.sampled_from(sorted(cli._SCHEMA)))
+        target, fields = config["params"], cli._SCHEMA[config["command"]].fields
+    elif document == "kernel":
+        config["params"] = {"kernel_path": "kernel.json", "m_values": [2], "n_values": [10]}
+        target, fields = kernel, cli._KERNEL_DOCUMENT
+    elif document == "problem":
+        config.update(command="rls", params={"path": "problem.json"})
+        target, fields = problem, cli._PROBLEM_DOCUMENT
+    else:
+        config.update(command="rls", params={"path": "problem.json"})
+        target, fields = problem["population"][0], cli._atom_fields(1)
+    target[data.draw(st.sampled_from([*fields, "bogus"]))] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(work)
+        for name, doc in {"config": config, "problem": problem, "kernel": kernel}.items():
+            Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        for name, command in cli._SCHEMA.items():
+            patch.setitem(cli._SCHEMA, name, dataclasses.replace(command, run=lambda config: 0))
+        try:  # only the reader runs, and it refuses with nothing but these two
+            cli._build_config(cli._parser().parse_args(["--config", "config.json"]))
+            refused = False
+        except (cli.ConfigError, CapacityError):
+            refused = True
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["--config", "config.json"])
+    err = err.getvalue()
+    if refused:
+        assert status == 2 and err.startswith("config error: ") and err.count("\n") == 1, err
+    else:
+        assert status == 0 and err == "", err
 
 
 def test_rls_loads_lapack_without_scipy_linalg():
@@ -728,6 +848,17 @@ class TestUstatCommand:
         assert len(kinds) == 9
         assert set(kinds.values()) == {"exact"}
 
+    def test_kernel_table_limit_is_named_and_not_the_cap(self, tmp_path, capsys):
+        # 20 base points at m = 8: C(27, 8) = 2,220,075 kernel multisets, over
+        # ustat.KERNEL_TABLE_CAP, which a --cap of 10^8 does not raise
+        params = {"kernel": "mean", "base_points": np.linspace(-1, 1, 20).tolist(), "m_values": [8]}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "ustat", "params": params}))
+        assert main(["--config", str(config), "--cap", "100000000"]) == 2
+        err = assert_one_config_error(capsys)
+        assert "of order 8 holds 2220075 multisets of base points" in err, err
+        assert "over ustat.KERNEL_TABLE_CAP = 1000000, which --cap does not raise" in err, err
+
     def test_missing_kernel_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -836,7 +967,7 @@ class TestRlsCommand:
         assert main(["--config", str(config), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         rows = [row for row in rows if row["section"] == "bound_curve"]
-        population, n, lam = rls.rls_config_from_json(cli._DEMO_RLS)
+        population, n, lam = cli._rls_problem(cli._DEMO_RLS, "rls demo problem")
         table = rls.GapTable(population, exchangeable.MultisetTable(population.probs, n), lam)
         mean = table.table.mean(table.gaps)
         values = oracles.mc_gap_values(table, samples, derive_seed(3, 0xA3))

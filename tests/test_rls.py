@@ -22,7 +22,6 @@ from interaction_bounds.rls import (
     empirical_scv,
     gap_tail_bound,
     population_sampler,
-    rls_config_from_json,
     sample_gaps,
     solve,
     solve_stack,
@@ -563,51 +562,3 @@ class TestBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exchangeable, "fsum_rows", oracles.row_fsums)
             assert ingredients(table) == got
-
-
-class TestJson:
-    def test_round_trip(self):
-        doc = {
-            "dim": 1,
-            "lambda": 0.5,
-            "n": 8,
-            "population": [
-                {"x": [0.9], "y": 0.8, "p": 0.5},
-                {"x": [-0.7], "y": -0.6, "p": 0.5},
-            ],
-        }
-        pop, n, lam = rls_config_from_json(doc)
-        assert n == 8 and lam == 0.5 and pop.size == 2
-
-    def test_unknown_fields_rejected(self):
-        doc = {
-            "dim": 1,
-            "lambda": 0.5,
-            "n": 8,
-            "population": [{"x": [0.9], "y": 0.8, "p": 1.0}],
-            "bogus": 1,
-        }
-        with pytest.raises(ValueError, match="bogus"):
-            rls_config_from_json(doc)
-
-    def test_dimension_mismatch_rejected(self):
-        doc = {
-            "dim": 2,
-            "lambda": 0.5,
-            "n": 8,
-            "population": [{"x": [0.9], "y": 0.8, "p": 1.0}],
-        }
-        with pytest.raises(ValueError):
-            rls_config_from_json(doc)
-
-    @pytest.mark.parametrize("field, value", [("lambda", 1.5), ("lambda", 0.0), ("n", 1)])
-    def test_out_of_range_lambda_and_n_rejected(self, field, value):
-        doc = {
-            "dim": 1,
-            "lambda": 0.5,
-            "n": 8,
-            "population": [{"x": [0.9], "y": 0.8, "p": 1.0}],
-            field: value,
-        }
-        with pytest.raises(ValueError, match=f"{field}={value}"):
-            rls_config_from_json(doc)

@@ -23,7 +23,6 @@ from interaction_bounds.ustat import (
     arcones_bound,
     check_kernel_terms,
     crossover,
-    kernel_from_json,
     mean_kernel,
     product_kernel,
     sign_agreement_kernel,
@@ -58,13 +57,9 @@ class TestKernels:
         assert k.fn((-0.5, -1.0, -0.1)) == 1.0
         assert k.fn((0.5, -0.1, 1.0)) == -1.0
 
-    def test_tabulated_kernel_lookup_and_json(self):
-        doc = {
-            "points": [-1.0, 1.0],
-            "m": 2,
-            "table": [1.0, -1.0, -1.0, 1.0],  # product kernel on {-1,1}
-        }
-        kernel = kernel_from_json(doc)
+    def test_tabulated_kernel_lookup(self):
+        # the product kernel on {-1, 1}
+        kernel = tabulated_kernel([-1.0, 1.0], [1.0, -1.0, -1.0, 1.0], 2)
         assert kernel.fn((-1.0, 1.0)) == -1.0
         assert kernel.fn((1.0, 1.0)) == 1.0
         with pytest.raises(ValueError):
